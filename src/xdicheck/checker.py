@@ -2,9 +2,12 @@
 
 g_check decides "globally" queries: every state reachable from the start
 must be transient, carry the queried label, or be a dead end under the
-environment. fg_check decides "eventually globally" queries by searching
-for a reachable state from which g_check holds. blocked and idle are the
-fg forms from the initial state, with the blocking and idling labels.
+environment. fg_check decides "eventually globally" queries, EF AG pass
+in CTL, with one fixpoint: the reachable states from which a failing
+state is reachable form the backward closure of the failing states, and
+any reachable state outside it is a witness. Both run in time linear in
+the reachable states plus edges. blocked and idle are the fg forms from
+the initial state, with the blocking and idling labels.
 
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
@@ -17,7 +20,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -121,9 +124,14 @@ def reasonable_envs(machine: XdiMachine) -> tuple[Environment, ...]:
 
 
 def _reach(machine: XdiMachine, env: Environment, start: str):
-    """Breadth-first reachability; yields parent links for trace rebuilding."""
+    """Breadth-first reachability.
+
+    Returns the discovery order, parent links for trace rebuilding, and
+    the predecessors of each reached state over the enabled edges.
+    """
 
     parents: dict[str, str | None] = {start: None}
+    preds: dict[str, list[str]] = {start: []}
     order: list[str] = []
     queue = deque([start])
     while queue:
@@ -132,8 +140,10 @@ def _reach(machine: XdiMachine, env: Environment, start: str):
         for _, target in enabled_transitions(machine, state, env):
             if target not in parents:
                 parents[target] = state
+                preds[target] = []
                 queue.append(target)
-    return order, parents
+            preds[target].append(state)
+    return order, parents, preds
 
 
 def _trace_to(parents: dict[str, str | None], state: str) -> tuple[str, ...]:
@@ -170,17 +180,29 @@ def g_check(query: TemporalQuery) -> CheckResult:
 
 
 def fg_check(query: TemporalQuery) -> CheckResult:
-    """Search reachable states, in breadth-first order, for one where g holds.
+    """Find the first reachable state, in breadth-first order, where g holds.
 
-    The evidence trace leads from the start to the first such witness.
+    g holds from a state iff no failing state is reachable from it, so the
+    states where it fails are the backward closure of the failing states.
+    The witness is the first reachable state outside that closure, and the
+    evidence trace leads from the start to it. The cost is linear in the
+    reachable states plus edges.
     """
 
     ctx = _QueryContext(query)
-    order, parents = _reach(ctx.machine, ctx.env, ctx.start)
+    order, parents, preds = _reach(ctx.machine, ctx.env, ctx.start)
+    doomed = {state for state in order if not ctx.passes(state)}
+    pending = list(doomed)
+    while pending:
+        for pred in preds[pending.pop()]:
+            if pred not in doomed:
+                doomed.add(pred)
+                pending.append(pred)
+    visited = frozenset(order)
     for state in order:
-        if g_check(replace(query, start=state)).holds:
-            return CheckResult(True, frozenset(order), _trace_to(parents, state))
-    return CheckResult(False, frozenset(order), None)
+        if state not in doomed:
+            return CheckResult(True, visited, _trace_to(parents, state))
+    return CheckResult(False, visited, None)
 
 
 def blocked(machine: XdiMachine, handshake: str, env: Environment) -> bool:

@@ -3,7 +3,8 @@
 One executable, eight subcommands: validate, labels, envs, query, check,
 check-library, oracle-check, deadlock. Exit code 0 means the command
 succeeded and any checked property holds, 1 means a property was
-violated (details on stdout), 2 means the invocation or input was bad.
+violated (details on stdout), 2 means the invocation or input was bad or
+the program failed internally.
 """
 
 from __future__ import annotations
@@ -290,7 +291,9 @@ def _cmd_check_library(args) -> int:
 def _cmd_oracle_check(args) -> int:
     mach, _ = _load_document(args.file)
     try:
-        disagreements = checker.cross_validate(mach, bound=args.bound)
+        disagreements = checker.cross_validate(
+            mach, bound=args.bound, max_states=args.max_states
+        )
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
     except labeling.AmbiguousMachineError as exc:
@@ -384,6 +387,16 @@ def _cmd_deadlock(args) -> int:
 # --- Parser ------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xdicheck",
@@ -440,6 +453,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("oracle-check", help="cross-validate against the oracle")
     sub.add_argument("file")
     sub.add_argument("--bound", type=int, help="walk bound (default: states + 1)")
+    sub.add_argument(
+        "--max-states",
+        type=_non_negative_int,
+        default=checker.ORACLE_MAX_STATES,
+        help="largest machine the oracle accepts",
+    )
     common(sub)
     sub.set_defaults(func=_cmd_oracle_check)
 
@@ -449,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--emit-smt", metavar="PATH", help="write the instance as SMT-LIB 2")
     sub.add_argument(
         "--max-states",
-        type=int,
+        type=_non_negative_int,
         default=circuit.PRODUCT_LIMIT,
         help="product exploration bound",
     )
@@ -477,6 +496,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit code 1 means "the property fails", so a crash must not
+        # escape as an uncaught exception, which the interpreter turns into 1.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

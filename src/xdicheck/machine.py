@@ -10,6 +10,7 @@ transition labelled with a stable wire.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -287,7 +288,7 @@ def validate(machine: XdiMachine) -> ValidationReport:
     elif len(initials) > 1:
         violations.append("multiple initial states: " + " ".join(initials))
     names = [entry.name for entry in machine.states]
-    dupes = sorted({name for name in names if names.count(name) > 1})
+    dupes = sorted(name for name, count in Counter(names).items() if count > 1)
     if dupes:
         violations.append("duplicate state ids: " + " ".join(dupes))
     declared = set(names)

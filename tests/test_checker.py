@@ -1,6 +1,7 @@
 """Temporal checks, environment enumeration, and the trace oracle."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from xdicheck.checker import (
     oracle_g_check,
     reasonable_envs,
 )
+from xdicheck.library import builtin_library
 from xdicheck.machine import parse_machine
 
 LIVE = frozenset()
@@ -115,6 +117,29 @@ def test_oracle_agrees_on_the_running_example(join):
             q = TemporalQuery(join, "a", mode, env)
             assert oracle_g_check(q) == g_check(q).holds
             assert oracle_fg_check(q) == fg_check(q).holds
+
+
+def per_state_fg_check(query):
+    """Reference fg: the first reachable state, in BFS order, where g holds."""
+
+    order, parents, _ = checker._reach(query.machine, query.env, query.resolved_start())
+    for state in order:
+        if g_check(replace(query, start=state)).holds:
+            return CheckResult(True, frozenset(order), checker._trace_to(parents, state))
+    return CheckResult(False, frozenset(order), None)
+
+
+def test_fg_fixpoint_matches_per_state_search(join, distributor, ring_document):
+    machines = [spec.machine for spec in builtin_library()] + [join, distributor]
+    machines += [parse_machine(ring_document(24, polarity)) for polarity in ("idle", "blocked")]
+    for machine in dict.fromkeys(machines):  # the shipped distributor is the library's
+        for handshake in sorted(machine.handshakes):
+            for mode in (BLOCKING, IDLING):
+                for env in reasonable_envs(machine):
+                    for entry in machine.states:
+                        query = TemporalQuery(machine, handshake, mode, env, entry.name)
+                        fast, slow = fg_check(query), per_state_fg_check(query)
+                        assert (fast, fast.witness) == (slow, slow.witness), query
 
 
 def test_oracle_respects_explicit_bound(join):

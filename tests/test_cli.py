@@ -204,6 +204,35 @@ def test_oracle_check_rejects_large_machines(run_cli, machines_dir, tmp_path):
     assert "oracle limit" in result.err
 
 
+def test_oracle_check_max_states_moves_the_limit(run_cli, join_path, ring_document, tmp_path):
+    ring = tmp_path / "ring.xdi"
+    ring.write_text(ring_document(24, "idle"))
+    assert run_cli("oracle-check", str(ring)).code == 2
+    result = run_cli("oracle-check", str(ring), "--max-states", "27")
+    assert result.code == 0
+    assert "disagreements: 0" in result.out
+    result = run_cli("oracle-check", join_path, "--max-states", "5")
+    assert result.code == 2
+    assert "above the oracle limit of 5" in result.err
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "deadlock"])
+def test_negative_max_states_is_a_usage_error(run_cli, machines_dir, command):
+    target = "join.xdi" if command == "oracle-check" else "pipeline.net"
+    result = run_cli(command, str(machines_dir / target), "--max-states", "-5")
+    assert result.code == 2
+    assert "--max-states: must be non-negative, got -5" in result.err
+    assert result.out == ""
+
+
+def test_internal_error_exits_2_without_traceback(run_cli, join_path):
+    condition = " | ".join(["blocked(a)"] * 1200)
+    result = run_cli("check", join_path, "--condition", condition)
+    assert result.code == 2
+    assert result.err.startswith("error: internal error: ")
+    assert "Traceback" not in result.err
+
+
 def test_deadlock_clean_circuit(run_cli, machines_dir):
     result = run_cli("deadlock", str(machines_dir / "pipeline.net"), "--channel", "a")
     assert result.code == 0
