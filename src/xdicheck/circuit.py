@@ -11,7 +11,6 @@ through fullness variables, and emits the result as SMT-LIB.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
@@ -278,77 +277,97 @@ class ProductSystem:
             labels.append(label)
 
 
-def _successors(
-    netlist: Netlist,
-    order: tuple[str, ...],
-    machines: tuple[XdiMachine, ...],
-    index_of: Mapping[str, int],
-    state: ProductState,
-) -> list[Edge]:
-    edges: list[Edge] = []
-    for idx, instance in enumerate(order):
-        machine = machines[idx]
-        for wire, target in machine.entry(state[idx]).transitions:
-            point = Endpoint(instance, wire.handshake)
-            channel = netlist.endpoint_channel.get(point)
-            if wire.direction == OUTPUT:
-                if channel is None:
-                    successor = state[:idx] + (target,) + state[idx + 1 :]
-                    edges.append(
-                        Edge(f"{point}.{wire.phase}", frozenset((instance,)), successor)
+def _compile(
+    netlist: Netlist, order: tuple[str, ...], machines: tuple[XdiMachine, ...]
+) -> tuple[list[dict[str, tuple]], list[dict[str, dict]]]:
+    """Per instance and local state: the moves it starts, and its input table.
+
+    A move is (label, movers, partner, partner key, local target), with
+    partner -1 for a move on an external wire. The input table maps a
+    (handshake, phase) to the local targets of its input transitions, in
+    declaration order; a partner's output move fires once per target.
+    """
+
+    index_of = {instance: idx for idx, instance in enumerate(order)}
+    channel_movers = {
+        channel.name: frozenset((channel.end_a.instance, channel.end_b.instance))
+        for channel in netlist.channels
+    }
+    moves: list[dict[str, tuple]] = []
+    inputs: list[dict[str, dict]] = []
+    for instance, machine in zip(order, machines):
+        alone = frozenset((instance,))
+        instance_moves: dict[str, tuple] = {}
+        instance_inputs: dict[str, dict] = {}
+        for entry in machine.states:
+            local = []
+            table: dict[tuple[str, str], list[str]] = {}
+            for wire, target in entry.transitions:
+                point = Endpoint(instance, wire.handshake)
+                channel = netlist.endpoint_channel.get(point)
+                if channel is not None and wire.direction == OUTPUT:
+                    other = channel.end_b if channel.end_a == point else channel.end_a
+                    local.append(
+                        (
+                            f"{channel.name}.{wire.phase}",
+                            channel_movers[channel.name],
+                            index_of[other.instance],
+                            (other.handshake, wire.phase),
+                            target,
+                        )
                     )
                     continue
-                other = channel.end_b if channel.end_a == point else channel.end_a
-                jdx = index_of[other.instance]
-                partner = machines[jdx]
-                for pwire, ptarget in partner.entry(state[jdx]).transitions:
-                    if (
-                        pwire.handshake == other.handshake
-                        and pwire.phase == wire.phase
-                        and pwire.direction == INPUT
-                    ):
-                        nxt = list(state)
-                        nxt[idx] = target
-                        nxt[jdx] = ptarget
-                        edges.append(
-                            Edge(
-                                f"{channel.name}.{wire.phase}",
-                                frozenset((instance, other.instance)),
-                                tuple(nxt),
-                            )
-                        )
-            else:
-                # Input wires: connected ones are driven from the output
-                # side; external ones fire freely unless marked stable.
-                if channel is None and point not in netlist.stable:
-                    successor = state[:idx] + (target,) + state[idx + 1 :]
-                    edges.append(
-                        Edge(f"{point}.{wire.phase}", frozenset((instance,)), successor)
-                    )
-    return edges
+                if wire.direction == INPUT:
+                    table.setdefault((wire.handshake, wire.phase), []).append(target)
+                # External wires move alone: outputs always, inputs unless
+                # marked stable. Connected inputs are driven by the partner.
+                if channel is None and (
+                    wire.direction == OUTPUT or point not in netlist.stable
+                ):
+                    local.append((f"{point}.{wire.phase}", alone, -1, None, target))
+            instance_moves[entry.name] = tuple(local)
+            instance_inputs[entry.name] = {
+                key: tuple(targets) for key, targets in table.items()
+            }
+        moves.append(instance_moves)
+        inputs.append(instance_inputs)
+    return moves, inputs
 
 
 def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     """Explore the reachable product set breadth first.
 
     Raises ExplorationLimitError past max_states. The state order, edge
-    order, and parent links are deterministic.
+    order, and parent links are deterministic: edges follow instance
+    order, then transition order, then the partner's transition order.
+    Each instance is compiled into move tables once, so the cost is
+    linear in product states plus edges.
     """
 
     order = tuple(instance for instance, _ in netlist.instances)
     machines = tuple(netlist.machine_of(instance) for instance in order)
-    index_of = {instance: idx for idx, instance in enumerate(order)}
+    moves, inputs = _compile(netlist, order, machines)
     init: ProductState = tuple(machine.init_state for machine in machines)
 
     parents: dict[ProductState, tuple[ProductState, str] | None] = {init: None}
     adjacency: dict[ProductState, tuple[Edge, ...]] = {}
-    states: list[ProductState] = []
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
-        states.append(state)
-        edges = tuple(_successors(netlist, order, machines, index_of, state))
-        adjacency[state] = edges
+    states: list[ProductState] = [init]
+    # The state list doubles as the breadth-first queue.
+    for state in states:
+        edges: list[Edge] = []
+        for idx, local in enumerate(state):
+            for label, movers, partner, key, target in moves[idx][local]:
+                if partner < 0:
+                    edges.append(
+                        Edge(label, movers, state[:idx] + (target,) + state[idx + 1 :])
+                    )
+                    continue
+                for partner_target in inputs[partner][state[partner]].get(key, ()):
+                    successor = list(state)
+                    successor[idx] = target
+                    successor[partner] = partner_target
+                    edges.append(Edge(label, movers, tuple(successor)))
+        adjacency[state] = tuple(edges)
         for edge in edges:
             if edge.target not in parents:
                 if len(parents) >= max_states:
@@ -356,7 +375,7 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
                         f"product of {netlist.name} exceeds {max_states} states"
                     )
                 parents[edge.target] = (state, edge.label)
-                queue.append(edge.target)
+                states.append(edge.target)
     return ProductSystem(
         netlist, order, machines, init, tuple(states), adjacency, parents
     )
@@ -374,46 +393,18 @@ class DeadlockFinding:
     instances: tuple[str, ...]
 
 
-def _can_move(system: ProductSystem, instance: str) -> frozenset:
-    """States from which the instance can still take part in some event."""
-
-    moving = [
-        state
-        for state in system.states
-        if any(instance in edge.movers for edge in system.adjacency[state])
-    ]
-    backward: dict[ProductState, list[ProductState]] = {}
-    for state in system.states:
-        for edge in system.adjacency[state]:
-            backward.setdefault(edge.target, []).append(state)
-    reached = set(moving)
-    queue = deque(moving)
-    while queue:
-        state = queue.popleft()
-        for prior in backward.get(state, ()):
-            if prior not in reached:
-                reached.add(prior)
-                queue.append(prior)
-    return frozenset(reached)
-
-
-def _stuck_profile(machine: XdiMachine) -> dict[str, bool]:
-    """Per state: parked mid-handshake or obliged to move.
-
-    True when the state is transient or some handshake sits at blocking
-    parity. A state that is neither is a quiescent resting point, which
-    never counts as deadlocked no matter how permanent it is.
-    """
+def _blocking_states(machine: XdiMachine) -> frozenset[str]:
+    """States at blocking parity on at least one handshake of the machine."""
 
     label_maps = [
-        compute_block_idle(machine, handshake)
+        compute_block_idle(machine, handshake).labels
         for handshake in sorted(machine.handshakes)
     ]
-    return {
-        entry.name: entry.is_transient
-        or any(labels.labels[entry.name] for labels in label_maps)
+    return frozenset(
+        entry.name
         for entry in machine.states
-    }
+        if any(labels[entry.name] for labels in label_maps)
+    )
 
 
 def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
@@ -422,17 +413,58 @@ def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
     An instance is deadlocked when no reachable continuation ever moves
     it again and its local state is transient or blocking on some
     handshake: it is parked where the protocol still owes progress.
+
+    One backward pass decides "can still move" for every instance at
+    once: can[s] is the least fixpoint of movers(s) | OR can[t] over the
+    successors t of s, as a bitmask over instances. A state re-enters
+    the worklist only when its mask grows, so the pass costs at most
+    instances x (states + edges).
     """
 
     if not system.order:
         return None
-    profiles = [_stuck_profile(machine) for machine in system.machines]
-    movable = {instance: _can_move(system, instance) for instance in system.order}
-    for state in system.states:
+    states = system.states
+    index = {state: i for i, state in enumerate(states)}
+    bit = {instance: 1 << idx for idx, instance in enumerate(system.order)}
+    mask_of: dict[frozenset, int] = {}
+    can: list[int] = []
+    predecessors: list[list[int]] = [[] for _ in states]
+    for i, state in enumerate(states):
+        mask = 0
+        for edge in system.adjacency[state]:
+            movers = mask_of.get(edge.movers)
+            if movers is None:
+                movers = mask_of[edge.movers] = sum(bit[name] for name in edge.movers)
+            mask |= movers
+            predecessors[index[edge.target]].append(i)
+        can.append(mask)
+
+    worklist = [i for i, mask in enumerate(can) if mask]
+    while worklist:
+        i = worklist.pop()
+        mask = can[i]
+        for prior in predecessors[i]:
+            if mask & ~can[prior]:
+                can[prior] |= mask
+                worklist.append(prior)
+
+    # Transient or blocking local states owe progress; a state that is
+    # neither is a quiescent resting point, never a deadlock however
+    # permanent it is.
+    stuck = [
+        _blocking_states(machine)
+        | {entry.name for entry in machine.states if entry.is_transient}
+        for machine in system.machines
+    ]
+    every = (1 << len(system.order)) - 1
+    for i, state in enumerate(states):
+        frozen = every & ~can[i]
+        if not frozen:
+            continue
         flagged = tuple(
             instance
             for idx, instance in enumerate(system.order)
-            if profiles[idx][state[idx]] and state not in movable[instance]
+            if frozen >> idx & 1 and state[idx] in stuck[idx]
         )
         if flagged:
             return DeadlockFinding(state, system.path_to(state), flagged)
@@ -456,15 +488,7 @@ def find_deadlock(
 def settled_states(machine: XdiMachine) -> frozenset[str]:
     """States where every handshake of the machine is at idling parity."""
 
-    label_maps = [
-        compute_block_idle(machine, handshake)
-        for handshake in sorted(machine.handshakes)
-    ]
-    return frozenset(
-        entry.name
-        for entry in machine.states
-        if all(not labels.labels[entry.name] for labels in label_maps)
-    )
+    return frozenset(entry.name for entry in machine.states) - _blocking_states(machine)
 
 
 def _storage_indices(system: ProductSystem) -> tuple[int, ...]:
@@ -549,7 +573,9 @@ def _variable_base(netlist: Netlist, point: Endpoint) -> str:
     return f"{point.instance}_{point.handshake}"
 
 
-def derive_deadlock_formula(netlist: Netlist, target: str) -> DeadlockInstance:
+def derive_deadlock_formula(
+    netlist: Netlist, target: str, system: ProductSystem | None = None
+) -> DeadlockInstance:
     """Build the blocked/idle constraint system asking Dead(target).
 
     Constraints comprise, in order: each instance's condition set over
@@ -558,10 +584,18 @@ def derive_deadlock_formula(netlist: Netlist, target: str) -> DeadlockInstance:
     external handshake, the storage fullness invariant projected from
     the reachable product set, and the target assertion
     Dead(ch) = blocked(ch) and not idle(ch).
+
+    The invariant is projected from system, the composed product of
+    netlist, when given; otherwise the netlist is composed here with the
+    default state limit.
     """
 
     if target not in {channel.name for channel in netlist.channels}:
         raise NetlistError(f"no channel named {target!r}")
+    if system is not None and system.netlist != netlist:
+        raise ValueError(
+            f"product system of {system.netlist.name} is not of {netlist.name}"
+        )
 
     bases: list[str] = [channel.name for channel in netlist.channels]
     bases.extend(_variable_base(netlist, point) for point in netlist.external_endpoints)
@@ -626,7 +660,7 @@ def derive_deadlock_formula(netlist: Netlist, target: str) -> DeadlockInstance:
                 Constraint(f"external {point}: live", Not(VarAtom(f"blk_{base}")))
             )
 
-    invariant = fullness_invariant(compose(netlist))
+    invariant = fullness_invariant(system if system is not None else compose(netlist))
     if invariant is not None:
         constraints.append(Constraint("storage fullness invariant", invariant))
 

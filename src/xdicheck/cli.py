@@ -362,7 +362,7 @@ def _cmd_deadlock(args) -> int:
         lines.append(f"path: {' '.join(finding.path) if finding.path else '(initial)'}")
     if args.channel is not None:
         try:
-            instance = circuit.derive_deadlock_formula(netlist, args.channel)
+            instance = circuit.derive_deadlock_formula(netlist, args.channel, system)
         except circuit.NetlistError as exc:
             raise CommandError(str(exc)) from exc
         model = instance.first_model()

@@ -94,6 +94,70 @@ def ring_document():
     return _ring_document
 
 
+def _chain_netlist(n: int, broken: bool) -> str:
+    """source -> n storages -> sink. Broken: a join sits before the sink
+    with its second input left external and stable, so it waits forever."""
+
+    instances = ["(instance src source)"]
+    instances += [f"(instance st{i} storage)" for i in range(n)]
+    ends = ["src out"] + [f"st{i} out" for i in range(n)]
+    starts = [f"st{i} in" for i in range(n)]
+    extra = []
+    if broken:
+        instances.append("(instance j join)")
+        starts.append("j in0")
+        ends.append("j out")
+        extra.append("(stable (j in1))")
+    instances.append("(instance snk sink)")
+    starts.append("snk in")
+    channels = [
+        f"(channel c{i} ({a}) ({b}))" for i, (a, b) in enumerate(zip(ends, starts))
+    ]
+    name = f"chain{n}{'_broken' if broken else ''}"
+    return f"(circuit {name}\n  " + "\n  ".join(instances + channels + extra) + ")\n"
+
+
+def _tree_netlist(depth: int, broken: bool) -> str:
+    """source -> balanced fork tree -> one storage per leaf -> join tree ->
+    sink. Broken: the last leaf storage is missing, leaving its fork output
+    external and live and its join input external and stable."""
+
+    leaves = 2**depth
+    stores = [f"st{i}" for i in range(leaves - (1 if broken else 0))]
+    instances = ["(instance src source)"]
+    instances += [f"(instance f{i} fork)" for i in range(1, leaves)]
+    instances += [f"(instance {s} storage)" for s in stores]
+    instances += [f"(instance j{i} join)" for i in range(1, leaves)]
+    instances.append("(instance snk sink)")
+    links = [("src out", "f1 in")]
+    # Heap numbering: node i has children 2i and 2i+1; leaves are leaves..2*leaves-1.
+    for i in range(1, leaves):
+        for side, child in ((0, 2 * i), (1, 2 * i + 1)):
+            if child < leaves:
+                links.append((f"f{i} out{side}", f"f{child} in"))
+                links.append((f"j{child} out", f"j{i} in{side}"))
+            elif child - leaves < len(stores):
+                store = stores[child - leaves]
+                links.append((f"f{i} out{side}", f"{store} in"))
+                links.append((f"{store} out", f"j{i} in{side}"))
+    links.append(("j1 out", "snk in"))
+    channels = [f"(channel c{i} ({a}) ({b}))" for i, (a, b) in enumerate(links)]
+    extra = [f"(stable (j{leaves - 1} in1))"] if broken else []
+    name = f"tree{depth}{'_broken' if broken else ''}"
+    return f"(circuit {name}\n  " + "\n  ".join(instances + channels + extra) + ")\n"
+
+
+@pytest.fixture(scope="session")
+def circuit_document():
+    """Factory for generated netlist texts: circuit_document(kind, size, broken),
+    kind "chain" (size = storages) or "tree" (size = depth)."""
+
+    def build(kind: str, size: int, broken: bool) -> str:
+        return {"chain": _chain_netlist, "tree": _tree_netlist}[kind](size, broken)
+
+    return build
+
+
 class CliResult:
     def __init__(self, code: int, out: str, err: str) -> None:
         self.code = code

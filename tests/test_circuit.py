@@ -1,14 +1,20 @@
 """Netlists, product exploration, deadlock analysis, and formula extraction."""
 
+import pathlib
+from collections import deque
+
 import pytest
 
 from xdicheck import circuit
 from xdicheck.circuit import (
     Constraint,
+    DeadlockFinding,
     DeadlockInstance,
+    Edge,
     Endpoint,
     ExplorationLimitError,
     NetlistError,
+    ProductSystem,
     analyze_deadlock,
     compose,
     derive_deadlock_formula,
@@ -19,6 +25,8 @@ from xdicheck.circuit import (
     settled_states,
 )
 from xdicheck.formulas import FALSE, to_dsl
+from xdicheck.labeling import compute_block_idle
+from xdicheck.machine import INPUT, OUTPUT
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +282,191 @@ def test_emit_smt_full_instance(pipeline):
     first_assert = next(i for i, l in enumerate(lines) if l.startswith("(assert"))
     declares = [i for i, l in enumerate(lines) if l.startswith("(declare-const")]
     assert max(declares) < first_assert
+
+
+# --- Reference product engine ------------------------------------------------
+#
+# The per-state successor builder and per-instance backward search that
+# compose and analyze_deadlock replaced. Kept as the oracle for the
+# table-driven engine: same states, edges, parents and findings.
+
+
+def reference_successors(netlist, order, machines, index_of, state):
+    edges = []
+    for idx, instance in enumerate(order):
+        machine = machines[idx]
+        for wire, target in machine.entry(state[idx]).transitions:
+            point = Endpoint(instance, wire.handshake)
+            channel = netlist.endpoint_channel.get(point)
+            if wire.direction == OUTPUT:
+                if channel is None:
+                    successor = state[:idx] + (target,) + state[idx + 1 :]
+                    edges.append(
+                        Edge(f"{point}.{wire.phase}", frozenset((instance,)), successor)
+                    )
+                    continue
+                other = channel.end_b if channel.end_a == point else channel.end_a
+                jdx = index_of[other.instance]
+                partner = machines[jdx]
+                for pwire, ptarget in partner.entry(state[jdx]).transitions:
+                    if (
+                        pwire.handshake == other.handshake
+                        and pwire.phase == wire.phase
+                        and pwire.direction == INPUT
+                    ):
+                        nxt = list(state)
+                        nxt[idx] = target
+                        nxt[jdx] = ptarget
+                        edges.append(
+                            Edge(
+                                f"{channel.name}.{wire.phase}",
+                                frozenset((instance, other.instance)),
+                                tuple(nxt),
+                            )
+                        )
+            elif channel is None and point not in netlist.stable:
+                successor = state[:idx] + (target,) + state[idx + 1 :]
+                edges.append(
+                    Edge(f"{point}.{wire.phase}", frozenset((instance,)), successor)
+                )
+    return edges
+
+
+def reference_compose(netlist, max_states=circuit.PRODUCT_LIMIT):
+    order = tuple(instance for instance, _ in netlist.instances)
+    machines = tuple(netlist.machine_of(instance) for instance in order)
+    index_of = {instance: idx for idx, instance in enumerate(order)}
+    init = tuple(machine.init_state for machine in machines)
+    parents = {init: None}
+    adjacency = {}
+    states = []
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        states.append(state)
+        edges = tuple(reference_successors(netlist, order, machines, index_of, state))
+        adjacency[state] = edges
+        for edge in edges:
+            if edge.target not in parents:
+                if len(parents) >= max_states:
+                    raise ExplorationLimitError(
+                        f"product of {netlist.name} exceeds {max_states} states"
+                    )
+                parents[edge.target] = (state, edge.label)
+                queue.append(edge.target)
+    return ProductSystem(netlist, order, machines, init, tuple(states), adjacency, parents)
+
+
+def reference_can_move(system, instance):
+    moving = [
+        state
+        for state in system.states
+        if any(instance in edge.movers for edge in system.adjacency[state])
+    ]
+    backward = {}
+    for state in system.states:
+        for edge in system.adjacency[state]:
+            backward.setdefault(edge.target, []).append(state)
+    reached = set(moving)
+    queue = deque(moving)
+    while queue:
+        state = queue.popleft()
+        for prior in backward.get(state, ()):
+            if prior not in reached:
+                reached.add(prior)
+                queue.append(prior)
+    return frozenset(reached)
+
+
+def reference_stuck_profile(machine):
+    label_maps = [
+        compute_block_idle(machine, handshake) for handshake in sorted(machine.handshakes)
+    ]
+    return {
+        entry.name: entry.is_transient
+        or any(labels.labels[entry.name] for labels in label_maps)
+        for entry in machine.states
+    }
+
+
+def reference_analyze_deadlock(system):
+    if not system.order:
+        return None
+    profiles = [reference_stuck_profile(machine) for machine in system.machines]
+    movable = {instance: reference_can_move(system, instance) for instance in system.order}
+    for state in system.states:
+        flagged = tuple(
+            instance
+            for idx, instance in enumerate(system.order)
+            if profiles[idx][state[idx]] and state not in movable[instance]
+        )
+        if flagged:
+            return DeadlockFinding(state, system.path_to(state), flagged)
+    return None
+
+
+EXTERNAL_INPUT = (
+    "(circuit external_input (instance src source) (instance j join)"
+    " (instance snk sink) (channel a (src out) (j in0)) (channel b (j out) (snk in)){}"
+)
+
+
+MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
+SHIPPED_NETS = sorted(path.name for path in MACHINES.glob("*.net"))
+DIFFERENTIAL_CASES = (
+    [("file", name, None) for name in SHIPPED_NETS]
+    + [("chain", n, broken) for broken in (False, True) for n in range(1, 7)]
+    + [("tree", depth, broken) for broken in (False, True) for depth in (1, 2)]
+    + [("inline", ")", None), ("inline", " (stable (j in1)))", None)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, arg, broken", DIFFERENTIAL_CASES, ids=[str(case) for case in DIFFERENTIAL_CASES]
+)
+def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_document):
+    if kind == "file":
+        text = (machines_dir / arg).read_text()
+    elif kind == "inline":
+        text = EXTERNAL_INPUT.format(arg)
+    else:
+        text = circuit_document(kind, arg, broken)
+    netlist = parse_netlist(text)
+    system = compose(netlist)
+    expected = reference_compose(netlist)
+    assert system.order == expected.order
+    assert system.machines == expected.machines
+    assert system.init == expected.init
+    assert system.states == expected.states
+    assert system.adjacency == expected.adjacency
+    assert system.parents == expected.parents
+    finding = analyze_deadlock(system)
+    reference = reference_analyze_deadlock(expected)
+    assert (finding is None) == (reference is None)
+    if finding is not None:
+        assert finding.state == reference.state
+        assert finding.path == reference.path
+        assert finding.instances == reference.instances
+
+
+def test_external_inputs_fire_unless_stable():
+    live = compose(parse_netlist(EXTERNAL_INPUT.format(")")))
+    stable = compose(parse_netlist(EXTERNAL_INPUT.format(" (stable (j in1)))")))
+    def labels(system):
+        return {edge.label for edges in system.adjacency.values() for edge in edges}
+
+    assert "j.in1.R" in labels(live)
+    assert not any(label.startswith("j.in1") for label in labels(stable))
+    assert analyze_deadlock(live) is None
+    assert analyze_deadlock(stable).instances == ("src", "j")
+
+
+def test_formula_reuses_the_composed_system(pipeline, broken, monkeypatch):
+    system = compose(pipeline)
+    expected = derive_deadlock_formula(pipeline, "a")
+    calls = []
+    monkeypatch.setattr(circuit, "compose", lambda *args: calls.append(args))
+    assert derive_deadlock_formula(pipeline, "a", system) == expected
+    assert calls == []
+    with pytest.raises(ValueError, match="not of pipeline_broken"):
+        derive_deadlock_formula(broken, "a", system)

@@ -268,6 +268,28 @@ def test_deadlock_json(run_cli, machines_dir):
     assert payload["path"] == ["a.R", "b.R", "f.out1.R", "b.A", "d.R"]
 
 
+def test_deadlock_channel_explores_once_within_limit(run_cli, machines_dir, monkeypatch):
+    from xdicheck import circuit
+
+    calls = []
+    compose = circuit.compose
+
+    def counting_compose(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(circuit, "compose", counting_compose)
+    path = machines_dir / "pipeline.net"
+    size = len(compose(circuit.parse_netlist(path.read_text())).states)
+    result = run_cli("deadlock", str(path), "--channel", "a", "--max-states", str(size))
+    assert result.code == 0
+    assert "formula(a): unsat" in result.out
+    assert len(calls) == 1
+    result = run_cli("deadlock", str(path), "--channel", "a", "--max-states", str(size - 1))
+    assert result.code == 2
+    assert result.err == f"error: product of pipeline exceeds {size - 1} states\n"
+
+
 def test_deadlock_emit_smt_requires_channel(run_cli, machines_dir, tmp_path):
     result = run_cli(
         "deadlock", str(machines_dir / "pipeline.net"),
