@@ -4,7 +4,8 @@ Conditions are small formulas such as `blocked(a) <-> blocked(c) | idle(b)`.
 Verifying one against a machine means evaluating it under every reasonable
 environment, with blocked(h) and idle(h) answered by the checker. The same
 AST doubles as the constraint language for deadlock instances, where the
-atoms have been substituted by free boolean variables.
+atoms have been substituted by free boolean variables; first_model solves
+those, and satisfying_models enumerates them exhaustively.
 """
 
 from __future__ import annotations
@@ -414,23 +415,49 @@ def to_nnf(form: Formula) -> Formula:
 
 
 def evaluate(form: Formula, resolve: Callable[[Formula], bool]) -> bool:
-    """Evaluate with atoms answered by the resolve callback."""
+    """Evaluate with atoms answered by the resolve callback.
 
-    if isinstance(form, Const):
-        return form.value
-    if isinstance(form, (BlockedAtom, IdleAtom, VarAtom)):
-        return resolve(form)
-    if isinstance(form, Not):
-        return not evaluate(form.operand, resolve)
-    if isinstance(form, And):
-        return evaluate(form.lhs, resolve) and evaluate(form.rhs, resolve)
-    if isinstance(form, Or):
-        return evaluate(form.lhs, resolve) or evaluate(form.rhs, resolve)
-    if isinstance(form, Implies):
-        return (not evaluate(form.lhs, resolve)) or evaluate(form.rhs, resolve)
-    if isinstance(form, Iff):
-        return evaluate(form.lhs, resolve) == evaluate(form.rhs, resolve)
-    raise TypeError(f"not a formula: {form!r}")
+    Left operands go first and short-circuit as in Python, so resolve sees
+    the atoms a recursive evaluation would, in the same order. An explicit
+    stack keeps deep formulas off the call stack.
+    """
+
+    stack: list[tuple[Formula, bool | None]] = []  # (node, lhs value or None)
+    node = form
+    while True:
+        kind = type(node)
+        if kind is Const:
+            value = node.value
+        elif kind in (BlockedAtom, IdleAtom, VarAtom):
+            value = resolve(node)
+        elif kind is Not:
+            stack.append((node, None))
+            node = node.operand
+            continue
+        elif kind in (And, Or, Implies, Iff):
+            stack.append((node, None))
+            node = node.lhs
+            continue
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        # Pass the value up until a binary node still needs its rhs.
+        while stack:
+            parent, lhs = stack.pop()
+            kind = type(parent)
+            if kind is Not:
+                value = not value
+            elif lhs is not None:
+                if kind is Iff:
+                    value = lhs == value
+            elif kind is Iff or value != (kind is Or):
+                stack.append((parent, value))
+                node = parent.rhs
+                break
+            else:
+                # The lhs decides: false for And, true for Or and Implies.
+                value = kind is not And
+        else:
+            return value
 
 
 def _machine_resolver(machine: XdiMachine, env: Environment) -> Callable[[Formula], bool]:
@@ -544,14 +571,16 @@ def smt_term(form: Formula) -> str:
     raise TypeError(f"not a formula: {form!r}")
 
 
-# --- Exhaustive satisfiability ----------------------------------------------
+# --- Satisfiability: enumerator and lex-first DPLL ---------------------------
 
 
 def satisfying_models(
     forms: Sequence[Formula], variables: Sequence[str] | None = None
 ) -> Iterator[dict[str, bool]]:
     """Enumerate assignments satisfying every formula, lexicographically
-    with False before True over the sorted variable list."""
+    with False before True over the variable list (sorted names when
+    not given). Exhaustive over 2^vars assignments: the reference that
+    first_model is tested against."""
 
     names = tuple(variables) if variables is not None else formula_variables(forms)
     for bits in cartesian((False, True), repeat=len(names)):
@@ -561,12 +590,130 @@ def satisfying_models(
             yield model
 
 
+def _tseitin(forms: Sequence[Formula], index: Mapping[str, int]) -> tuple[list[list[int]], int]:
+    """Clauses over integer literals whose models, restricted to the input
+    variables 1..len(index), are exactly the models of every formula.
+
+    Each connective gets an auxiliary variable equivalent to it, numbered
+    after the inputs; variable len(index) + 1 is the constant true. Returns
+    the clauses and the highest variable number.
+    """
+
+    true = len(index) + 1
+    clauses = [[true]]
+    top = true
+    literal: dict[int, int] = {}  # id(node) -> literal; forms keep every node alive
+    for form in forms:
+        stack = [form]
+        while stack:
+            node = stack[-1]
+            if id(node) in literal:
+                stack.pop()
+                continue
+            kind = type(node)
+            if kind is Const:
+                lit = true if node.value else -true
+            elif kind is VarAtom:
+                lit = index[node.name]
+            elif kind is Not:
+                if id(node.operand) not in literal:
+                    stack.append(node.operand)
+                    continue
+                lit = -literal[id(node.operand)]
+            elif kind in (And, Or, Implies, Iff):
+                pending = [part for part in (node.rhs, node.lhs) if id(part) not in literal]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                a, b = literal[id(node.lhs)], literal[id(node.rhs)]
+                top += 1
+                lit = top
+                if kind is And:
+                    clauses += [[-lit, a], [-lit, b], [lit, -a, -b]]
+                elif kind is Iff:
+                    clauses += [[-lit, -a, b], [-lit, a, -b], [lit, a, b], [lit, -a, -b]]
+                else:
+                    a = -a if kind is Implies else a
+                    clauses += [[lit, -a], [lit, -b], [-lit, a, b]]
+            elif kind in (BlockedAtom, IdleAtom):
+                raise ValueError("blocked/idle atoms must be substituted before solving")
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+            literal[id(node)] = lit
+            stack.pop()
+        clauses.append([literal[id(form)]])
+    return clauses, top
+
+
 def first_model(
     forms: Sequence[Formula], variables: Sequence[str] | None = None
 ) -> dict[str, bool] | None:
-    """First satisfying assignment in enumeration order, or None."""
+    """The first satisfying assignment in satisfying_models order, or None.
 
-    return next(iter(satisfying_models(forms, variables)), None)
+    DPLL over the Tseitin clauses of the formulas: branch on the given
+    variables in order, False before True, with unit propagation after
+    each decision and chronological backtracking. Propagation and conflicts
+    only cut subtrees that hold no model, so the first complete assignment
+    reached is the lexicographically first model.
+    Auxiliary variables are never branched on: once the inputs are set,
+    propagation fixes every one of them. A variable a formula names but
+    variables lacks raises KeyError.
+    """
+
+    names = tuple(variables) if variables is not None else formula_variables(forms)
+    clauses, top = _tseitin(forms, {name: i for i, name in enumerate(names, 1)})
+    # Indexed by literal: index -v wraps to the back half, so v and -v never collide.
+    value = [0] * (2 * top + 1)  # 1 true, -1 false, 0 free
+    occurs: list[list[list[int]]] = [[] for _ in value]
+    for clause in clauses:
+        for lit in clause:
+            occurs[lit].append(clause)
+    trail: list[int] = []
+
+    def assign(lit: int) -> bool:
+        if not value[lit]:
+            value[lit], value[-lit] = 1, -1
+            trail.append(lit)
+        return value[lit] == 1
+
+    def propagate(head: int) -> bool:
+        """Unit propagation from trail[head] on; False on a falsified clause."""
+
+        while head < len(trail):
+            for clause in occurs[-trail[head]]:
+                if 1 not in [value[lit] for lit in clause]:
+                    free = [lit for lit in clause if not value[lit]]
+                    if not free:
+                        return False
+                    if len(free) == 1:
+                        assign(free[0])
+            head += 1
+        return True
+
+    units = [clause[0] for clause in clauses if len(clause) == 1]
+    if not all(assign(lit) for lit in units) or not propagate(0):
+        return None
+    decisions: list[tuple[int, int]] = []  # (trail length before, literal tried)
+    var = 1
+    while True:
+        while var <= len(names) and value[var]:
+            var += 1
+        if var > len(names):
+            return {name: value[i] == 1 for i, name in enumerate(names, 1)}
+        decisions.append((len(trail), -var))
+        assign(-var)
+        while not propagate(decisions[-1][0]):
+            while decisions and decisions[-1][1] > 0:
+                decisions.pop()
+            if not decisions:
+                return None
+            mark, lit = decisions.pop()
+            for undone in trail[mark:]:
+                value[undone] = value[-undone] = 0
+            del trail[mark:]
+            decisions.append((mark, -lit))
+            assign(-lit)
+            var = 1 - lit
 
 
 # --- Equation discovery ------------------------------------------------------

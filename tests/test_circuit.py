@@ -24,7 +24,7 @@ from xdicheck.circuit import (
     parse_netlist,
     settled_states,
 )
-from xdicheck.formulas import FALSE, to_dsl
+from xdicheck.formulas import FALSE, evaluate, to_dsl
 from xdicheck.labeling import compute_block_idle
 from xdicheck.machine import INPUT, OUTPUT
 
@@ -470,3 +470,54 @@ def test_formula_reuses_the_composed_system(pipeline, broken, monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match="not of pipeline_broken"):
         derive_deadlock_formula(broken, "a", system)
+
+
+def _satisfies(model, instance):
+    return all(
+        evaluate(form, lambda atom: model[atom.name]) for form in instance.formulas()
+    )
+
+
+SOLVER_CASES = (
+    [("file", name, None) for name in SHIPPED_NETS]
+    + [("chain", n, broken) for broken in (False, True) for n in range(1, 5)]
+    + [("tree", depth, broken) for broken in (False, True) for depth in (1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, arg, broken", SOLVER_CASES, ids=[str(case) for case in SOLVER_CASES]
+)
+def test_first_model_matches_the_enumerator(kind, arg, broken, machines_dir, circuit_document):
+    """Dead(ch) of every channel: the enumerator's first model wherever it
+    can run (at most 16 variables), and a real model everywhere."""
+
+    text = (
+        (machines_dir / arg).read_text() if kind == "file" else circuit_document(kind, arg, broken)
+    )
+    netlist = parse_netlist(text)
+    system = compose(netlist)
+    for channel in netlist.channels:
+        instance = derive_deadlock_formula(netlist, channel.name, system)
+        model = instance.first_model()
+        if len(instance.variables) <= 16:
+            assert model == next(instance.models(), None), channel.name
+        if model is not None:
+            assert list(model) == list(instance.variables)
+            assert _satisfies(model, instance), channel.name
+
+
+def test_first_model_beyond_the_enumerators_reach(circuit_document):
+    """Chain n = 8: 26 variables, 2^26 assignments for the enumerator."""
+
+    clean = parse_netlist(circuit_document("chain", 8, False))
+    system = compose(clean)
+    for channel in clean.channels:
+        instance = derive_deadlock_formula(clean, channel.name, system)
+        assert len(instance.variables) == 26
+        assert instance.first_model() is None, channel.name
+    broken = parse_netlist(circuit_document("chain", 8, True))
+    instance = derive_deadlock_formula(broken, "c0", compose(broken))
+    model = instance.first_model()
+    assert model is not None
+    assert _satisfies(model, instance)

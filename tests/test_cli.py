@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from xdicheck import formulas
+
 
 @pytest.fixture()
 def join_path(machines_dir):
@@ -225,12 +227,32 @@ def test_negative_max_states_is_a_usage_error(run_cli, machines_dir, command):
     assert result.out == ""
 
 
-def test_internal_error_exits_2_without_traceback(run_cli, join_path):
-    condition = " | ".join(["blocked(a)"] * 1200)
-    result = run_cli("check", join_path, "--condition", condition)
+def test_internal_error_exits_2_without_traceback(run_cli, join_path, monkeypatch):
+    def crash(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(formulas, "verify_condition", crash)
+    result = run_cli("check", join_path, "--condition", "blocked(a)")
     assert result.code == 2
-    assert result.err.startswith("error: internal error: ")
-    assert "Traceback" not in result.err
+    assert result.err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+    assert result.out == ""
+
+
+def test_long_condition_gets_the_verdict_of_its_one_term(run_cli, join_path):
+    long = " | ".join(["blocked(a)"] * 1200)
+    for extra in ((), ("--json",)):
+        short_result = run_cli("check", join_path, "--condition", "blocked(a)", *extra)
+        long_result = run_cli("check", join_path, "--condition", long, *extra)
+        assert long_result.code == short_result.code == 1
+        assert long_result.err == short_result.err == ""
+        if extra:
+            payload = json.loads(long_result.out)
+            assert payload[0].pop("condition") == long
+            reference = json.loads(short_result.out)
+            reference[0].pop("condition")
+            assert payload == reference
+        else:
+            assert long_result.out == short_result.out
 
 
 def test_deadlock_clean_circuit(run_cli, machines_dir):

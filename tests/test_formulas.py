@@ -240,6 +240,14 @@ def test_satisfying_models_infer_variables():
     assert list(satisfying_models([x])) == [{"x": True}]
 
 
+def test_a_variable_outside_the_list_is_a_key_error():
+    form = Or(VarAtom("x"), VarAtom("z"))
+    with pytest.raises(KeyError, match="'z'"):
+        first_model([form], ("x",))
+    with pytest.raises(KeyError, match="'z'"):
+        list(satisfying_models([form], ("x",)))
+
+
 def test_discover_equations_recovers_the_join_condition(join):
     found = discover_equations(join, BlockedAtom("a"), max_ops=1)
     assert Or(BlockedAtom("c"), IdleAtom("b")) in found

@@ -9,6 +9,7 @@ from xdicheck.checker import BLOCKING, IDLING, TemporalQuery
 from xdicheck.formulas import (
     And,
     BlockedAtom,
+    Const,
     FALSE,
     IdleAtom,
     Iff,
@@ -16,8 +17,12 @@ from xdicheck.formulas import (
     Not,
     Or,
     TRUE,
+    VarAtom,
+    evaluate,
     expand_iff,
+    first_model,
     parse_condition,
+    satisfying_models,
     to_dsl,
     to_nnf,
     verify_condition,
@@ -107,15 +112,17 @@ def test_traces_are_prefix_closed(data):
         assert not machine.is_trace(mach, trace + [off_path[0]], env)
 
 
-def formula_st(handshakes):
-    leaves = st.one_of(
-        st.just(TRUE),
-        st.just(FALSE),
-        st.sampled_from([BlockedAtom(h) for h in handshakes]),
-        st.sampled_from([IdleAtom(h) for h in handshakes]),
-    )
+def formula_st(handshakes=(), variables=()):
+    """Formulas over both constants and the given atoms, every connective."""
+
+    leaves = [st.just(TRUE), st.just(FALSE)]
+    if handshakes:
+        leaves.append(st.sampled_from([BlockedAtom(h) for h in handshakes]))
+        leaves.append(st.sampled_from([IdleAtom(h) for h in handshakes]))
+    if variables:
+        leaves.append(st.sampled_from([VarAtom(v) for v in variables]))
     return st.recursive(
-        leaves,
+        st.one_of(*leaves),
         lambda sub: st.one_of(
             sub.map(Not),
             st.tuples(sub, sub).map(lambda p: And(*p)),
@@ -141,6 +148,60 @@ def test_rewrites_do_not_change_verdicts(join, form):
         verdict = verify_condition(rewritten, join)
         assert verdict.holds_overall == reference.holds_overall
         assert [e.holds for e in verdict.per_env] == [e.holds for e in reference.per_env]
+
+
+@st.composite
+def solver_problem(draw):
+    """A few formulas over up to 8 variables, and a shuffled variable list
+    that also holds names no formula mentions."""
+
+    names = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=8)))]
+    mentioned = names[: draw(st.integers(min_value=1, max_value=len(names)))]
+    forms = draw(st.lists(formula_st(variables=mentioned), min_size=1, max_size=3))
+    return forms, draw(st.permutations(names))
+
+
+@BASE
+@given(solver_problem())
+def test_first_model_is_the_enumerators_first_model(problem):
+    forms, variables = problem
+    expected = next(satisfying_models(forms, variables), None)
+    model = first_model(forms, variables)
+    assert model == expected
+    if model is not None:
+        assert list(model) == variables
+
+
+def recursive_evaluate(form, resolve):
+    """The recursive evaluator that evaluate replaced, kept as its reference."""
+
+    if isinstance(form, Const):
+        return form.value
+    if isinstance(form, (BlockedAtom, IdleAtom, VarAtom)):
+        return resolve(form)
+    if isinstance(form, Not):
+        return not recursive_evaluate(form.operand, resolve)
+    if isinstance(form, And):
+        return recursive_evaluate(form.lhs, resolve) and recursive_evaluate(form.rhs, resolve)
+    if isinstance(form, Or):
+        return recursive_evaluate(form.lhs, resolve) or recursive_evaluate(form.rhs, resolve)
+    if isinstance(form, Implies):
+        return (not recursive_evaluate(form.lhs, resolve)) or recursive_evaluate(form.rhs, resolve)
+    return recursive_evaluate(form.lhs, resolve) == recursive_evaluate(form.rhs, resolve)
+
+
+@BASE
+@given(solver_problem(), st.integers(min_value=0, max_value=255))
+def test_evaluate_matches_the_recursive_reference_atom_for_atom(problem, bits):
+    forms, variables = problem
+    truth = {name: bool(bits >> i & 1) for i, name in enumerate(variables)}
+    for form in forms:
+        seen, reference_seen = [], []
+        value = evaluate(form, lambda atom: seen.append(atom.name) or truth[atom.name])
+        reference = recursive_evaluate(
+            form, lambda atom: reference_seen.append(atom.name) or truth[atom.name]
+        )
+        assert (value, seen) == (reference, reference_seen)
 
 
 @st.composite
