@@ -17,13 +17,9 @@ apply the same rule, so the two implementations stay comparable.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence, TypeVar
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
 from .machine import Environment, XdiMachine, enabled_transitions, is_environment
@@ -40,13 +36,9 @@ __all__ = [
     "oracle_fg_check",
     "cross_validate",
     "Disagreement",
-    "map_jobs",
     "BLOCKING",
     "IDLING",
 ]
-
-THREADS_VAR = "XDI_CHECK_THREADS"
-
 
 @dataclass(frozen=True)
 class TemporalQuery:
@@ -224,7 +216,9 @@ def idle(machine: XdiMachine, handshake: str, env: Environment) -> bool:
 # test, and an fg query holds iff some such walk ends in a state whose g
 # query holds. Since every prefix of a walk is a walk, the final states of
 # all bounded walks are exactly the states reachable within the bound,
-# which the recursion below collects directly from the walk tree.
+# which the recursion below collects directly from the walk tree. Both
+# helpers run through XdiMachine.memo, so each walk set and each g answer
+# is computed once per machine.
 
 ORACLE_MAX_STATES = 20
 
@@ -245,7 +239,6 @@ def _check_oracle_size(machine: XdiMachine, max_states: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def _walk_states(
     machine: XdiMachine, env: Environment, start: str, bound: int
 ) -> frozenset[str]:
@@ -269,7 +262,6 @@ def _walk_states(
     return visit(start, bound)
 
 
-@lru_cache(maxsize=None)
 def _oracle_g(
     machine: XdiMachine,
     handshake: str,
@@ -279,7 +271,7 @@ def _oracle_g(
     bound: int,
 ) -> bool:
     labels = compute_block_idle(machine, handshake)
-    for state in _walk_states(machine, env, start, bound):
+    for state in machine.memo(_walk_states, env, start, bound):
         if machine.entry(state).is_transient:
             continue
         if labels.mode(state) == mode:
@@ -300,7 +292,7 @@ def oracle_g_check(
     ctx = _QueryContext(query)
     _check_oracle_size(ctx.machine, max_states)
     steps = _oracle_bound(ctx.machine, bound)
-    return _oracle_g(ctx.machine, query.handshake, ctx.mode, ctx.env, ctx.start, steps)
+    return ctx.machine.memo(_oracle_g, query.handshake, ctx.mode, ctx.env, ctx.start, steps)
 
 
 def oracle_fg_check(
@@ -313,36 +305,14 @@ def oracle_fg_check(
     ctx = _QueryContext(query)
     _check_oracle_size(ctx.machine, max_states)
     steps = _oracle_bound(ctx.machine, bound)
+    machine = ctx.machine
     return any(
-        _oracle_g(ctx.machine, query.handshake, ctx.mode, ctx.env, state, steps)
-        for state in _walk_states(ctx.machine, ctx.env, ctx.start, steps)
+        machine.memo(_oracle_g, query.handshake, ctx.mode, ctx.env, state, steps)
+        for state in machine.memo(_walk_states, ctx.env, ctx.start, steps)
     )
 
 
 # --- Cross validation -------------------------------------------------------
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def map_jobs(fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:
-    """Apply fn over jobs, fanning out when XDI_CHECK_THREADS asks for it.
-
-    Results always come back in job order, so reports stay deterministic.
-    """
-
-    workers = 1
-    raw = os.environ.get(THREADS_VAR, "")
-    if raw.strip():
-        try:
-            workers = max(1, int(raw))
-        except ValueError:
-            workers = 1
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
 
 @dataclass(frozen=True)
 class Disagreement:
@@ -368,9 +338,8 @@ def cross_validate(
     _check_oracle_size(machine, max_states)
     handshakes = sorted(machine.handshakes)
     states = [entry.name for entry in machine.states]
-
-    def check_env(env: Environment) -> list[Disagreement]:
-        found: list[Disagreement] = []
+    found: list[Disagreement] = []
+    for env in reasonable_envs(machine):
         for handshake in handshakes:
             for mode in (BLOCKING, IDLING):
                 for start in states:
@@ -384,7 +353,4 @@ def cross_validate(
                             found.append(
                                 Disagreement(op, handshake, mode, env, start, fast, slow)
                             )
-        return found
-
-    results = map_jobs(check_env, reasonable_envs(machine))
-    return tuple(item for sublist in results for item in sublist)
+    return tuple(found)

@@ -147,7 +147,7 @@ def parse_netlist(text: str) -> Netlist:
     if len(forms) != 1:
         raise NetlistError("expected exactly one (circuit ...) form")
     items = _expect_list(forms[0], "(circuit ...) form")
-    if not items or str(items[0].value) != "circuit" or len(items) < 2:
+    if not items or _expect_name(items[0], "circuit keyword") != "circuit" or len(items) < 2:
         raise forms[0].error("expected (circuit name entries...)")
     name = _expect_name(items[1], "circuit name")
 

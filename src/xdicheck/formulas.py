@@ -520,55 +520,86 @@ def verify_condition(form: Formula, machine: XdiMachine) -> Verdict:
     """Evaluate the condition under every reasonable environment.
 
     Environments are visited smallest first; the verdict preserves that
-    order. Set XDI_CHECK_THREADS to spread the evaluations over a pool.
+    order.
     """
 
     _check_atoms_known(form, machine)
-
-    def run(env: Environment) -> EnvVerdict:
+    entries = []
+    for env in checker.reasonable_envs(machine):
         resolve = _machine_resolver(machine, env)
         if isinstance(form, Iff):
             lhs = evaluate(form.lhs, resolve)
             rhs = evaluate(form.rhs, resolve)
-            return EnvVerdict(env, lhs, rhs, lhs == rhs)
-        value = evaluate(form, resolve)
-        return EnvVerdict(env, value, value, value)
-
-    entries = checker.map_jobs(run, checker.reasonable_envs(machine))
+            entries.append(EnvVerdict(env, lhs, rhs, lhs == rhs))
+        else:
+            value = evaluate(form, resolve)
+            entries.append(EnvVerdict(env, value, value, value))
     return Verdict(all(entry.holds for entry in entries), tuple(entries))
 
 
 # --- SMT-LIB rendering -------------------------------------------------------
 
 
-def _flatten(form: Formula, cls: type) -> Iterator[Formula]:
-    if isinstance(form, cls):
-        yield from _flatten(form.lhs, cls)
-        yield from _flatten(form.rhs, cls)
-    else:
-        yield form
+class _Text(str):
+    """Literal output on smt_term's stack, as opposed to a formula node."""
+
+    __slots__ = ()
+
+
+_CLOSE = _Text(")")
+_SPACE = _Text(" ")
+_OPEN = {
+    kind: _Text(f"({word} ")
+    for kind, word in ((Not, "not"), (And, "and"), (Or, "or"), (Implies, "=>"), (Iff, "="))
+}
+
+
+def _flatten(form: Formula, cls: type) -> list[Formula]:
+    """The operands of a chain of one connective, left to right."""
+
+    parts: list[Formula] = []
+    stack = [form]
+    while stack:
+        node = stack.pop()
+        if type(node) is cls:
+            stack += (node.rhs, node.lhs)
+        else:
+            parts.append(node)
+    return parts
 
 
 def smt_term(form: Formula) -> str:
-    """Render a variable-only formula as an SMT-LIB 2 term."""
+    """Render a variable-only formula as an SMT-LIB 2 term.
 
-    if isinstance(form, Const):
-        return "true" if form.value else "false"
-    if isinstance(form, VarAtom):
-        return form.name
-    if isinstance(form, (BlockedAtom, IdleAtom)):
-        raise ValueError("blocked/idle atoms must be substituted before emission")
-    if isinstance(form, Not):
-        return f"(not {smt_term(form.operand)})"
-    if isinstance(form, (And, Or)):
-        word = "and" if isinstance(form, And) else "or"
-        parts = " ".join(smt_term(part) for part in _flatten(form, type(form)))
-        return f"({word} {parts})"
-    if isinstance(form, Implies):
-        return f"(=> {smt_term(form.lhs)} {smt_term(form.rhs)})"
-    if isinstance(form, Iff):
-        return f"(= {smt_term(form.lhs)} {smt_term(form.rhs)})"
-    raise TypeError(f"not a formula: {form!r}")
+    A chain of And or of Or becomes one n-ary term. Nodes and the text
+    between them share an explicit stack, so deep formulas stay off the
+    call stack.
+    """
+
+    out: list[str] = []
+    stack: list[Formula | _Text] = [form]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is _Text:
+            out.append(node)
+        elif kind is Const:
+            out.append("true" if node.value else "false")
+        elif kind is VarAtom:
+            out.append(node.name)
+        elif kind in (BlockedAtom, IdleAtom):
+            raise ValueError("blocked/idle atoms must be substituted before emission")
+        elif kind is Not:
+            stack += (_CLOSE, node.operand, _OPEN[Not])
+        elif kind in _OPEN:
+            parts = _flatten(node, kind) if kind in (And, Or) else (node.lhs, node.rhs)
+            stack.append(_CLOSE)
+            for part in reversed(parts):
+                stack += (part, _SPACE)
+            stack[-1] = _OPEN[kind]  # the space before the first part opens the term
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out)
 
 
 # --- Satisfiability: enumerator and lex-first DPLL ---------------------------

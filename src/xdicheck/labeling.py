@@ -8,7 +8,6 @@ on every non-transient state; labels are only meaningful in that case.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -85,11 +84,6 @@ class AmbiguityReport:
     warnings: tuple[ParityConflict, ...]
 
 
-_lock = threading.Lock()
-_label_cache: dict[tuple[XdiMachine, str], LabelMap] = {}
-_ambiguity_cache: dict[tuple[XdiMachine, str], AmbiguityReport] = {}
-
-
 def _require_handshake(machine: XdiMachine, handshake: str) -> None:
     if handshake not in machine.handshakes:
         raise UnknownHandshakeError(
@@ -101,16 +95,7 @@ def check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
     """Propagate (state, parity) pairs breadth first and report conflicts."""
 
     _require_handshake(machine, handshake)
-    key = (machine, handshake)
-    hit = _ambiguity_cache.get(key)
-    if hit is not None:
-        return hit
-    with _lock:
-        hit = _ambiguity_cache.get(key)
-        if hit is None:
-            hit = _check_unambiguous(machine, handshake)
-            _ambiguity_cache[key] = hit
-        return hit
+    return machine.memo(_check_unambiguous, handshake)
 
 
 def _check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
@@ -152,26 +137,18 @@ def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
     The flag starts as idling and toggles on any transition whose wire names
     the handshake, request and acknowledge alike. The first flag value to
     reach a state wins; descent follows declaration order. Ambiguity on a
-    non-transient state is an error, checked up front.
+    non-transient state is an error, checked up front; an ambiguous
+    machine raises on every call, since no label map is memoised for it.
     """
 
     _require_handshake(machine, handshake)
-    key = (machine, handshake)
-    hit = _label_cache.get(key)
-    if hit is not None:
-        return hit
-    report = check_unambiguous(machine, handshake)
-    if report.ambiguous:
-        raise AmbiguousMachineError(machine, handshake, report)
-    with _lock:
-        hit = _label_cache.get(key)
-        if hit is None:
-            hit = _compute_block_idle(machine, handshake)
-            _label_cache[key] = hit
-        return hit
+    return machine.memo(_compute_block_idle, handshake)
 
 
 def _compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
+    report = check_unambiguous(machine, handshake)
+    if report.ambiguous:
+        raise AmbiguousMachineError(machine, handshake, report)
     labels: dict[str, bool] = {}
     stack: list[tuple[str, bool]] = [(machine.init_state, False)]
     while stack:

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .sexpr import Node, ParseError, Symbol, read_forms, write_form
 
@@ -27,7 +27,6 @@ __all__ = [
     "parse_document",
     "serialize",
     "validate",
-    "input_wires",
     "is_input_wire",
     "is_environment",
     "step",
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 Environment = frozenset  # of (handshake, phase) pairs
+T = TypeVar("T")
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -82,13 +82,25 @@ class XdiMachine:
     name: str
     states: tuple[StateEntry, ...]
 
-    def __hash__(self) -> int:
-        # Machines key several memo tables; hash once, not per lookup.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.name, self.states))
-            self.__dict__["_hash"] = cached
-        return cached
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def memo(self, fn: Callable[..., T], *args: Hashable) -> T:
+        """fn(self, *args), computed once per machine and argument tuple.
+
+        The table lives on the machine, so it is freed with it. It takes
+        no lock: two threads may both compute a missing value, and the
+        later store wins, which only matters for identity since every
+        memoised function is deterministic.
+        """
+
+        key = (fn, args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = fn(self, *args)
+            return value
 
     @cached_property
     def state_map(self) -> dict[str, StateEntry]:
@@ -204,7 +216,7 @@ def _parse_state(node: Node) -> StateEntry:
 
 def _parse_machine_form(node: Node) -> XdiMachine:
     items = _expect_list(node, "(machine ...) form")
-    if not items or str(items[0].value) != "machine":
+    if not items or _expect_symbol(items[0], "machine keyword") != "machine":
         raise node.error("expected (machine name states...)")
     if len(items) < 2:
         raise node.error("machine form needs a name")
@@ -248,7 +260,7 @@ def parse_document(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
     conditions: tuple[tuple[str, str], ...] = ()
     for node in forms[1:]:
         items = _expect_list(node, "trailing form")
-        head = str(items[0].value) if items else ""
+        head = _expect_symbol(items[0], "form keyword") if items else ""
         if head == "conditions":
             if conditions:
                 raise node.error("duplicate (conditions ...) form")
@@ -322,12 +334,6 @@ def validate(machine: XdiMachine) -> ValidationReport:
         if unreachable:
             violations.append("unreachable states: " + " ".join(unreachable))
     return ValidationReport(tuple(violations))
-
-
-def input_wires(machine: XdiMachine) -> frozenset[tuple[str, str]]:
-    """The (handshake, phase) pairs occurring with direction input."""
-
-    return machine.input_wires
 
 
 def is_input_wire(machine: XdiMachine, handshake: str, phase: str) -> bool:

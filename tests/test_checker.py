@@ -1,6 +1,5 @@
 """Temporal checks, environment enumeration, and the trace oracle."""
 
-import os
 from dataclasses import replace
 
 import pytest
@@ -16,7 +15,6 @@ from xdicheck.checker import (
     fg_check,
     g_check,
     idle,
-    map_jobs,
     oracle_fg_check,
     oracle_g_check,
     reasonable_envs,
@@ -171,15 +169,6 @@ def test_cross_validate_reports_divergence_shape(join):
     # sanity check the record type by forging one disagreement
     d = checker.Disagreement("g", "a", BLOCKING, LIVE, "s0", True, False)
     assert d.fast != d.slow
-
-
-def test_map_jobs_preserves_order(monkeypatch):
-    monkeypatch.setenv(checker.THREADS_VAR, "4")
-    assert map_jobs(lambda n: n * n, list(range(20))) == [n * n for n in range(20)]
-    monkeypatch.setenv(checker.THREADS_VAR, "1")
-    assert map_jobs(lambda n: -n, [3, 1, 2]) == [-3, -1, -2]
-    monkeypatch.setenv(checker.THREADS_VAR, "bogus")
-    assert map_jobs(str, [1]) == ["1"]
 
 
 def test_check_result_witness_property():

@@ -24,7 +24,8 @@ from xdicheck.circuit import (
     parse_netlist,
     settled_states,
 )
-from xdicheck.formulas import FALSE, evaluate, to_dsl
+from test_formulas import recursive_smt_term
+from xdicheck.formulas import FALSE, evaluate, smt_term, to_dsl
 from xdicheck.labeling import compute_block_idle
 from xdicheck.machine import INPUT, OUTPUT
 
@@ -505,6 +506,22 @@ def test_first_model_matches_the_enumerator(kind, arg, broken, machines_dir, cir
         if model is not None:
             assert list(model) == list(instance.variables)
             assert _satisfies(model, instance), channel.name
+
+
+@pytest.mark.parametrize(
+    "kind, arg, broken", SOLVER_CASES, ids=[str(case) for case in SOLVER_CASES]
+)
+def test_smt_term_matches_the_recursive_reference_on_dead(
+    kind, arg, broken, machines_dir, circuit_document
+):
+    text = (
+        (machines_dir / arg).read_text() if kind == "file" else circuit_document(kind, arg, broken)
+    )
+    netlist = parse_netlist(text)
+    system = compose(netlist)
+    for channel in netlist.channels:
+        for form in derive_deadlock_formula(netlist, channel.name, system).formulas():
+            assert smt_term(form) == recursive_smt_term(form), channel.name
 
 
 def test_first_model_beyond_the_enumerators_reach(circuit_document):

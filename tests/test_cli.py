@@ -238,6 +238,26 @@ def test_internal_error_exits_2_without_traceback(run_cli, join_path, monkeypatc
     assert result.out == ""
 
 
+@pytest.mark.parametrize(
+    "name, command, where",
+    [
+        ("head.xdi", "validate", "1:2: expected machine keyword"),
+        ("head.xdi", "deadlock", "1:2: expected circuit keyword"),
+        ("trailer.xdi", "validate", "21:2: expected form keyword"),
+        ("deep.net", "deadlock", "1:2: expected circuit keyword"),
+    ],
+)
+def test_deeply_nested_head_is_a_parse_error(run_cli, tmp_path, machines_dir, name, command, where):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    text = (machines_dir / "join.xdi").read_text() + deep if name == "trailer.xdi" else deep
+    path = tmp_path / name
+    path.write_text(text)
+    result = run_cli(command, str(path))
+    assert result.code == 2
+    assert result.err == f"error: {path}:{where}\n"
+    assert result.out == ""
+
+
 def test_long_condition_gets_the_verdict_of_its_one_term(run_cli, join_path):
     long = " | ".join(["blocked(a)"] * 1200)
     for extra in ((), ("--json",)):

@@ -1,7 +1,9 @@
 """Condition DSL parsing, rewriting, evaluation, and verification."""
 
 import pytest
+from hypothesis import given
 
+from test_properties import BASE, formula_st
 from xdicheck import formulas as f
 from xdicheck.formulas import (
     And,
@@ -221,6 +223,69 @@ def test_smt_term_shapes():
 def test_smt_term_rejects_machine_atoms():
     with pytest.raises(ValueError):
         smt_term(BlockedAtom("a"))
+
+
+def _recursive_flatten(form, cls):
+    if isinstance(form, cls):
+        yield from _recursive_flatten(form.lhs, cls)
+        yield from _recursive_flatten(form.rhs, cls)
+    else:
+        yield form
+
+
+def recursive_smt_term(form):
+    """The recursive renderer smt_term replaced, kept as its reference."""
+
+    if isinstance(form, Const):
+        return "true" if form.value else "false"
+    if isinstance(form, VarAtom):
+        return form.name
+    if isinstance(form, (BlockedAtom, IdleAtom)):
+        raise ValueError("blocked/idle atoms must be substituted before emission")
+    if isinstance(form, Not):
+        return f"(not {recursive_smt_term(form.operand)})"
+    if isinstance(form, (And, Or)):
+        word = "and" if isinstance(form, And) else "or"
+        parts = " ".join(
+            recursive_smt_term(part) for part in _recursive_flatten(form, type(form))
+        )
+        return f"({word} {parts})"
+    if isinstance(form, Implies):
+        return f"(=> {recursive_smt_term(form.lhs)} {recursive_smt_term(form.rhs)})"
+    if isinstance(form, Iff):
+        return f"(= {recursive_smt_term(form.lhs)} {recursive_smt_term(form.rhs)})"
+    raise TypeError(f"not a formula: {form!r}")
+
+
+def _outcome(render, form):
+    try:
+        return render(form)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@BASE
+@given(formula_st(("a",), ("x", "y", "z")))
+def test_smt_term_matches_the_recursive_reference(form):
+    # With machine atoms in the mix, both renderers must raise the same ValueError.
+    assert _outcome(smt_term, form) == _outcome(recursive_smt_term, form)
+
+
+@pytest.mark.parametrize("cls, word", [(Or, "or"), (And, "and")])
+def test_smt_term_renders_a_1200_term_chain(cls, word):
+    names = [f"v{i}" for i in range(1200)]
+    form = VarAtom(names[0])
+    for name in names[1:]:
+        form = cls(form, VarAtom(name))
+    assert smt_term(form) == f"({word} {' '.join(names)})"
+    assert smt_term(Not(form)) == f"(not ({word} {' '.join(names)}))"
+
+
+def test_smt_term_rejects_the_first_bad_node_in_rendering_order():
+    with pytest.raises(ValueError):
+        smt_term(Implies(IdleAtom("a"), 5))
+    with pytest.raises(TypeError, match="not a formula: 5"):
+        smt_term(Implies(VarAtom("x"), Or(5, IdleAtom("a"))))
 
 
 def test_satisfying_models_enumerates_in_order():

@@ -1,8 +1,12 @@
 """Block/idle labeling by parity propagation, plus ambiguity detection."""
 
+import gc
+import weakref
+
 import pytest
 
 from xdicheck import labeling
+from xdicheck.checker import cross_validate
 from xdicheck.labeling import (
     AmbiguousMachineError,
     UnknownHandshakeError,
@@ -121,3 +125,32 @@ def test_results_are_cached_by_machine_and_handshake(join):
     first = compute_block_idle(join, "a")
     second = compute_block_idle(join, "a")
     assert first is second
+
+
+def test_ambiguous_machine_raises_on_every_call(twopath):
+    for _ in range(3):
+        with pytest.raises(AmbiguousMachineError):
+            compute_block_idle(twopath, "a")
+    assert check_unambiguous(twopath, "a") is check_unambiguous(twopath, "a")
+
+
+def test_equal_machines_keep_separate_memos(join_document):
+    first = parse_machine(join_document)
+    second = parse_machine(join_document)
+    assert first == second
+    assert compute_block_idle(first, "a") is compute_block_idle(first, "a")
+    assert compute_block_idle(first, "a") is not compute_block_idle(second, "a")
+    assert compute_block_idle(first, "a") == compute_block_idle(second, "a")
+
+
+def test_memo_tables_die_with_their_machine(join_document):
+    # A name no other test uses: a table keyed by machine equality would keep
+    # the first equal machine it saw, not this one.
+    mach = parse_machine(join_document.replace("(machine join", "(machine join_collected"))
+    assert mach.name == "join_collected"
+    assert cross_validate(mach) == ()
+    compute_block_idle(mach, "a")
+    ref = weakref.ref(mach)
+    del mach
+    gc.collect()
+    assert ref() is None

@@ -149,3 +149,31 @@ def test_parse_env_rejects_non_input_wires(join):
 def test_wire_str():
     assert str(Wire("a", "R", "I")) == "(a R I)"
     assert str(Wire("c", "A", "O")) == "(c A O)"
+
+
+def test_memo_computes_once_per_machine_and_arguments(join_document):
+    calls = []
+
+    def count(machine, *args):
+        calls.append(args)
+        return object()
+
+    mach = parse_machine(join_document)
+    first = mach.memo(count, "a", 1)
+    assert mach.memo(count, "a", 1) is first
+    assert mach.memo(count, "a", 2) is not first
+    assert parse_machine(join_document).memo(count, "a", 1) is not first
+    assert calls == [("a", 1), ("a", 2), ("a", 1)]
+
+
+def test_memo_keeps_no_result_when_fn_raises(join):
+    calls = []
+
+    def fail(machine):
+        calls.append(machine)
+        raise ValueError("no")
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            join.memo(fail)
+    assert len(calls) == 2
