@@ -62,7 +62,6 @@ from .machine import (
     parse_env,
     parse_machine,
     serialize,
-    step,
     validate,
 )
 from .sexpr import ParseError
@@ -116,7 +115,6 @@ __all__ = [
     "parse_document",
     "serialize",
     "validate",
-    "step",
     "is_trace",
     "is_environment",
     "is_input_wire",

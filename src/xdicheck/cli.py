@@ -173,9 +173,7 @@ def _cmd_query(args) -> int:
     query = checker.TemporalQuery(mach, args.handshake, mode, env, start)
     try:
         result = runner(query)
-    except (ValueError, labeling.UnknownHandshakeError) as exc:
-        raise CommandError(str(exc)) from exc
-    except labeling.AmbiguousMachineError as exc:
+    except ValueError as exc:
         raise CommandError(str(exc)) from exc
     payload = {
         "machine": mach.name,
@@ -295,8 +293,6 @@ def _cmd_oracle_check(args) -> int:
             mach, bound=args.bound, max_states=args.max_states
         )
     except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-    except labeling.AmbiguousMachineError as exc:
         raise CommandError(str(exc)) from exc
     envs = checker.reasonable_envs(mach)
     total = len(envs) * len(mach.handshakes) * 2 * len(mach.states) * 2

@@ -1,11 +1,12 @@
 """Boolean conditions over blocked/idle atoms.
 
-Conditions are small formulas such as `blocked(a) <-> blocked(c) | idle(b)`.
-Verifying one against a machine means evaluating it under every reasonable
-environment, with blocked(h) and idle(h) answered by the checker. The same
-AST doubles as the constraint language for deadlock instances, where the
-atoms have been substituted by free boolean variables; first_model solves
-those, and satisfying_models enumerates them exhaustively.
+Conditions are small formulas such as `blocked(a) <-> blocked(c) | idle(b)`,
+read from the condition DSL by parse_condition. Verifying one against a
+machine means evaluating it under every reasonable environment, with
+blocked(h) and idle(h) answered by the checker. The same AST doubles as the
+constraint language for deadlock instances, where the atoms have been
+substituted by free boolean variables: smt_term renders those as SMT-LIB,
+first_model solves them, and satisfying_models enumerates them exhaustively.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ __all__ = [
     "Implies",
     "Iff",
     "parse_condition",
-    "to_dsl",
     "atoms",
     "condition_handshakes",
     "formula_variables",
     "map_atoms",
-    "rename_handshakes",
-    "expand_iff",
-    "to_nnf",
     "evaluate",
     "eval_condition",
     "EnvVerdict",
@@ -49,7 +46,6 @@ __all__ = [
     "smt_term",
     "satisfying_models",
     "first_model",
-    "discover_equations",
 ]
 
 
@@ -108,6 +104,7 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
+
 # --- Parsing -----------------------------------------------------------------
 #
 # Grammar, loosest binding first:
@@ -119,10 +116,13 @@ FALSE = Const(False)
 #   primary := 'true' | 'false' | 'blocked' '(' name ')'
 #            | 'idle' '(' name ')' | '(' iff ')'
 
-_PUNCT = {"(", ")", "!", "&", "|", "->", "<->"}
+# Binary operators: precedence (higher binds tighter) and node type.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+_Token = tuple[str, str, int, int]  # kind, text, line, column
 
 
-def _lex(text: str) -> list[tuple[str, str, int, int]]:
+def _lex(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
     i = 0
@@ -165,139 +165,79 @@ def _lex(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-class _ConditionParser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _lex(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_punct(self, value: str) -> None:
-        kind, text, line, col = self.take()
-        if kind != "punct" or text != value:
-            shown = text if text else "end of input"
-            raise ParseError(f"expected {value!r}, found {shown!r}", line, col)
-
-    def at_punct(self, value: str) -> bool:
-        kind, text, _, _ = self.peek()
-        return kind == "punct" and text == value
-
-    def parse(self) -> Formula:
-        form = self.iff()
-        kind, text, line, col = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input starting at {text!r}", line, col)
-        return form
-
-    def iff(self) -> Formula:
-        form = self.implies()
-        while self.at_punct("<->"):
-            self.take()
-            form = Iff(form, self.implies())
-        return form
-
-    def implies(self) -> Formula:
-        form = self.disjunction()
-        if self.at_punct("->"):
-            self.take()
-            return Implies(form, self.implies())
-        return form
-
-    def disjunction(self) -> Formula:
-        form = self.conjunction()
-        while self.at_punct("|"):
-            self.take()
-            form = Or(form, self.conjunction())
-        return form
-
-    def conjunction(self) -> Formula:
-        form = self.unary()
-        while self.at_punct("&"):
-            self.take()
-            form = And(form, self.unary())
-        return form
-
-    def unary(self) -> Formula:
-        if self.at_punct("!"):
-            self.take()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, text, line, col = self.take()
-        if kind == "punct" and text == "(":
-            inner = self.iff()
-            self.expect_punct(")")
-            return inner
-        if kind == "name":
-            if text == "true":
-                return TRUE
-            if text == "false":
-                return FALSE
-            if text in ("blocked", "idle"):
-                self.expect_punct("(")
-                kind2, name, line2, col2 = self.take()
-                if kind2 != "name":
-                    raise ParseError("expected a handshake name", line2, col2)
-                self.expect_punct(")")
-                return BlockedAtom(name) if text == "blocked" else IdleAtom(name)
-            raise ParseError(f"unknown atom {text!r}", line, col)
+def _expect(token: _Token, value: str) -> None:
+    kind, text, line, col = token
+    if kind != "punct" or text != value:
         shown = text if text else "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", line, col)
+        raise ParseError(f"expected {value!r}, found {shown!r}", line, col)
+
+
+def _primary(token: _Token, take: Callable[[], _Token]) -> Formula:
+    """The constant or atom starting at token; take reads the tokens after it."""
+
+    kind, text, line, col = token
+    if kind == "name":
+        if text == "true":
+            return TRUE
+        if text == "false":
+            return FALSE
+        if text in ("blocked", "idle"):
+            _expect(take(), "(")
+            kind2, name, line2, col2 = take()
+            if kind2 != "name":
+                raise ParseError("expected a handshake name", line2, col2)
+            _expect(take(), ")")
+            return BlockedAtom(name) if text == "blocked" else IdleAtom(name)
+        raise ParseError(f"unknown atom {text!r}", line, col)
+    shown = text if text else "end of input"
+    raise ParseError(f"expected a formula, found {shown!r}", line, col)
 
 
 def parse_condition(text: str) -> Formula:
-    """Parse the condition DSL into a formula."""
+    """Parse the condition DSL into a formula.
 
-    return _ConditionParser(text).parse()
+    One loop over an operator stack (Dijkstra's shunting-yard) instead of
+    recursive descent, so deep nesting stays off the call stack. Tokens are
+    read left to right as a recursive descent parser would read them, so
+    each error is raised at the same token with the same message.
+    """
 
-
-# --- Rendering ---------------------------------------------------------------
-
-_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-
-
-def _precedence(form: Formula) -> int:
-    return _PRECEDENCE.get(type(form), 6)
-
-
-def _render(form: Formula, parent: int, right_of_same: bool) -> str:
-    prec = _precedence(form)
-    if isinstance(form, Const):
-        text = "true" if form.value else "false"
-    elif isinstance(form, BlockedAtom):
-        text = f"blocked({form.handshake})"
-    elif isinstance(form, IdleAtom):
-        text = f"idle({form.handshake})"
-    elif isinstance(form, VarAtom):
-        text = form.name
-    elif isinstance(form, Not):
-        text = "!" + _render(form.operand, prec, False)
-    else:
-        symbol = {Iff: "<->", Implies: "->", Or: "|", And: "&"}[type(form)]
-        if isinstance(form, Implies):
-            # right associative: the left side needs parens at equal depth
-            left = _render(form.lhs, prec, True)
-            right = _render(form.rhs, prec, False)
-        else:
-            left = _render(form.lhs, prec, False)
-            right = _render(form.rhs, prec, True)
-        text = f"{left} {symbol} {right}"
-    if prec < parent or (prec == parent and right_of_same):
-        return f"({text})"
-    return text
-
-
-def to_dsl(form: Formula) -> str:
-    """Render a formula back to DSL text; parse(to_dsl(f)) == f."""
-
-    return _render(form, 0, False)
+    take = iter(_lex(text)).__next__
+    operands: list[Formula] = []
+    operators: list[str] = []  # "(", "!" and binary operator symbols
+    while True:
+        # Operand position: prefixes, then one constant or atom.
+        token = take()
+        if token[0] == "punct" and token[1] in ("(", "!"):
+            operators.append(token[1])
+            continue
+        operands.append(_primary(token, take))
+        # Operator position, until a binary operator asks for the next operand.
+        while True:
+            while operators and operators[-1] == "!":
+                operators.pop()
+                operands[-1] = Not(operands[-1])
+            token = take()
+            kind, word, line, col = token
+            prec = _BINARY[word][0] if word in _BINARY else 0
+            # Reduce what binds at least as tightly; '->' groups to the right.
+            while operators and operators[-1] in _BINARY:
+                top = operators[-1]
+                if _BINARY[top][0] < prec or top == word == "->":
+                    break
+                operators.pop()
+                rhs = operands.pop()
+                operands[-1] = _BINARY[top][1](operands[-1], rhs)
+            if prec:
+                operators.append(word)
+                break
+            if operators:  # the innermost open parenthesis
+                _expect(token, ")")
+                operators.pop()
+            elif kind != "eof":
+                raise ParseError(f"trailing input starting at {word!r}", line, col)
+            else:
+                return operands[0]
 
 
 # --- Structure helpers -------------------------------------------------------
@@ -346,69 +286,6 @@ def map_atoms(form: Formula, fn: Callable[[Formula], Formula]) -> Formula:
         rebuilt = type(form)(map_atoms(form.lhs, fn), map_atoms(form.rhs, fn))
         return rebuilt
     return form
-
-
-def rename_handshakes(form: Formula, mapping: Mapping[str, str]) -> Formula:
-    def rename(atom: Formula) -> Formula:
-        if isinstance(atom, BlockedAtom):
-            return BlockedAtom(mapping.get(atom.handshake, atom.handshake))
-        if isinstance(atom, IdleAtom):
-            return IdleAtom(mapping.get(atom.handshake, atom.handshake))
-        return atom
-
-    return map_atoms(form, rename)
-
-
-def expand_iff(form: Formula) -> Formula:
-    """Rewrite every iff as the conjunction of its two implications."""
-
-    if isinstance(form, Iff):
-        lhs = expand_iff(form.lhs)
-        rhs = expand_iff(form.rhs)
-        return And(Implies(lhs, rhs), Implies(rhs, lhs))
-    if isinstance(form, Not):
-        return Not(expand_iff(form.operand))
-    if isinstance(form, (And, Or, Implies)):
-        return type(form)(expand_iff(form.lhs), expand_iff(form.rhs))
-    return form
-
-
-def to_nnf(form: Formula) -> Formula:
-    """Negation normal form: connectives and/or only, negation on atoms."""
-
-    def positive(node: Formula) -> Formula:
-        if isinstance(node, Not):
-            return negative(node.operand)
-        if isinstance(node, (And, Or)):
-            return type(node)(positive(node.lhs), positive(node.rhs))
-        if isinstance(node, Implies):
-            return Or(negative(node.lhs), positive(node.rhs))
-        if isinstance(node, Iff):
-            return Or(
-                And(positive(node.lhs), positive(node.rhs)),
-                And(negative(node.lhs), negative(node.rhs)),
-            )
-        return node
-
-    def negative(node: Formula) -> Formula:
-        if isinstance(node, Const):
-            return Const(not node.value)
-        if isinstance(node, Not):
-            return positive(node.operand)
-        if isinstance(node, And):
-            return Or(negative(node.lhs), negative(node.rhs))
-        if isinstance(node, Or):
-            return And(negative(node.lhs), negative(node.rhs))
-        if isinstance(node, Implies):
-            return And(positive(node.lhs), negative(node.rhs))
-        if isinstance(node, Iff):
-            return Or(
-                And(positive(node.lhs), negative(node.rhs)),
-                And(negative(node.lhs), positive(node.rhs)),
-            )
-        return Not(node)
-
-    return positive(form)
 
 
 # --- Evaluation --------------------------------------------------------------
@@ -745,62 +622,3 @@ def first_model(
             decisions.append((mark, -lit))
             assign(-lit)
             var = 1 - lit
-
-
-# --- Equation discovery ------------------------------------------------------
-
-
-def _candidate_rhs(leaves: Sequence[Formula], max_ops: int) -> Iterator[Formula]:
-    by_size: list[list[Formula]] = [list(leaves)]
-    yield from by_size[0]
-    for size in range(1, max_ops + 1):
-        layer: list[Formula] = []
-        for left_size in range(size):
-            right_size = size - 1 - left_size
-            for lhs in by_size[left_size]:
-                for rhs in by_size[right_size]:
-                    layer.append(Or(lhs, rhs))
-                    layer.append(And(lhs, rhs))
-        by_size.append(layer)
-        yield from layer
-
-
-def discover_equations(
-    machine: XdiMachine,
-    lhs: Formula,
-    max_ops: int = 2,
-    negated_leaves: bool = True,
-) -> tuple[Formula, ...]:
-    """Search small right-hand sides r such that `lhs <-> r` verifies.
-
-    Candidates are and/or combinations of blocked/idle atoms (optionally
-    negated) over the machine's handshakes, with at most max_ops binary
-    connectives. Every structurally distinct match is returned, smallest
-    first; all of them are equivalent over the environment set.
-    """
-
-    envs = checker.reasonable_envs(machine)
-    table: dict[Formula, tuple[bool, ...]] = {}
-    for name in sorted(machine.handshakes):
-        table[BlockedAtom(name)] = tuple(
-            checker.blocked(machine, name, env) for env in envs
-        )
-        table[IdleAtom(name)] = tuple(checker.idle(machine, name, env) for env in envs)
-
-    def signature(form: Formula) -> tuple[bool, ...]:
-        return tuple(
-            evaluate(form, lambda atom, i=i: table[atom][i]) for i in range(len(envs))
-        )
-
-    _check_atoms_known(lhs, machine)
-    goal = signature(lhs)
-    leaves: list[Formula] = list(table)
-    if negated_leaves:
-        leaves.extend(Not(leaf) for leaf in list(table))
-    found: list[Formula] = []
-    seen: set[Formula] = set()
-    for candidate in _candidate_rhs(leaves, max_ops):
-        if candidate not in seen and signature(candidate) == goal:
-            seen.add(candidate)
-            found.append(candidate)
-    return tuple(found)

@@ -3,8 +3,8 @@
 A machine is a finite automaton whose transitions are labelled with wires.
 A wire names a handshake together with a phase (request or acknowledge)
 and a direction (input or output). An environment is a set of input wires
-declared permanently stable; stepping under an environment drops every
-transition labelled with a stable wire.
+declared permanently stable; under an environment, every transition
+labelled with a stable wire is disabled.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "validate",
     "is_input_wire",
     "is_environment",
-    "step",
     "enabled_transitions",
     "is_trace",
     "parse_env",
@@ -323,10 +322,7 @@ def validate(machine: XdiMachine) -> ValidationReport:
         frontier = [initials[0]]
         while frontier:
             state = frontier.pop()
-            entry = machine.state_map.get(state)
-            if entry is None:
-                continue
-            for _, target in entry.transitions:
+            for _, target in machine.state_map[state].transitions:
                 if target in declared and target not in reached:
                     reached.add(target)
                     frontier.append(target)
@@ -361,16 +357,11 @@ def enabled_transitions(
     )
 
 
-def step(machine: XdiMachine, state: str, env: Environment) -> frozenset[str]:
-    """Targets reachable in one step from a state under an environment."""
-
-    return frozenset(target for _, target in enabled_transitions(machine, state, env))
-
-
 def is_trace(
     machine: XdiMachine, states: Sequence[str], env: Environment
 ) -> bool:
-    """True iff consecutive states are related by step; singletons qualify."""
+    """True iff each state is the target of an enabled transition out of the
+    one before it; a single declared state qualifies."""
 
     if not states:
         return False
@@ -378,8 +369,8 @@ def is_trace(
         if name not in machine.state_map:
             return False
     return all(
-        states[i + 1] in step(machine, states[i], env)
-        for i in range(len(states) - 1)
+        after in {target for _, target in enabled_transitions(machine, before, env)}
+        for before, after in zip(states, states[1:])
     )
 
 

@@ -176,7 +176,7 @@ def test_criterion_8_differential_solver_check(machines_dir):
             assert run.stdout.strip().splitlines()[-1] == expected
 
 
-def test_criterion_9_property_suites(join):
+def test_criterion_9_property_suites():
     with budget(9, "property suites", 30.0):
         rng = random.Random(20240817)
 
@@ -196,16 +196,17 @@ def test_criterion_9_property_suites(join):
                                 (target, parity ^ (wire.handshake == handshake), seen | {target})
                             )
 
-        # step monotonicity over environment inclusion
+        def targets(mach, state, env):
+            return {target for _, target in machine.enabled_transitions(mach, state, env)}
+
+        # successor monotonicity over environment inclusion
         for _ in range(200):
             spec = rng.choice(builtin_library())
             wires = list(spec.machine.sorted_input_wires)
             small = frozenset(w for w in wires if rng.random() < 0.5)
             big = small | frozenset(w for w in wires if rng.random() < 0.5)
             state = rng.choice(sorted(spec.machine.state_map))
-            assert machine.step(spec.machine, state, big) <= machine.step(
-                spec.machine, state, small
-            )
+            assert targets(spec.machine, state, big) <= targets(spec.machine, state, small)
 
         # trace prefix closure along random walks
         for _ in range(200):
@@ -214,40 +215,10 @@ def test_criterion_9_property_suites(join):
             env = frozenset(w for w in wires if rng.random() < 0.4)
             trace = [spec.machine.init_state]
             for _ in range(rng.randrange(12)):
-                nexts = sorted(machine.step(spec.machine, trace[-1], env))
+                nexts = sorted(targets(spec.machine, trace[-1], env))
                 if not nexts:
                     break
                 trace.append(rng.choice(nexts))
             assert machine.is_trace(spec.machine, trace, env)
             for cut in range(1, len(trace) + 1):
                 assert machine.is_trace(spec.machine, trace[:cut], env)
-
-        # formula rewrites never change a verdict
-        leaves = [
-            formulas.BlockedAtom("a"), formulas.BlockedAtom("b"), formulas.BlockedAtom("c"),
-            formulas.IdleAtom("a"), formulas.IdleAtom("b"), formulas.IdleAtom("c"),
-            formulas.TRUE, formulas.FALSE,
-        ]
-
-        def random_formula(depth: int):
-            if depth == 0 or rng.random() < 0.3:
-                return rng.choice(leaves)
-            pick = rng.randrange(5)
-            if pick == 0:
-                return formulas.Not(random_formula(depth - 1))
-            ctor = (formulas.And, formulas.Or, formulas.Implies, formulas.Iff)[pick - 1]
-            return ctor(random_formula(depth - 1), random_formula(depth - 1))
-
-        for _ in range(60):
-            form = random_formula(3)
-            reference = formulas.verify_condition(form, join)
-            for rewritten in (
-                formulas.expand_iff(form),
-                formulas.to_nnf(form),
-                formulas.to_nnf(formulas.expand_iff(form)),
-            ):
-                verdict = formulas.verify_condition(rewritten, join)
-                assert verdict.holds_overall == reference.holds_overall
-                assert [e.holds for e in verdict.per_env] == [
-                    e.holds for e in reference.per_env
-                ]

@@ -24,8 +24,9 @@ from xdicheck.circuit import (
     parse_netlist,
     settled_states,
 )
+from dsl_reference import to_dsl
 from test_formulas import recursive_smt_term
-from xdicheck.formulas import FALSE, evaluate, smt_term, to_dsl
+from xdicheck.formulas import FALSE, evaluate, smt_term
 from xdicheck.labeling import compute_block_idle
 from xdicheck.machine import INPUT, OUTPUT
 

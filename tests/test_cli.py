@@ -258,12 +258,14 @@ def test_deeply_nested_head_is_a_parse_error(run_cli, tmp_path, machines_dir, na
     assert result.out == ""
 
 
-def test_long_condition_gets_the_verdict_of_its_one_term(run_cli, join_path):
-    long = " | ".join(["blocked(a)"] * 1200)
+def _assert_same_verdict(run_cli, join_path, long, short, code):
+    """check prints the same verdict, text and JSON (apart from the
+    condition's own text), for a long condition and its short form."""
+
     for extra in ((), ("--json",)):
-        short_result = run_cli("check", join_path, "--condition", "blocked(a)", *extra)
+        short_result = run_cli("check", join_path, "--condition", short, *extra)
         long_result = run_cli("check", join_path, "--condition", long, *extra)
-        assert long_result.code == short_result.code == 1
+        assert long_result.code == short_result.code == code
         assert long_result.err == short_result.err == ""
         if extra:
             payload = json.loads(long_result.out)
@@ -273,6 +275,24 @@ def test_long_condition_gets_the_verdict_of_its_one_term(run_cli, join_path):
             assert payload == reference
         else:
             assert long_result.out == short_result.out
+
+
+def test_long_condition_gets_the_verdict_of_its_one_term(run_cli, join_path):
+    long = " | ".join(["blocked(a)"] * 1200)
+    _assert_same_verdict(run_cli, join_path, long, "blocked(a)", 1)
+
+
+@pytest.mark.parametrize(
+    "deep, short, code",
+    [
+        ("(" * 3000 + "blocked(a)" + ")" * 3000, "blocked(a)", 1),
+        ("!" * 3000 + "blocked(a)", "blocked(a)", 1),
+        (" -> ".join(["blocked(a)"] * 3000), "blocked(a) -> blocked(a)", 0),
+    ],
+    ids=["parentheses", "negations", "implications"],
+)
+def test_deep_condition_gets_the_verdict_of_its_short_form(run_cli, join_path, deep, short, code):
+    _assert_same_verdict(run_cli, join_path, deep, short, code)
 
 
 def test_deadlock_clean_circuit(run_cli, machines_dir):

@@ -1,8 +1,9 @@
-"""Condition DSL parsing, rewriting, evaluation, and verification."""
+"""Condition DSL parsing, evaluation, verification, SMT-LIB and solving."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
+from dsl_reference import recursive_parse_condition, to_dsl
 from test_properties import BASE, formula_st
 from xdicheck import formulas as f
 from xdicheck.formulas import (
@@ -17,16 +18,12 @@ from xdicheck.formulas import (
     Or,
     TRUE,
     VarAtom,
-    discover_equations,
     eval_condition,
     evaluate,
-    expand_iff,
     first_model,
     parse_condition,
     satisfying_models,
     smt_term,
-    to_dsl,
-    to_nnf,
     verify_condition,
 )
 from xdicheck.labeling import UnknownHandshakeError
@@ -100,6 +97,85 @@ def test_to_dsl_omits_redundant_parens():
     assert to_dsl(form) == "blocked(a) <-> blocked(c) | idle(b)"
 
 
+def _parsed(parse, text):
+    """The formula, or the ParseError's message, line and column."""
+
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.line, exc.column)
+
+
+# The parser comparisons are cheap; more examples reach rarer shapes.
+PARSER = settings(BASE, max_examples=500)
+
+
+@PARSER
+@given(formula_st(("a", "b", "c")))
+def test_parser_matches_the_recursive_reference_on_printed_formulas(form):
+    text = to_dsl(form)
+    assert _parsed(parse_condition, text) == _parsed(recursive_parse_condition, text) == form
+
+
+SOUP_TOKENS = (
+    "(", ")", "!", "&", "|", "->", "<->",
+    "true", "false", "blocked", "idle", "blocked(a)", "idle(b)", "foo", "a", "#",
+)
+
+
+@PARSER
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(SOUP_TOKENS), st.sampled_from(("", " ", "\n  "))),
+        max_size=24,
+    )
+)
+def test_parser_matches_the_recursive_reference_on_token_soups(soup):
+    text = "".join(token + gap for token, gap in soup)
+    assert _parsed(parse_condition, text) == _parsed(recursive_parse_condition, text)
+
+
+@PARSER
+@given(
+    formula_st(("a", "b")),
+    st.integers(min_value=0),
+    st.sampled_from(("", ")", "(", "!", "&", "->", "<->", "idle", "true")),
+)
+def test_parser_matches_the_recursive_reference_on_damaged_formulas(form, where, token):
+    # Replace one token of a printed formula (or delete it, for ""), so the
+    # error falls anywhere inside an otherwise well-formed condition.
+    words = to_dsl(form).replace("(", " ( ").replace(")", " ) ").replace("!", " ! ").split()
+    words[where % len(words)] = token
+    text = " ".join(words)
+    assert _parsed(parse_condition, text) == _parsed(recursive_parse_condition, text)
+
+
+def _unwrap(form, cls, side):
+    """Follow one child field through a chain of cls nodes; (depth, leaf)."""
+
+    depth = 0
+    while isinstance(form, cls):
+        form = getattr(form, side)
+        depth += 1
+    return depth, form
+
+
+def test_deep_conditions_parse_without_recursion():
+    assert parse_condition("(" * 3000 + "blocked(a)" + ")" * 3000) == BlockedAtom("a")
+    form = parse_condition("!" * 3000 + "blocked(a)")
+    assert _unwrap(form, Not, "operand") == (3000, BlockedAtom("a"))
+    form = parse_condition(" -> ".join(["blocked(a)"] * 3000))
+    assert _unwrap(form, Implies, "rhs") == (2999, BlockedAtom("a"))
+    node = form
+    while isinstance(node, Implies):
+        assert node.lhs == BlockedAtom("a")
+        node = node.rhs
+    text = "(" * 3000 + "blocked(a)" + ")" * 2999
+    with pytest.raises(ParseError, match="expected '\\)', found 'end of input'") as info:
+        parse_condition(text)
+    assert (info.value.line, info.value.column) == (1, len(text) + 1)
+
+
 def test_atoms_iterates_left_to_right():
     form = parse_condition("blocked(a) <-> blocked(c) | idle(b)")
     assert list(f.atoms(form)) == [BlockedAtom("a"), BlockedAtom("c"), IdleAtom("b")]
@@ -124,52 +200,6 @@ def test_map_atoms_replaces_leaves():
         form, lambda atom: VarAtom(f"v_{atom.handshake}")
     )
     assert renamed == Or(VarAtom("v_a"), VarAtom("v_b"))
-
-
-def test_rename_handshakes():
-    form = parse_condition("blocked(in0) <-> blocked(out) | idle(in1)")
-    renamed = f.rename_handshakes(form, {"in0": "a", "in1": "b", "out": "c"})
-    assert to_dsl(renamed) == "blocked(a) <-> blocked(c) | idle(b)"
-
-
-def _assignments(names):
-    import itertools
-
-    for bits in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, bits))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "blocked(a) <-> blocked(c) | idle(b)",
-        "!(blocked(a) <-> idle(b))",
-        "blocked(a) -> idle(b) -> false",
-        "true <-> (idle(a) | !idle(b)) & blocked(c)",
-    ],
-)
-def test_rewrites_preserve_truth_tables(text):
-    form = parse_condition(text)
-    names = sorted({to_dsl(a) for a in f.atoms(form) if not isinstance(a, Const)})
-    for assignment in _assignments(names):
-        resolve = lambda atom: assignment[to_dsl(atom)]
-        reference = evaluate(form, resolve)
-        assert evaluate(expand_iff(form), resolve) == reference
-        assert evaluate(to_nnf(form), resolve) == reference
-        assert evaluate(to_nnf(expand_iff(form)), resolve) == reference
-
-
-def test_to_nnf_pushes_negation_to_leaves():
-    form = to_nnf(parse_condition("!(blocked(a) & (idle(b) | false))"))
-    stack = [form]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            assert isinstance(node.operand, (BlockedAtom, IdleAtom, VarAtom, Const))
-        elif isinstance(node, (And, Or)):
-            stack.extend((node.lhs, node.rhs))
-        else:
-            assert isinstance(node, (BlockedAtom, IdleAtom, VarAtom, Const))
 
 
 def test_eval_condition_on_join(join):
@@ -311,19 +341,3 @@ def test_a_variable_outside_the_list_is_a_key_error():
         first_model([form], ("x",))
     with pytest.raises(KeyError, match="'z'"):
         list(satisfying_models([form], ("x",)))
-
-
-def test_discover_equations_recovers_the_join_condition(join):
-    found = discover_equations(join, BlockedAtom("a"), max_ops=1)
-    assert Or(BlockedAtom("c"), IdleAtom("b")) in found
-    # every reported candidate matches the goal on all environments
-    goal = BlockedAtom("a")
-    for candidate in found:
-        verdict = verify_condition(Iff(goal, candidate), join)
-        assert verdict.holds_overall, to_dsl(candidate)
-
-
-def test_discover_equations_orders_smallest_first(join):
-    found = discover_equations(join, BlockedAtom("a"), max_ops=1)
-    sizes = [len(list(f.atoms(form))) for form in found]
-    assert sizes == sorted(sizes)

@@ -2,9 +2,9 @@
 
 import pytest
 
+from dsl_reference import to_dsl
 from xdicheck import labeling, library
 from xdicheck.checker import reasonable_envs
-from xdicheck.formulas import to_dsl
 from xdicheck.library import (
     PRIMITIVE_NAMES,
     STORAGE_FULLNESS,

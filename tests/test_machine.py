@@ -1,4 +1,4 @@
-"""Machine file parsing, validation, and the step relation."""
+"""Machine file parsing, validation, and enabled transitions."""
 
 import pytest
 
@@ -106,8 +106,11 @@ def test_enabled_transitions_drop_stable_inputs_only(join):
 
 
 def test_step_returns_target_set(join):
-    assert m.step(join, "s0", frozenset()) == frozenset({"s1", "s2"})
-    assert m.step(join, "s0", frozenset({("a", "R"), ("b", "R")})) == frozenset()
+    def targets(env):
+        return {target for _, target in m.enabled_transitions(join, "s0", env)}
+
+    assert targets(frozenset()) == {"s1", "s2"}
+    assert targets(frozenset({("a", "R"), ("b", "R")})) == set()
 
 
 def test_is_trace_accepts_paths_and_rejects_junk(join):

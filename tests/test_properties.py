@@ -4,6 +4,7 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dsl_reference import to_dsl
 from xdicheck import checker, formulas, labeling, machine
 from xdicheck.checker import BLOCKING, IDLING, TemporalQuery
 from xdicheck.formulas import (
@@ -19,12 +20,9 @@ from xdicheck.formulas import (
     TRUE,
     VarAtom,
     evaluate,
-    expand_iff,
     first_model,
     parse_condition,
     satisfying_models,
-    to_dsl,
-    to_nnf,
     verify_condition,
 )
 from xdicheck.library import builtin_library, get_primitive
@@ -75,12 +73,18 @@ def machine_env_state(draw):
     return mach, env, env | extra, state
 
 
+def _targets(mach, state, env):
+    """The states one enabled transition away."""
+
+    return {target for _, target in machine.enabled_transitions(mach, state, env)}
+
+
 @BASE
 @given(machine_env_state())
 def test_step_shrinks_as_the_environment_grows(data):
     mach, small, big, state = data
     assert small <= big
-    assert machine.step(mach, state, big) <= machine.step(mach, state, small)
+    assert _targets(mach, state, big) <= _targets(mach, state, small)
     enabled_big = machine.enabled_transitions(mach, state, big)
     enabled_small = machine.enabled_transitions(mach, state, small)
     assert set(enabled_big) <= set(enabled_small)
@@ -93,7 +97,7 @@ def random_walk(draw):
     env = frozenset(draw(st.lists(st.sampled_from(wires), unique=True))) if wires else frozenset()
     trace = [mach.init_state]
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        nexts = sorted(machine.step(mach, trace[-1], env))
+        nexts = sorted(_targets(mach, trace[-1], env))
         if not nexts:
             break
         trace.append(draw(st.sampled_from(nexts)))
@@ -107,7 +111,7 @@ def test_traces_are_prefix_closed(data):
     assert machine.is_trace(mach, trace, env)
     for cut in range(1, len(trace) + 1):
         assert machine.is_trace(mach, trace[:cut], env)
-    off_path = sorted(set(mach.state_map) - machine.step(mach, trace[-1], env))
+    off_path = sorted(set(mach.state_map) - _targets(mach, trace[-1], env))
     if off_path:
         assert not machine.is_trace(mach, trace + [off_path[0]], env)
 
@@ -138,16 +142,6 @@ def formula_st(handshakes=(), variables=()):
 @given(formula_st(("a", "b", "c")))
 def test_dsl_round_trip_is_the_identity(form):
     assert parse_condition(to_dsl(form)) == form
-
-
-@BASE
-@given(form=formula_st(("a", "b", "c")))
-def test_rewrites_do_not_change_verdicts(join, form):
-    reference = verify_condition(form, join)
-    for rewritten in (expand_iff(form), to_nnf(form), to_nnf(expand_iff(form))):
-        verdict = verify_condition(rewritten, join)
-        assert verdict.holds_overall == reference.holds_overall
-        assert [e.holds for e in verdict.per_env] == [e.holds for e in reference.per_env]
 
 
 @st.composite
@@ -238,6 +232,10 @@ def test_verdicts_survive_interface_renaming(join):
 
     packaged = get_primitive("join").machine
     mapping = {"a": "in0", "b": "in1", "c": "out"}
+
+    def rename(atom):
+        return type(atom)(mapping[atom.handshake])
+
     for text in (
         "blocked(a) <-> blocked(c) | idle(b)",
         "blocked(b) <-> blocked(c) | idle(a)",
@@ -247,7 +245,7 @@ def test_verdicts_survive_interface_renaming(join):
     ):
         original = verify_condition(parse_condition(text), join)
         renamed = verify_condition(
-            formulas.rename_handshakes(parse_condition(text), mapping), packaged
+            formulas.map_atoms(parse_condition(text), rename), packaged
         )
         assert original.holds_overall == renamed.holds_overall
         assert [e.holds for e in original.per_env] == [e.holds for e in renamed.per_env]
