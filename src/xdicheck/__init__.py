@@ -34,7 +34,6 @@ from .circuit import (
 )
 from .formulas import (
     Verdict,
-    eval_condition,
     parse_condition,
     verify_condition,
 )
@@ -43,10 +42,8 @@ from .labeling import (
     AmbiguousMachineError,
     LabelMap,
     UnknownHandshakeError,
-    blocking,
     check_unambiguous,
     compute_block_idle,
-    idling,
 )
 from .library import PrimitiveSpec, builtin_library, get_primitive, verify_library
 from .machine import (
@@ -56,12 +53,9 @@ from .machine import (
     XdiMachine,
     format_env,
     is_environment,
-    is_input_wire,
     is_trace,
     parse_document,
     parse_env,
-    parse_machine,
-    serialize,
     validate,
 )
 from .sexpr import ParseError
@@ -93,7 +87,6 @@ __all__ = [
     "emit_smt",
     "Verdict",
     "parse_condition",
-    "eval_condition",
     "verify_condition",
     "LabelMap",
     "AmbiguityReport",
@@ -101,8 +94,6 @@ __all__ = [
     "UnknownHandshakeError",
     "compute_block_idle",
     "check_unambiguous",
-    "blocking",
-    "idling",
     "PrimitiveSpec",
     "builtin_library",
     "get_primitive",
@@ -111,13 +102,10 @@ __all__ = [
     "Wire",
     "Environment",
     "ValidationReport",
-    "parse_machine",
     "parse_document",
-    "serialize",
     "validate",
     "is_trace",
     "is_environment",
-    "is_input_wire",
     "parse_env",
     "format_env",
     "ParseError",

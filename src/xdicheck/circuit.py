@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .formulas import (
     And,
@@ -26,13 +26,12 @@ from .formulas import (
     VarAtom,
     first_model,
     map_atoms,
-    satisfying_models,
     smt_term,
 )
 from .labeling import compute_block_idle
 from .library import STORAGE_FULLNESS, builtin_library, get_primitive
 from .machine import INPUT, OUTPUT, REQUEST, ACK, XdiMachine
-from .sexpr import Node, read_forms
+from .sexpr import Node, expect_list, expect_symbol, read_forms
 
 __all__ = [
     "NetlistError",
@@ -121,23 +120,13 @@ class Netlist:
         return get_primitive(self.instance_map[instance]).machine
 
 
-def _expect_list(node: Node, what: str) -> tuple[Node, ...]:
-    if not node.is_list:
-        raise node.error(f"expected {what}")
-    return node.value
-
-
-def _expect_name(node: Node, what: str) -> str:
-    if not node.is_symbol:
-        raise node.error(f"expected {what}")
-    return str(node.value)
-
-
 def _parse_endpoint(node: Node) -> Endpoint:
-    items = _expect_list(node, "endpoint (instance handshake)")
+    items = expect_list(node, "endpoint (instance handshake)")
     if len(items) != 2:
         raise node.error("endpoint must be (instance handshake)")
-    return Endpoint(_expect_name(items[0], "instance id"), _expect_name(items[1], "handshake"))
+    return Endpoint(
+        expect_symbol(items[0], "instance id"), expect_symbol(items[1], "handshake")
+    )
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -146,30 +135,30 @@ def parse_netlist(text: str) -> Netlist:
     forms = read_forms(text)
     if len(forms) != 1:
         raise NetlistError("expected exactly one (circuit ...) form")
-    items = _expect_list(forms[0], "(circuit ...) form")
-    if not items or _expect_name(items[0], "circuit keyword") != "circuit" or len(items) < 2:
+    items = expect_list(forms[0], "(circuit ...) form")
+    if not items or expect_symbol(items[0], "circuit keyword") != "circuit" or len(items) < 2:
         raise forms[0].error("expected (circuit name entries...)")
-    name = _expect_name(items[1], "circuit name")
+    name = expect_symbol(items[1], "circuit name")
 
     known_primitives = {spec.name for spec in builtin_library()}
     instances: list[tuple[str, str]] = []
     channels: list[Channel] = []
     stable: list[Endpoint] = []
     for node in items[2:]:
-        entry = _expect_list(node, "circuit entry")
-        head = _expect_name(entry[0], "entry keyword") if entry else ""
+        entry = expect_list(node, "circuit entry")
+        head = expect_symbol(entry[0], "entry keyword") if entry else ""
         if head == "instance":
             if len(entry) != 3:
                 raise node.error("instance entry must be (instance id primitive)")
             instances.append(
-                (_expect_name(entry[1], "instance id"), _expect_name(entry[2], "primitive"))
+                (expect_symbol(entry[1], "instance id"), expect_symbol(entry[2], "primitive"))
             )
         elif head == "channel":
             if len(entry) != 4:
                 raise node.error("channel entry must be (channel id endpoint endpoint)")
             channels.append(
                 Channel(
-                    _expect_name(entry[1], "channel id"),
+                    expect_symbol(entry[1], "channel id"),
                     _parse_endpoint(entry[2]),
                     _parse_endpoint(entry[3]),
                 )
@@ -558,9 +547,6 @@ class DeadlockInstance:
 
     def formulas(self) -> tuple[Formula, ...]:
         return tuple(constraint.formula for constraint in self.constraints)
-
-    def models(self) -> Iterator[dict[str, bool]]:
-        return satisfying_models(self.formulas(), self.variables)
 
     def first_model(self) -> dict[str, bool] | None:
         return first_model(self.formulas(), self.variables)

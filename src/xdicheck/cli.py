@@ -64,13 +64,7 @@ def _emit(payload, as_json: bool, lines: Sequence[str]) -> None:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        parsed = machine.parse_document(_read_file(args.file))
-    except ParseError as exc:
-        raise CommandError(
-            f"{args.file}:{exc.line}:{exc.column}: {exc.message}"
-        ) from exc
-    mach = parsed[0]
+    mach, _ = _load_document(args.file, validated=False)
     report = machine.validate(mach)
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as handle:
@@ -331,6 +325,11 @@ def _cmd_deadlock(args) -> int:
         raise CommandError(f"{args.file}:{exc.line}:{exc.column}: {exc.message}") from exc
     except circuit.NetlistError as exc:
         raise CommandError(f"{args.file}: {exc}") from exc
+    if args.emit_smt and args.channel is None:
+        raise CommandError("--emit-smt requires --channel")
+    channels = {channel.name for channel in netlist.channels}
+    if args.channel is not None and args.channel not in channels:
+        raise CommandError(f"no channel named {args.channel!r}")
     try:
         system = circuit.compose(netlist, args.max_states)
     except circuit.ExplorationLimitError as exc:
@@ -357,10 +356,7 @@ def _cmd_deadlock(args) -> int:
         )
         lines.append(f"path: {' '.join(finding.path) if finding.path else '(initial)'}")
     if args.channel is not None:
-        try:
-            instance = circuit.derive_deadlock_formula(netlist, args.channel, system)
-        except circuit.NetlistError as exc:
-            raise CommandError(str(exc)) from exc
+        instance = circuit.derive_deadlock_formula(netlist, args.channel, system)
         model = instance.first_model()
         payload["formula"] = {
             "target": args.channel,
@@ -374,8 +370,6 @@ def _cmd_deadlock(args) -> int:
         if args.emit_smt:
             with open(args.emit_smt, "w", encoding="utf-8") as handle:
                 handle.write(circuit.emit_smt(instance))
-    elif args.emit_smt:
-        raise CommandError("--emit-smt requires --channel")
     _emit(payload, args.json, lines)
     return 1 if finding else 0
 
@@ -486,9 +480,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc.message} at {exc.line}:{exc.column}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

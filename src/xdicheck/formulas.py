@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as cartesian
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from . import checker
 from .labeling import UnknownHandshakeError
@@ -36,10 +36,8 @@ __all__ = [
     "parse_condition",
     "atoms",
     "condition_handshakes",
-    "formula_variables",
     "map_atoms",
     "evaluate",
-    "eval_condition",
     "EnvVerdict",
     "Verdict",
     "verify_condition",
@@ -264,17 +262,6 @@ def condition_handshakes(form: Formula) -> frozenset[str]:
     )
 
 
-def formula_variables(forms: Iterable[Formula]) -> tuple[str, ...]:
-    """Sorted free variable names across the given formulas."""
-
-    names = set()
-    for form in forms:
-        for atom in atoms(form):
-            if isinstance(atom, VarAtom):
-                names.add(atom.name)
-    return tuple(sorted(names))
-
-
 def map_atoms(form: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild the formula with every atom passed through fn."""
 
@@ -354,13 +341,6 @@ def _check_atoms_known(form: Formula, machine: XdiMachine) -> None:
             raise UnknownHandshakeError(
                 f"machine {machine.name} has no handshake {name!r}"
             )
-
-
-def eval_condition(form: Formula, machine: XdiMachine, env: Environment) -> bool:
-    """Evaluate one condition under one environment."""
-
-    _check_atoms_known(form, machine)
-    return evaluate(form, _machine_resolver(machine, env))
 
 
 @dataclass(frozen=True)
@@ -483,16 +463,14 @@ def smt_term(form: Formula) -> str:
 
 
 def satisfying_models(
-    forms: Sequence[Formula], variables: Sequence[str] | None = None
+    forms: Sequence[Formula], variables: Sequence[str]
 ) -> Iterator[dict[str, bool]]:
     """Enumerate assignments satisfying every formula, lexicographically
-    with False before True over the variable list (sorted names when
-    not given). Exhaustive over 2^vars assignments: the reference that
-    first_model is tested against."""
+    with False before True over the variable list. Exhaustive over
+    2^vars assignments: the reference that first_model is tested against."""
 
-    names = tuple(variables) if variables is not None else formula_variables(forms)
-    for bits in cartesian((False, True), repeat=len(names)):
-        model = dict(zip(names, bits))
+    for bits in cartesian((False, True), repeat=len(variables)):
+        model = dict(zip(variables, bits))
         resolve = lambda atom: model[atom.name]
         if all(evaluate(form, resolve) for form in forms):
             yield model
@@ -554,7 +532,7 @@ def _tseitin(forms: Sequence[Formula], index: Mapping[str, int]) -> tuple[list[l
 
 
 def first_model(
-    forms: Sequence[Formula], variables: Sequence[str] | None = None
+    forms: Sequence[Formula], variables: Sequence[str]
 ) -> dict[str, bool] | None:
     """The first satisfying assignment in satisfying_models order, or None.
 
@@ -568,7 +546,7 @@ def first_model(
     variables lacks raises KeyError.
     """
 
-    names = tuple(variables) if variables is not None else formula_variables(forms)
+    names = tuple(variables)
     clauses, top = _tseitin(forms, {name: i for i, name in enumerate(names, 1)})
     # Indexed by literal: index -v wraps to the back half, so v and -v never collide.
     value = [0] * (2 * top + 1)  # 1 true, -1 false, 0 free

@@ -24,8 +24,6 @@ __all__ = [
     "UnknownHandshakeError",
     "AmbiguousMachineError",
     "compute_block_idle",
-    "blocking",
-    "idling",
     "check_unambiguous",
 ]
 
@@ -75,13 +73,13 @@ class AmbiguityReport:
     """Conflicts found by parity propagation.
 
     Conflicts on non-transient states make the machine ambiguous and are
-    listed as witnesses; conflicts confined to transient states are only
-    warnings, since transient labels are never consulted by the checker.
+    listed as witnesses. A transient state reached with both parities is
+    not reported: compute_block_idle gives it the parity that first
+    reaches it depth first in declaration order.
     """
 
     ambiguous: bool
     witnesses: tuple[ParityConflict, ...]
-    warnings: tuple[ParityConflict, ...]
 
 
 def _require_handshake(machine: XdiMachine, handshake: str) -> None:
@@ -119,16 +117,11 @@ def _check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
         return tuple(reversed(trail))
 
     witnesses: list[ParityConflict] = []
-    warnings: list[ParityConflict] = []
     for entry in machine.states:
         name = entry.name
-        if (name, False) in parents and (name, True) in parents:
-            conflict = ParityConflict(name, path_to((name, False)), path_to((name, True)))
-            if entry.is_transient:
-                warnings.append(conflict)
-            else:
-                witnesses.append(conflict)
-    return AmbiguityReport(bool(witnesses), tuple(witnesses), tuple(warnings))
+        if not entry.is_transient and (name, False) in parents and (name, True) in parents:
+            witnesses.append(ParityConflict(name, path_to((name, False)), path_to((name, True))))
+    return AmbiguityReport(bool(witnesses), tuple(witnesses))
 
 
 def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
@@ -166,17 +159,3 @@ def _compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
         labels.setdefault(entry.name, False)
     return LabelMap(handshake, labels)
 
-
-def blocking(machine: XdiMachine, state: str, handshake: str) -> bool:
-    """True iff the state's label for the handshake is blocking."""
-
-    label_map = compute_block_idle(machine, handshake)
-    if state not in machine.state_map:
-        raise ValueError(f"machine {machine.name} has no state {state!r}")
-    return label_map.labels[state]
-
-
-def idling(machine: XdiMachine, state: str, handshake: str) -> bool:
-    """Defined as the negation of blocking."""
-
-    return not blocking(machine, state, handshake)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-from .sexpr import Node, ParseError, Symbol, read_forms, write_form
+from .sexpr import Node, ParseError, expect_list, expect_symbol, read_forms
 
 __all__ = [
     "Wire",
@@ -23,11 +23,8 @@ __all__ = [
     "XdiMachine",
     "Environment",
     "ValidationReport",
-    "parse_machine",
     "parse_document",
-    "serialize",
     "validate",
-    "is_input_wire",
     "is_environment",
     "enabled_transitions",
     "is_trace",
@@ -158,53 +155,41 @@ class ValidationReport:
         return not self.violations
 
 
-def _expect_symbol(node: Node, what: str) -> str:
-    if not node.is_symbol:
-        raise node.error(f"expected {what}")
-    return str(node.value)
-
-
 def _expect_identifier(node: Node, what: str) -> str:
-    text = _expect_symbol(node, what)
+    text = expect_symbol(node, what)
     if not _IDENTIFIER.match(text):
         raise node.error(f"{what} {text!r} is not an identifier")
     return text
 
 
-def _expect_list(node: Node, what: str) -> tuple[Node, ...]:
-    if not node.is_list:
-        raise node.error(f"expected {what}")
-    return node.value
-
-
 def _parse_wire(node: Node) -> Wire:
-    items = _expect_list(node, "wire (handshake R|A I|O)")
+    items = expect_list(node, "wire (handshake R|A I|O)")
     if len(items) != 3:
         raise node.error("wire must have exactly three elements")
     handshake = _expect_identifier(items[0], "handshake")
-    phase = _expect_symbol(items[1], "phase").upper()
+    phase = expect_symbol(items[1], "phase").upper()
     if phase not in (REQUEST, ACK):
         raise items[1].error(f"phase must be R or A, got {phase!r}")
-    direction = _expect_symbol(items[2], "direction").upper()
+    direction = expect_symbol(items[2], "direction").upper()
     if direction not in (INPUT, OUTPUT):
         raise items[2].error(f"direction must be I or O, got {direction!r}")
     return Wire(handshake, phase, direction)
 
 
 def _parse_state(node: Node) -> StateEntry:
-    items = _expect_list(node, "state entry")
+    items = expect_list(node, "state entry")
     if len(items) != 4:
         raise node.error("state entry must be (id init kind (transitions...))")
     name = _expect_identifier(items[0], "state id")
-    init_token = _expect_symbol(items[1], "init flag").lower()
+    init_token = expect_symbol(items[1], "init flag").lower()
     if init_token not in ("t", "nil"):
         raise items[1].error(f"init flag must be t or nil, got {init_token!r}")
-    kind = _expect_symbol(items[2], "state kind").lower()
+    kind = expect_symbol(items[2], "state kind").lower()
     if kind not in (BOX, TRANSIENT):
         raise items[2].error(f"kind must be box or transient, got {kind!r}")
     transitions = []
-    for transition_node in _expect_list(items[3], "transition list"):
-        pair = _expect_list(transition_node, "transition (wire target)")
+    for transition_node in expect_list(items[3], "transition list"):
+        pair = expect_list(transition_node, "transition (wire target)")
         if len(pair) != 2:
             raise transition_node.error("transition must be ((h R|A I|O) target)")
         wire = _parse_wire(pair[0])
@@ -213,9 +198,9 @@ def _parse_state(node: Node) -> StateEntry:
     return StateEntry(name, init_token == "t", kind, tuple(transitions))
 
 
-def _parse_machine_form(node: Node) -> XdiMachine:
-    items = _expect_list(node, "(machine ...) form")
-    if not items or _expect_symbol(items[0], "machine keyword") != "machine":
+def _machine_from_form(node: Node) -> XdiMachine:
+    items = expect_list(node, "(machine ...) form")
+    if not items or expect_symbol(items[0], "machine keyword") != "machine":
         raise node.error("expected (machine name states...)")
     if len(items) < 2:
         raise node.error("machine form needs a name")
@@ -231,22 +216,15 @@ def _parse_machine_form(node: Node) -> XdiMachine:
     return XdiMachine(name, states)
 
 
-def _parse_conditions_form(node: Node) -> tuple[tuple[str, str], ...]:
-    items = _expect_list(node, "(conditions ...) form")
+def _conditions_from_form(node: Node) -> tuple[tuple[str, str], ...]:
+    items = expect_list(node, "(conditions ...) form")
     out = []
     for child in items[1:]:
-        pair = _expect_list(child, "condition (name \"dsl\")")
+        pair = expect_list(child, "condition (name \"dsl\")")
         if len(pair) != 2 or not pair[1].is_string:
             raise child.error("condition must be (name \"formula text\")")
         out.append((_expect_identifier(pair[0], "condition name"), str(pair[1].value)))
     return tuple(out)
-
-
-def parse_machine(text: str) -> XdiMachine:
-    """Parse a machine file, ignoring any trailing conditions form."""
-
-    machine, _ = parse_document(text)
-    return machine
 
 
 def parse_document(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
@@ -255,38 +233,18 @@ def parse_document(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
     forms = read_forms(text)
     if not forms:
         raise ParseError("empty input, expected a (machine ...) form")
-    machine = _parse_machine_form(forms[0])
+    machine = _machine_from_form(forms[0])
     conditions: tuple[tuple[str, str], ...] = ()
     for node in forms[1:]:
-        items = _expect_list(node, "trailing form")
-        head = _expect_symbol(items[0], "form keyword") if items else ""
+        items = expect_list(node, "trailing form")
+        head = expect_symbol(items[0], "form keyword") if items else ""
         if head == "conditions":
             if conditions:
                 raise node.error("duplicate (conditions ...) form")
-            conditions = _parse_conditions_form(node)
+            conditions = _conditions_from_form(node)
         else:
             raise node.error(f"unexpected form {head!r} after machine")
     return machine, conditions
-
-
-def serialize(machine: XdiMachine, conditions: Sequence[tuple[str, str]] = ()) -> str:
-    """Render a machine (and optional conditions) in the file format."""
-
-    lines = [f"(machine {machine.name}"]
-    for entry in machine.states:
-        transitions = " ".join(
-            f"(({w.handshake} {w.phase} {w.direction}) {target})"
-            for w, target in entry.transitions
-        )
-        init = "t" if entry.init else "nil"
-        lines.append(f"  ({entry.name} {init} {entry.kind} ({transitions}))")
-    text = "\n".join(lines) + ")\n"
-    if conditions:
-        body = "\n".join(
-            f"  ({name} {write_form(formula)})" for name, formula in conditions
-        )
-        text += f"(conditions\n{body})\n"
-    return text
 
 
 def validate(machine: XdiMachine) -> ValidationReport:
@@ -330,10 +288,6 @@ def validate(machine: XdiMachine) -> ValidationReport:
         if unreachable:
             violations.append("unreachable states: " + " ".join(unreachable))
     return ValidationReport(tuple(violations))
-
-
-def is_input_wire(machine: XdiMachine, handshake: str, phase: str) -> bool:
-    return (handshake, phase) in machine.input_wires
 
 
 def is_environment(machine: XdiMachine, env: Iterable[tuple[str, str]]) -> bool:

@@ -1,4 +1,4 @@
-"""Minimal s-expression reader and writer.
+"""Minimal s-expression reader.
 
 The machine and netlist file formats are parenthesized forms built from
 symbols and double-quoted strings, with ``;`` line comments. The reader
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ParseError", "Symbol", "Node", "read_forms", "write_form"]
+__all__ = ["ParseError", "Symbol", "Node", "expect_list", "expect_symbol", "read_forms"]
 
 
 class ParseError(ValueError):
@@ -54,6 +54,22 @@ class Node:
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.column)
+
+
+def expect_list(node: Node, what: str) -> tuple[Node, ...]:
+    """The node's items; a ParseError at the node naming what was expected."""
+
+    if not node.is_list:
+        raise node.error(f"expected {what}")
+    return node.value
+
+
+def expect_symbol(node: Node, what: str) -> str:
+    """The node's symbol text; a ParseError at the node naming what was expected."""
+
+    if not node.is_symbol:
+        raise node.error(f"expected {what}")
+    return str(node.value)
 
 
 _DELIMITERS = "()\";"
@@ -140,20 +156,3 @@ def read_forms(text: str) -> tuple[Node, ...]:
         _, open_line, open_column = stack[-1]
         raise ParseError("unclosed '('", open_line, open_column)
     return tuple(top)
-
-
-def _quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def write_form(form: object) -> str:
-    """Render a nested structure of symbols, strings, and sequences."""
-
-    if isinstance(form, Symbol):
-        return str(form)
-    if isinstance(form, str):
-        return _quote(form)
-    if isinstance(form, (list, tuple)):
-        return "(" + " ".join(write_form(item) for item in form) + ")"
-    raise TypeError(f"cannot write {type(form).__name__} as an s-expression")

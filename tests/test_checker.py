@@ -20,7 +20,7 @@ from xdicheck.checker import (
     reasonable_envs,
 )
 from xdicheck.library import builtin_library
-from xdicheck.machine import parse_machine
+from xdicheck.machine import parse_document
 
 LIVE = frozenset()
 STABLE_C = frozenset({("c", "A")})
@@ -129,7 +129,7 @@ def per_state_fg_check(query):
 
 def test_fg_fixpoint_matches_per_state_search(join, distributor, ring_document):
     machines = [spec.machine for spec in builtin_library()] + [join, distributor]
-    machines += [parse_machine(ring_document(24, polarity)) for polarity in ("idle", "blocked")]
+    machines += [parse_document(ring_document(24, polarity))[0] for polarity in ("idle", "blocked")]
     for machine in dict.fromkeys(machines):  # the shipped distributor is the library's
         for handshake in sorted(machine.handshakes):
             for mode in (BLOCKING, IDLING):
@@ -151,7 +151,7 @@ def test_oracle_size_guard():
     states = ["(s0 t box (((a R I) s1)))"]
     states += [f"(s{i} nil box (((a R I) s{i + 1})))" for i in range(1, 25)]
     states += ["(s25 nil box ())"]
-    big = parse_machine(f"(machine big {' '.join(states)})")
+    big = parse_document(f"(machine big {' '.join(states)})")[0]
     with pytest.raises(ValueError, match="states"):
         oracle_g_check(TemporalQuery(big, "a", BLOCKING, frozenset()))
     # raising the limit makes the same query answerable

@@ -26,7 +26,7 @@ from xdicheck.circuit import (
 )
 from dsl_reference import to_dsl
 from test_formulas import recursive_smt_term
-from xdicheck.formulas import FALSE, evaluate, smt_term
+from xdicheck.formulas import FALSE, evaluate, satisfying_models, smt_term
 from xdicheck.labeling import compute_block_idle
 from xdicheck.machine import INPUT, OUTPUT
 
@@ -117,6 +117,26 @@ def test_unknown_circuit_entry_is_a_parse_error():
         parse_netlist("(circuit x (widget y))")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("((circuit) x)", "expected circuit keyword", 1, 2),
+        ("(circuit x\n  7)", "expected circuit entry", 2, 3),
+        (
+            "(circuit x\n (instance i join)\n (channel c i (k in)))",
+            "expected endpoint (instance handshake)", 3, 13,
+        ),
+        ('(circuit x (instance "i" join))', "expected instance id", 1, 22),
+    ],
+)
+def test_parse_errors_point_at_the_offending_form(text, message, line, column):
+    from xdicheck.sexpr import ParseError
+
+    with pytest.raises(ParseError) as info:
+        parse_netlist(text)
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+
+
 def test_stable_annotation_on_external_endpoint_is_allowed():
     netlist = parse_netlist("(circuit x (instance i join) (stable (i in1)))")
     assert netlist.stable == frozenset({Endpoint("i", "in1")})
@@ -200,7 +220,7 @@ def test_pipeline_formula_is_unsatisfiable(pipeline):
     instance = derive_deadlock_formula(pipeline, "a")
     assert instance.target == "a"
     assert instance.first_model() is None
-    assert list(instance.models()) == []
+    assert list(satisfying_models(instance.formulas(), instance.variables)) == []
 
 
 def test_pipeline_formula_variables(pipeline):
@@ -222,8 +242,6 @@ def test_pipeline_constraint_labels_follow_declaration_order(pipeline):
 
 
 def test_pipeline_without_invariant_shows_the_mismatch(pipeline):
-    from xdicheck.formulas import satisfying_models
-
     instance = derive_deadlock_formula(pipeline, "a")
     loose = [c.formula for c in instance.constraints if c.label != "storage fullness invariant"]
     models = list(satisfying_models(loose, instance.variables))
@@ -233,7 +251,7 @@ def test_pipeline_without_invariant_shows_the_mismatch(pipeline):
 
 def test_broken_formula_has_exactly_one_model(broken):
     instance = derive_deadlock_formula(broken, "a")
-    models = list(instance.models())
+    models = list(satisfying_models(instance.formulas(), instance.variables))
     assert len(models) == 1
     model = models[0]
     expected_true = {
@@ -503,7 +521,8 @@ def test_first_model_matches_the_enumerator(kind, arg, broken, machines_dir, cir
         instance = derive_deadlock_formula(netlist, channel.name, system)
         model = instance.first_model()
         if len(instance.variables) <= 16:
-            assert model == next(instance.models(), None), channel.name
+            models = satisfying_models(instance.formulas(), instance.variables)
+            assert model == next(models, None), channel.name
         if model is not None:
             assert list(model) == list(instance.variables)
             assert _satisfies(model, instance), channel.name

@@ -360,6 +360,29 @@ def test_deadlock_emit_smt_requires_channel(run_cli, machines_dir, tmp_path):
     assert result.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--emit-smt", "x.smt2"), "--emit-smt requires --channel"),
+        (("--channel", "zz"), "no channel named 'zz'"),
+        (("--channel", "zz", "--emit-smt", "x.smt2"), "no channel named 'zz'"),
+    ],
+)
+def test_deadlock_rejects_bad_flags_before_exploring(
+    run_cli, machines_dir, tmp_path, monkeypatch, flags, message
+):
+    from xdicheck import circuit
+
+    def no_compose(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(circuit, "compose", no_compose)
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("deadlock", str(machines_dir / "pipeline.net"), *flags)
+    assert (result.code, result.out, result.err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "x.smt2").exists()
+
+
 def test_deadlock_empty_circuit(run_cli, machines_dir):
     result = run_cli("deadlock", str(machines_dir / "empty.net"))
     assert result.code == 0

@@ -18,7 +18,6 @@ from xdicheck.formulas import (
     Or,
     TRUE,
     VarAtom,
-    eval_condition,
     evaluate,
     first_model,
     parse_condition,
@@ -28,8 +27,6 @@ from xdicheck.formulas import (
 )
 from xdicheck.labeling import UnknownHandshakeError
 from xdicheck.sexpr import ParseError
-
-LIVE = frozenset()
 
 
 def test_parse_atoms_and_constants():
@@ -186,14 +183,6 @@ def test_condition_handshakes():
     assert f.condition_handshakes(form) == frozenset({"a", "b", "c"})
 
 
-def test_formula_variables_sorted_unique():
-    forms = [
-        Or(VarAtom("idl_x"), VarAtom("blk_a")),
-        And(VarAtom("blk_a"), Not(VarAtom("full_s"))),
-    ]
-    assert f.formula_variables(forms) == ("blk_a", "full_s", "idl_x")
-
-
 def test_map_atoms_replaces_leaves():
     form = parse_condition("blocked(a) | idle(b)")
     renamed = f.map_atoms(
@@ -202,20 +191,14 @@ def test_map_atoms_replaces_leaves():
     assert renamed == Or(VarAtom("v_a"), VarAtom("v_b"))
 
 
-def test_eval_condition_on_join(join):
-    form = parse_condition("blocked(a) <-> blocked(c) | idle(b)")
-    assert eval_condition(form, join, LIVE) is True
-    assert eval_condition(parse_condition("blocked(a)"), join, LIVE) is False
-
-
-def test_eval_condition_rejects_unknown_handshake(join):
+def test_verify_condition_rejects_unknown_handshake(join):
     with pytest.raises(UnknownHandshakeError):
-        eval_condition(parse_condition("blocked(zz)"), join, LIVE)
+        verify_condition(parse_condition("blocked(zz)"), join)
 
 
-def test_eval_condition_rejects_circuit_variables(join):
+def test_verify_condition_rejects_circuit_variables(join):
     with pytest.raises(ValueError, match="variable"):
-        eval_condition(Or(VarAtom("blk_a"), TRUE), join, LIVE)
+        verify_condition(Or(VarAtom("blk_a"), TRUE), join)
 
 
 def test_verify_condition_splits_iff_sides(join):
@@ -328,11 +311,6 @@ def test_satisfying_models_enumerates_in_order():
     ]
     assert first_model([Or(x, y)], ("x", "y")) == {"x": False, "y": True}
     assert first_model([And(x, Not(x))], ("x",)) is None
-
-
-def test_satisfying_models_infer_variables():
-    x = VarAtom("x")
-    assert list(satisfying_models([x])) == [{"x": True}]
 
 
 def test_a_variable_outside_the_list_is_a_key_error():

@@ -5,7 +5,6 @@ import weakref
 
 import pytest
 
-from xdicheck import labeling
 from xdicheck.checker import cross_validate
 from xdicheck.labeling import (
     AmbiguousMachineError,
@@ -13,7 +12,7 @@ from xdicheck.labeling import (
     check_unambiguous,
     compute_block_idle,
 )
-from xdicheck.machine import parse_machine
+from xdicheck.machine import parse_document
 
 BLOCKING_A = {"s1", "s3", "s4", "s5", "s7", "s8", "s9"}
 IDLING_A = {"s0", "s2", "s6"}
@@ -46,9 +45,9 @@ def test_mode_accessor_matches_raw_labels(join):
 
 
 def test_blocking_and_idling_helpers(join):
-    assert labeling.blocking(join, "s3", "a")
-    assert not labeling.blocking(join, "s6", "a")
-    assert labeling.idling(join, "s6", "a")
+    labels = compute_block_idle(join, "a").labels
+    assert labels["s3"]
+    assert not labels["s6"]
 
 
 def test_parity_toggles_on_both_phases():
@@ -57,7 +56,7 @@ def test_parity_toggles_on_both_phases():
       (s0 t box (((a R I) s1)))
       (s1 nil transient (((a A O) s0))))
     """
-    labels = compute_block_idle(parse_machine(text), "a")
+    labels = compute_block_idle(parse_document(text)[0], "a")
     assert labels.labels == {"s0": False, "s1": True}
 
 
@@ -98,8 +97,9 @@ def test_compute_block_idle_refuses_ambiguous_machine(twopath):
     assert info.value.report.ambiguous
 
 
-def test_transient_only_conflict_is_a_warning_not_ambiguity():
-    # the conflicting state s3 is transient, so labels never get consulted
+def test_transient_only_conflict_is_not_ambiguity():
+    # the conflicting state s3 is transient, so it is no witness; it keeps
+    # the parity that first reaches it depth first: s0 -a-> s1 -b-> s3
     text = """
     (machine softclash
       (s0 t box (((a R I) s1) ((b R I) s2)))
@@ -107,11 +107,11 @@ def test_transient_only_conflict_is_a_warning_not_ambiguity():
       (s2 nil box (((h R I) s3)))
       (s3 nil transient ()))
     """
-    report = check_unambiguous(parse_machine(text), "a")
+    mach = parse_document(text)[0]
+    report = check_unambiguous(mach, "a")
     assert not report.ambiguous
     assert report.witnesses == ()
-    assert len(report.warnings) == 1
-    assert report.warnings[0].state == "s3"
+    assert compute_block_idle(mach, "a").labels["s3"] is True
 
 
 def test_first_visit_wins_on_diamonds(join):
@@ -135,8 +135,8 @@ def test_ambiguous_machine_raises_on_every_call(twopath):
 
 
 def test_equal_machines_keep_separate_memos(join_document):
-    first = parse_machine(join_document)
-    second = parse_machine(join_document)
+    first = parse_document(join_document)[0]
+    second = parse_document(join_document)[0]
     assert first == second
     assert compute_block_idle(first, "a") is compute_block_idle(first, "a")
     assert compute_block_idle(first, "a") is not compute_block_idle(second, "a")
@@ -146,7 +146,7 @@ def test_equal_machines_keep_separate_memos(join_document):
 def test_memo_tables_die_with_their_machine(join_document):
     # A name no other test uses: a table keyed by machine equality would keep
     # the first equal machine it saw, not this one.
-    mach = parse_machine(join_document.replace("(machine join", "(machine join_collected"))
+    mach = parse_document(join_document.replace("(machine join", "(machine join_collected"))[0]
     assert mach.name == "join_collected"
     assert cross_validate(mach) == ()
     compute_block_idle(mach, "a")

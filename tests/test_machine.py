@@ -3,7 +3,7 @@
 import pytest
 
 from xdicheck import machine as m
-from xdicheck.machine import Wire, parse_document, parse_env, parse_machine, serialize, validate
+from xdicheck.machine import Wire, parse_document, parse_env, validate
 from xdicheck.sexpr import ParseError
 
 
@@ -39,15 +39,6 @@ def test_entry_rejects_unknown_state(join):
         join.entry("nope")
 
 
-def test_serialize_parse_fixpoint(join_document):
-    parsed, conditions = parse_document(join_document)
-    text = serialize(parsed, conditions)
-    again, conditions2 = parse_document(text)
-    assert again == parsed
-    assert conditions2 == conditions
-    assert serialize(again, conditions2) == text
-
-
 def test_validate_accepts_corpus_machines(machines_dir):
     for name in ("join.xdi", "distributor.xdi", "ambiguous.xdi"):
         parsed, _ = parse_document((machines_dir / name).read_text())
@@ -69,7 +60,7 @@ def test_validate_accepts_corpus_machines(machines_dir):
     ],
 )
 def test_validate_reports_structural_violations(text, fragment):
-    report = validate(parse_machine(text))
+    report = validate(parse_document(text)[0])
     assert not report.ok
     assert any(fragment in v for v in report.violations)
 
@@ -86,8 +77,25 @@ def test_validate_reports_structural_violations(text, fragment):
 )
 def test_parser_rejects_malformed_entries(text, fragment):
     with pytest.raises(ParseError) as info:
-        parse_machine(text)
+        parse_document(text)
     assert fragment in info.value.message
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("x", "expected (machine ...) form", 1, 1),
+        ("(machine m\n  s0)", "expected state entry", 2, 3),
+        ("(machine m\n  (s0 t box x))", "expected transition list", 2, 13),
+        ("(machine m (s0 t (box) ()))", "expected state kind", 1, 18),
+        ('(machine "m" (s0 t box ()))', "expected machine name", 1, 10),
+        ("(machine m (s0 t box ()))\n(conditions\n  x)", 'expected condition (name "dsl")', 3, 3),
+    ],
+)
+def test_parse_errors_point_at_the_offending_form(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
 
 
 def test_parse_document_requires_machine_form():
@@ -161,11 +169,11 @@ def test_memo_computes_once_per_machine_and_arguments(join_document):
         calls.append(args)
         return object()
 
-    mach = parse_machine(join_document)
+    mach = parse_document(join_document)[0]
     first = mach.memo(count, "a", 1)
     assert mach.memo(count, "a", 1) is first
     assert mach.memo(count, "a", 2) is not first
-    assert parse_machine(join_document).memo(count, "a", 1) is not first
+    assert parse_document(join_document)[0].memo(count, "a", 1) is not first
     assert calls == [("a", 1), ("a", 2), ("a", 1)]
 
 

@@ -1,8 +1,8 @@
-"""Reader and writer behavior for the parenthesized file formats."""
+"""Reader behavior for the parenthesized file formats."""
 
 import pytest
 
-from xdicheck.sexpr import Node, ParseError, Symbol, read_forms, write_form
+from xdicheck.sexpr import ParseError, Symbol, read_forms
 
 
 def test_reads_symbols_strings_and_nesting():
@@ -59,16 +59,3 @@ def test_node_error_carries_location():
     assert failure.column == 4
     assert "unwanted b" in str(failure)
 
-
-def test_write_form_round_trips_through_reader():
-    structure = (Symbol("m"), "quoted \"text\"", (Symbol("k"), Symbol("v")))
-    text = write_form(structure)
-    again = read_forms(text)[0]
-    assert again.value[0].value == Symbol("m")
-    assert again.value[1].value == 'quoted "text"'
-    assert again.value[2].value[1].value == Symbol("v")
-
-
-def test_write_form_rejects_foreign_objects():
-    with pytest.raises(TypeError):
-        write_form(Node(Symbol("a"), 1, 1))
