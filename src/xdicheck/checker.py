@@ -216,7 +216,7 @@ def idle(machine: XdiMachine, handshake: str, env: Environment) -> bool:
 # test, and an fg query holds iff some such walk ends in a state whose g
 # query holds. Since every prefix of a walk is a walk, the final states of
 # all bounded walks are exactly the states reachable within the bound,
-# which the recursion below collects directly from the walk tree. Both
+# which _walk_states collects one breadth-first layer per step. Both
 # helpers run through XdiMachine.memo, so each walk set and each g answer
 # is computed once per machine.
 
@@ -242,24 +242,22 @@ def _check_oracle_size(machine: XdiMachine, max_states: int) -> None:
 def _walk_states(
     machine: XdiMachine, env: Environment, start: str, bound: int
 ) -> frozenset[str]:
-    """Final states of all walks from start taking at most `bound` steps."""
+    """Final states of all walks from start taking at most `bound` steps.
 
-    memo: dict[tuple[str, int], frozenset[str]] = {}
+    Layer k holds the states first reached in k steps; the loop stops at
+    the bound or at the first empty layer, so it never recurses.
+    """
 
-    def visit(state: str, budget: int) -> frozenset[str]:
-        key = (state, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        collected = {state}
-        if budget > 0:
-            for _, target in enabled_transitions(machine, state, env):
-                collected.update(visit(target, budget - 1))
-        result = frozenset(collected)
-        memo[key] = result
-        return result
-
-    return visit(start, bound)
+    reached = {start}
+    layer = {start}
+    for _ in range(bound):
+        layer = {
+            target for state in layer for _, target in enabled_transitions(machine, state, env)
+        } - reached
+        if not layer:
+            break
+        reached |= layer
+    return frozenset(reached)
 
 
 def _oracle_g(

@@ -5,8 +5,9 @@ A netlist wires primitive instances together over named channels. The
 product transition system moves both endpoint machines at once on a
 connected wire and one machine alone on an external wire. Deadlock
 search walks the reachable product set; the formula side abstracts the
-same question into per-channel blocked/idle booleans, couples storages
-through fullness variables, and emits the result as SMT-LIB.
+same question into per-channel blocked/idle booleans over the facts the
+library states for each primitive, couples instances through fullness
+variables, and emits the result as SMT-LIB.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .formulas import (
     And,
     BlockedAtom,
     Formula,
-    IdleAtom,
-    Iff,
     Not,
     Or,
     VarAtom,
@@ -29,7 +28,7 @@ from .formulas import (
     smt_term,
 )
 from .labeling import compute_block_idle
-from .library import STORAGE_FULLNESS, builtin_library, get_primitive
+from .library import builtin_library, get_primitive
 from .machine import INPUT, OUTPUT, REQUEST, ACK, XdiMachine
 from .sexpr import Node, expect_list, expect_symbol, read_forms
 
@@ -480,32 +479,25 @@ def settled_states(machine: XdiMachine) -> frozenset[str]:
     return frozenset(entry.name for entry in machine.states) - _blocking_states(machine)
 
 
-def _storage_indices(system: ProductSystem) -> tuple[int, ...]:
-    return tuple(
-        idx
-        for idx, (_, primitive) in enumerate(system.netlist.instances)
-        if primitive == "storage"
-    )
-
-
 def fullness_invariant(system: ProductSystem) -> Formula | None:
-    """Constrain storage fullness variables by projecting the product set.
+    """Constrain fullness variables by projecting the product set.
 
-    Snapshots are taken at product states where every storage is settled
-    (all its handshakes at even parity), the points where fullness is
+    Snapshots are taken at product states where every instance with a
+    fullness map (PrimitiveSpec.fullness) is in a state the map covers:
+    a settled state, all handshakes at even parity, where fullness is
     well defined. Returns None when there is nothing to constrain: no
-    storages, no settled snapshot, or all fullness profiles realized.
+    such instance, no settled snapshot, or all fullness profiles realized.
     """
 
-    indices = _storage_indices(system)
+    fullness = [get_primitive(primitive).fullness for _, primitive in system.netlist.instances]
+    indices = tuple(idx for idx, table in enumerate(fullness) if table)
     if not indices:
         return None
-    settled = {idx: settled_states(system.machines[idx]) for idx in indices}
     profiles = sorted(
         {
-            tuple(STORAGE_FULLNESS[state[idx]] for idx in indices)
+            tuple(fullness[idx][state[idx]] for idx in indices)
             for state in system.states
-            if all(state[idx] in settled[idx] for idx in indices)
+            if all(state[idx] in fullness[idx] for idx in indices)
         }
     )
     if not profiles or len(profiles) == 2 ** len(indices):
@@ -564,11 +556,11 @@ def derive_deadlock_formula(
 ) -> DeadlockInstance:
     """Build the blocked/idle constraint system asking Dead(target).
 
-    Constraints comprise, in order: each instance's condition set over
-    its channel variables (storages contribute fullness couplings,
-    sources and sinks their liveness facts), one fact per live or stable
-    external handshake, the storage fullness invariant projected from
-    the reachable product set, and the target assertion
+    Constraints comprise, in order: each instance's library facts over
+    its channel variables (full is its full_<instance> variable; facts
+    check-library does not verify are listed in README), one fact per
+    live or stable external handshake, the fullness invariant projected
+    from the reachable product set, and the target assertion
     Dead(ch) = blocked(ch) and not idle(ch).
 
     The invariant is projected from system, the composed product of
@@ -587,47 +579,26 @@ def derive_deadlock_formula(
     bases.extend(_variable_base(netlist, point) for point in netlist.external_endpoints)
 
     constraints: list[Constraint] = []
-    storages: list[str] = []
+    holders: list[str] = []  # instances with a full_ variable
     for instance, primitive in netlist.instances:
         spec = get_primitive(primitive)
-        base = {
+        if spec.fullness:
+            holders.append(instance)
+        ports = {
             handshake: _variable_base(netlist, Endpoint(instance, handshake))
             for handshake in spec.machine.handshakes
         }
-        blk = {h: VarAtom(f"blk_{b}") for h, b in base.items()}
-        idl = {h: VarAtom(f"idl_{b}") for h, b in base.items()}
-        if primitive == "storage":
-            storages.append(instance)
-            full = VarAtom(f"full_{instance}")
+
+        def instantiate(atom: Formula) -> Formula:
+            if isinstance(atom, VarAtom):  # the library's full
+                return VarAtom(f"full_{instance}")
+            prefix = "blk" if isinstance(atom, BlockedAtom) else "idl"
+            return VarAtom(f"{prefix}_{ports[atom.handshake]}")
+
+        for fact in spec.facts:
             constraints.append(
-                Constraint(
-                    f"{instance}: blocked(in) <-> full & blocked(out)",
-                    Iff(blk["in"], And(full, blk["out"])),
-                )
+                Constraint(f"{instance}: {fact.text}", map_atoms(fact.formula, instantiate))
             )
-            constraints.append(
-                Constraint(
-                    f"{instance}: idle(out) <-> !full & idle(in)",
-                    Iff(idl["out"], And(Not(full), idl["in"])),
-                )
-            )
-        elif primitive == "source":
-            constraints.append(Constraint(f"{instance}: !idle(out)", Not(idl["out"])))
-        elif primitive == "sink":
-            constraints.append(Constraint(f"{instance}: !blocked(in)", Not(blk["in"])))
-        else:
-            for condition in spec.conditions:
-                instantiated = map_atoms(
-                    condition.formula,
-                    lambda atom: (
-                        blk[atom.handshake]
-                        if isinstance(atom, BlockedAtom)
-                        else idl[atom.handshake]
-                    ),
-                )
-                constraints.append(
-                    Constraint(f"{instance}: {condition.text}", instantiated)
-                )
 
     for point in netlist.external_endpoints:
         machine = netlist.machine_of(point.instance)
@@ -660,7 +631,7 @@ def derive_deadlock_formula(
     variables = (
         tuple(f"blk_{base}" for base in sorted(bases))
         + tuple(f"idl_{base}" for base in sorted(bases))
-        + tuple(f"full_{instance}" for instance in sorted(storages))
+        + tuple(f"full_{instance}" for instance in sorted(holders))
     )
     return DeadlockInstance(variables, tuple(constraints), target)
 

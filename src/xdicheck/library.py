@@ -9,12 +9,13 @@ the check-library subcommand run end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Mapping
 
-from .formulas import Formula, Verdict, parse_condition, verify_condition
+from .formulas import And, BlockedAtom, Formula, IdleAtom, Iff, Not, VarAtom, Verdict
+from .formulas import parse_condition, verify_condition
 from .labeling import check_unambiguous
 from .machine import XdiMachine, parse_document, validate
 
@@ -31,11 +32,6 @@ __all__ = [
 
 PRIMITIVE_NAMES = ("join", "distributor", "fork", "storage", "source", "sink")
 
-# Fullness of the storage machine in its settled states (all handshakes
-# at even parity). Only settled states need a fullness value: the
-# deadlock-formula projection samples the product space there.
-STORAGE_FULLNESS: Mapping[str, bool] = {"s0": False, "s2": True}
-
 
 @dataclass(frozen=True)
 class NamedCondition:
@@ -44,11 +40,39 @@ class NamedCondition:
     text: str
 
 
+# Fullness of the storage machine in its settled states (all handshakes
+# at even parity). Only settled states need a fullness value: the
+# deadlock-formula projection samples the product space there.
+STORAGE_FULLNESS: Mapping[str, bool] = {"s0": False, "s2": True}
+_FULLNESS = {"storage": STORAGE_FULLNESS}
+
+# What the deadlock formula assumes of storage, source and sink in place
+# of their shipped conditions; VarAtom("full") stands for the instance's
+# full_<instance> variable. check-library verifies none of these facts.
+_FULL = VarAtom("full")
+_FORMULA_FACTS = {
+    "storage": (
+        NamedCondition("blocked_in", Iff(BlockedAtom("in"), And(_FULL, BlockedAtom("out"))),
+                       "blocked(in) <-> full & blocked(out)"),
+        NamedCondition("idle_out", Iff(IdleAtom("out"), And(Not(_FULL), IdleAtom("in"))),
+                       "idle(out) <-> !full & idle(in)"),
+    ),
+    "source": (NamedCondition("live_out", Not(IdleAtom("out")), "!idle(out)"),),
+    "sink": (NamedCondition("live_in", Not(BlockedAtom("in")), "!blocked(in)"),),
+}
+
+
 @dataclass(frozen=True)
 class PrimitiveSpec:
+    """A machine with its verified conditions, and what the deadlock
+    formula assumes of each instance: its facts and, when it has a
+    full_<instance> variable, the fullness of each settled state."""
+
     name: str
     machine: XdiMachine
     conditions: tuple[NamedCondition, ...]
+    facts: tuple[NamedCondition, ...]
+    fullness: Mapping[str, bool] = field(hash=False)  # a dict: left out of the hash
 
 
 def _load_primitive(name: str) -> PrimitiveSpec:
@@ -58,7 +82,8 @@ def _load_primitive(name: str) -> PrimitiveSpec:
         NamedCondition(cond_name, parse_condition(text), text)
         for cond_name, text in raw_conditions
     )
-    return PrimitiveSpec(machine.name, machine, conditions)
+    facts = _FORMULA_FACTS.get(name, conditions)
+    return PrimitiveSpec(machine.name, machine, conditions, facts, _FULLNESS.get(name, {}))
 
 
 @cache

@@ -20,7 +20,7 @@ from xdicheck.checker import (
     reasonable_envs,
 )
 from xdicheck.library import builtin_library
-from xdicheck.machine import parse_document
+from xdicheck.machine import enabled_transitions, parse_document
 
 LIVE = frozenset()
 STABLE_C = frozenset({("c", "A")})
@@ -145,6 +145,37 @@ def test_oracle_respects_explicit_bound(join):
     # bound 0 leaves only the start state in every walk
     assert oracle_g_check(q, bound=0) is False
     assert oracle_g_check(TemporalQuery(join, "a", BLOCKING, LIVE, start="s3"), bound=0)
+
+
+def recursive_walk_states(machine, env, start, bound):
+    """Reference walk set: the recursion over the walk tree, one call per
+    step, memoized on (state, budget), that checker._walk_states replaced."""
+
+    memo = {}
+
+    def visit(state, budget):
+        key = (state, budget)
+        if key not in memo:
+            collected = {state}
+            if budget > 0:
+                for _, target in enabled_transitions(machine, state, env):
+                    collected.update(visit(target, budget - 1))
+            memo[key] = frozenset(collected)
+        return memo[key]
+
+    return visit(start, bound)
+
+
+def test_walk_states_match_the_recursive_reference(join, distributor, twopath):
+    machines = [spec.machine for spec in builtin_library()] + [join, distributor, twopath]
+    for machine in dict.fromkeys(machines):  # the shipped distributor is the library's
+        for env in reasonable_envs(machine):
+            for entry in machine.states:
+                for bound in range(len(machine.states) + 2):
+                    expected = recursive_walk_states(machine, env, entry.name, bound)
+                    assert checker._walk_states(machine, env, entry.name, bound) == expected, (
+                        machine.name, env, entry.name, bound
+                    )
 
 
 def test_oracle_size_guard():

@@ -26,9 +26,22 @@ from xdicheck.circuit import (
 )
 from dsl_reference import to_dsl
 from test_formulas import recursive_smt_term
-from xdicheck.formulas import FALSE, evaluate, satisfying_models, smt_term
+from xdicheck.formulas import (
+    FALSE,
+    And,
+    BlockedAtom,
+    Iff,
+    Not,
+    Or,
+    VarAtom,
+    evaluate,
+    map_atoms,
+    satisfying_models,
+    smt_term,
+)
+from xdicheck.library import STORAGE_FULLNESS, get_primitive
 from xdicheck.labeling import compute_block_idle
-from xdicheck.machine import INPUT, OUTPUT
+from xdicheck.machine import INPUT, OUTPUT, REQUEST
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +555,148 @@ def test_smt_term_matches_the_recursive_reference_on_dead(
     for channel in netlist.channels:
         for form in derive_deadlock_formula(netlist, channel.name, system).formulas():
             assert smt_term(form) == recursive_smt_term(form), channel.name
+
+
+def reference_fullness_invariant(system):
+    """The projection as it was before the library stated fullness maps:
+    storages found by name, snapshots at their settled states."""
+
+    indices = tuple(
+        idx
+        for idx, (_, primitive) in enumerate(system.netlist.instances)
+        if primitive == "storage"
+    )
+    if not indices:
+        return None
+    settled = {idx: settled_states(system.machines[idx]) for idx in indices}
+    profiles = sorted(
+        {
+            tuple(STORAGE_FULLNESS[state[idx]] for idx in indices)
+            for state in system.states
+            if all(state[idx] in settled[idx] for idx in indices)
+        }
+    )
+    if not profiles or len(profiles) == 2 ** len(indices):
+        return None
+    names = [f"full_{system.order[idx]}" for idx in indices]
+
+    def profile_term(profile):
+        literals = [
+            VarAtom(name) if value else Not(VarAtom(name))
+            for name, value in zip(names, profile)
+        ]
+        term = literals[0]
+        for literal in literals[1:]:
+            term = And(term, literal)
+        return term
+
+    invariant = profile_term(profiles[0])
+    for profile in profiles[1:]:
+        invariant = Or(invariant, profile_term(profile))
+    return invariant
+
+
+def reference_derive_deadlock_formula(netlist, target, system):
+    """The derivation as it was before the library stated every
+    primitive's facts: storage, source and sink facts written out by name,
+    the shipped conditions for the rest."""
+
+    bases = [channel.name for channel in netlist.channels]
+    bases.extend(circuit._variable_base(netlist, point) for point in netlist.external_endpoints)
+    constraints = []
+    storages = []
+    for instance, primitive in netlist.instances:
+        spec = get_primitive(primitive)
+        base = {
+            handshake: circuit._variable_base(netlist, Endpoint(instance, handshake))
+            for handshake in spec.machine.handshakes
+        }
+        blk = {h: VarAtom(f"blk_{b}") for h, b in base.items()}
+        idl = {h: VarAtom(f"idl_{b}") for h, b in base.items()}
+        if primitive == "storage":
+            storages.append(instance)
+            full = VarAtom(f"full_{instance}")
+            constraints.append(
+                Constraint(
+                    f"{instance}: blocked(in) <-> full & blocked(out)",
+                    Iff(blk["in"], And(full, blk["out"])),
+                )
+            )
+            constraints.append(
+                Constraint(
+                    f"{instance}: idle(out) <-> !full & idle(in)",
+                    Iff(idl["out"], And(Not(full), idl["in"])),
+                )
+            )
+        elif primitive == "source":
+            constraints.append(Constraint(f"{instance}: !idle(out)", Not(idl["out"])))
+        elif primitive == "sink":
+            constraints.append(Constraint(f"{instance}: !blocked(in)", Not(blk["in"])))
+        else:
+            for condition in spec.conditions:
+                instantiated = map_atoms(
+                    condition.formula,
+                    lambda atom: (
+                        blk[atom.handshake]
+                        if isinstance(atom, BlockedAtom)
+                        else idl[atom.handshake]
+                    ),
+                )
+                constraints.append(Constraint(f"{instance}: {condition.text}", instantiated))
+
+    for point in netlist.external_endpoints:
+        machine = netlist.machine_of(point.instance)
+        base = circuit._variable_base(netlist, point)
+        requester = machine.wire_direction(point.handshake, REQUEST) == OUTPUT
+        if point in netlist.stable:
+            if not requester:
+                constraints.append(
+                    Constraint(
+                        f"external {point}: stable",
+                        And(VarAtom(f"idl_{base}"), Not(VarAtom(f"blk_{base}"))),
+                    )
+                )
+        elif requester:
+            constraints.append(
+                Constraint(f"external {point}: live", Not(VarAtom(f"blk_{base}")))
+            )
+
+    invariant = reference_fullness_invariant(system)
+    if invariant is not None:
+        constraints.append(Constraint("storage fullness invariant", invariant))
+    constraints.append(
+        Constraint(
+            f"target: Dead({target})",
+            And(VarAtom(f"blk_{target}"), Not(VarAtom(f"idl_{target}"))),
+        )
+    )
+    variables = (
+        tuple(f"blk_{base}" for base in sorted(bases))
+        + tuple(f"idl_{base}" for base in sorted(bases))
+        + tuple(f"full_{instance}" for instance in sorted(storages))
+    )
+    return DeadlockInstance(variables, tuple(constraints), target)
+
+
+@pytest.mark.parametrize(
+    "kind, arg, broken", SOLVER_CASES, ids=[str(case) for case in SOLVER_CASES]
+)
+def test_derivation_matches_the_by_name_reference(
+    kind, arg, broken, machines_dir, circuit_document
+):
+    """Labels, formulas, variables, target and SMT-LIB text of Dead(ch) for
+    every channel equal those of the by-name derivation."""
+
+    text = (
+        (machines_dir / arg).read_text() if kind == "file" else circuit_document(kind, arg, broken)
+    )
+    netlist = parse_netlist(text)
+    system = compose(netlist)
+    for channel in netlist.channels:
+        instance = derive_deadlock_formula(netlist, channel.name, system)
+        expected = reference_derive_deadlock_formula(netlist, channel.name, system)
+        assert instance == expected, channel.name
+        assert emit_smt(instance) == emit_smt(expected), channel.name
 
 
 def test_first_model_beyond_the_enumerators_reach(circuit_document):

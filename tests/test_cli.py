@@ -195,6 +195,15 @@ def test_oracle_check_join(run_cli, join_path):
     assert "disagreements: 0" in result.out
 
 
+def test_oracle_check_takes_long_bounds(run_cli, join_path):
+    """The walk oracle loops over bound steps; it used to recurse once per
+    step and exit 2 with a RecursionError at bound 1000."""
+
+    result = run_cli("oracle-check", join_path, "--bound", "1000")
+    assert result.code == 0, result.err
+    assert "disagreements: 0" in result.out
+
+
 def test_oracle_check_rejects_large_machines(run_cli, machines_dir, tmp_path):
     states = ["(s0 t box (((a R I) s1)))"]
     states += [f"(s{i} nil box (((a R I) s{i + 1})))" for i in range(1, 24)]

@@ -101,6 +101,59 @@ def test_storage_fullness_covers_the_settled_states():
     assert STORAGE_FULLNESS == {"s0": False, "s2": True}
 
 
+def test_facts_are_the_conditions_unless_the_library_states_others():
+    for spec in builtin_library():
+        hash(spec)  # fullness is a dict, yet specs hash
+        if spec.name in ("join", "distributor", "fork"):
+            assert spec.facts == spec.conditions
+    assert [fact.text for fact in get_primitive("storage").facts] == [
+        "blocked(in) <-> full & blocked(out)",
+        "idle(out) <-> !full & idle(in)",
+    ]
+    assert [fact.text for fact in get_primitive("source").facts] == ["!idle(out)"]
+    assert [fact.text for fact in get_primitive("sink").facts] == ["!blocked(in)"]
+    assert {spec.name: dict(spec.fullness) for spec in builtin_library() if spec.fullness} == {
+        "storage": {"s0": False, "s2": True}
+    }
+
+
+def _parities(machine, handshake):
+    """Every (state, parity) pair reachable from the start, parity toggled
+    by each transition on the handshake."""
+
+    seen = {(machine.init_state, False)}
+    stack = list(seen)
+    while stack:
+        state, parity = stack.pop()
+        for wire, target in machine.entry(state).transitions:
+            pair = (target, parity ^ (wire.handshake == handshake))
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return seen
+
+
+def test_fact_invariants():
+    from xdicheck.circuit import settled_states
+    from xdicheck.formulas import VarAtom, atoms
+
+    for spec in builtin_library():
+        for fact in spec.facts:
+            # text and tree cannot drift: the text is the formula's rendering
+            assert fact.text == to_dsl(fact.formula), (spec.name, fact.name)
+            variables = {atom.name for atom in atoms(fact.formula) if isinstance(atom, VarAtom)}
+            assert variables <= ({"full"} if spec.fullness else set()), (spec.name, fact.name)
+        if spec.fullness:
+            assert frozenset(spec.fullness) == settled_states(spec.machine), spec.name
+        # No state, transient ones included, is reached with both parities,
+        # so no label, settled state or fullness key depends on the order
+        # in which transitions are declared.
+        for handshake in spec.machine.handshakes:
+            pairs = _parities(spec.machine, handshake)
+            both = sorted(state for state, parity in pairs if parity and (state, False) in pairs)
+            assert both == [], (spec.name, handshake, both)
+
+
 def test_source_and_sink_are_two_state_cycles():
     source = get_primitive("source").machine
     sink = get_primitive("sink").machine

@@ -47,6 +47,22 @@ def _command_table():
     return [(row.split()[0], re.findall(r"--[a-z-]+", row)) for row in rows]
 
 
+def test_deadlock_formula_bullets_list_every_stated_fact():
+    """The storage, source and sink facts are stated by the library, not
+    verified by check-library, so README must spell each one out."""
+
+    from xdicheck.library import get_primitive
+
+    start = README.index("\n### Deadlock formulas\n")
+    section = README[start:README.index("\n## ", start)]
+    bullets = " ".join(
+        " ".join(block.split()) for block in re.findall(r"^\* .*?(?=^\* |^$)", section, re.M | re.S)
+    )
+    for name in ("storage", "source", "sink"):
+        for fact in get_primitive(name).facts:
+            assert f"`{fact.text}`" in bullets, (name, fact.text)
+
+
 def test_readme_examples_are_found():
     assert [argv[0] for argv, _ in _quick_start()] == ["labels", "check", "deadlock"]
     assert len(_command_table()) == 8
