@@ -9,6 +9,12 @@ any reachable state outside it is a witness. Both run in time linear in
 the reachable states plus edges. blocked and idle are the fg forms from
 the initial state, with the blocking and idling labels.
 
+Condition verification and cross validation need only the holds answers,
+for many queries under each environment. They read them from _EnvAnswers:
+one exploration per environment, then one backward closure per
+(handshake, mode), shared by every query on that pair. fg_check and
+_EnvAnswers compute their closures with the one helper _back_closure.
+
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
 readings. Both the graph algorithms and the walk-enumeration oracle
@@ -20,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
 from .machine import Environment, XdiMachine, enabled_transitions, is_environment
@@ -115,17 +122,18 @@ def reasonable_envs(machine: XdiMachine) -> tuple[Environment, ...]:
     )
 
 
-def _reach(machine: XdiMachine, env: Environment, start: str):
-    """Breadth-first reachability.
+def _reach(machine: XdiMachine, env: Environment, *starts: str):
+    """Breadth-first reachability from the start states.
 
-    Returns the discovery order, parent links for trace rebuilding, and
-    the predecessors of each reached state over the enabled edges.
+    Returns the discovery order, parent links for trace rebuilding (None
+    at each start), and the predecessors of each reached state over the
+    enabled edges.
     """
 
-    parents: dict[str, str | None] = {start: None}
-    preds: dict[str, list[str]] = {start: []}
+    parents: dict[str, str | None] = dict.fromkeys(starts)
+    preds: dict[str, list[str]] = {start: [] for start in parents}
     order: list[str] = []
-    queue = deque([start])
+    queue = deque(parents)
     while queue:
         state = queue.popleft()
         order.append(state)
@@ -136,6 +144,19 @@ def _reach(machine: XdiMachine, env: Environment, start: str):
                 queue.append(target)
             preds[target].append(state)
     return order, parents, preds
+
+
+def _back_closure(preds: dict[str, list[str]], seeds: Iterable[str]) -> set[str]:
+    """The seeds plus every state with an enabled path into one of them."""
+
+    closure = set(seeds)
+    pending = list(closure)
+    while pending:
+        for pred in preds[pending.pop()]:
+            if pred not in closure:
+                closure.add(pred)
+                pending.append(pred)
+    return closure
 
 
 def _trace_to(parents: dict[str, str | None], state: str) -> tuple[str, ...]:
@@ -183,13 +204,7 @@ def fg_check(query: TemporalQuery) -> CheckResult:
 
     ctx = _QueryContext(query)
     order, parents, preds = _reach(ctx.machine, ctx.env, ctx.start)
-    doomed = {state for state in order if not ctx.passes(state)}
-    pending = list(doomed)
-    while pending:
-        for pred in preds[pending.pop()]:
-            if pred not in doomed:
-                doomed.add(pred)
-                pending.append(pred)
+    doomed = _back_closure(preds, [state for state in order if not ctx.passes(state)])
     visited = frozenset(order)
     for state in order:
         if state not in doomed:
@@ -207,6 +222,60 @@ def idle(machine: XdiMachine, handshake: str, env: Environment) -> bool:
     """Eventually permanently idling, from the initial state."""
 
     return fg_check(TemporalQuery(machine, handshake, IDLING, env)).holds
+
+
+class _EnvAnswers:
+    """The holds answers of g_check and fg_check for every handshake, mode
+    and reached state under one environment, from one exploration.
+
+    The enabled graph reachable from the starts is explored once. Per
+    (handshake, mode), on first use, the failing states and their backward
+    closure, the doomed states, are computed: g holds at a state iff it is
+    not doomed, and fg iff it reaches a state that is not doomed, that is,
+    iff it lies in the backward closure of the undoomed states. From a
+    graph's only start every state is reached, so there fg is just "some
+    state is not doomed". Build one per environment and drop it after: it
+    is never memoised on the machine.
+    """
+
+    __slots__ = ("machine", "root", "order", "preds", "movers", "_doomed", "_hopeful")
+
+    def __init__(self, machine: XdiMachine, env: Environment, starts: Sequence[str]) -> None:
+        self.machine = machine
+        self.root = starts[0] if len(starts) == 1 else None
+        self.order, _, self.preds = _reach(machine, env, *starts)
+        # A state with an enabled move is some state's predecessor.
+        self.movers = {pred for preds in self.preds.values() for pred in preds}
+        self._doomed: dict[tuple[str, Mode], set[str]] = {}
+        self._hopeful: dict[tuple[str, Mode], set[str]] = {}
+
+    def doomed(self, handshake: str, mode: Mode) -> set[str]:
+        key = (handshake, mode)
+        if key not in self._doomed:
+            labels = compute_block_idle(self.machine, handshake)
+            entry = self.machine.entry
+            failing = [
+                state
+                for state in self.order
+                if state in self.movers
+                and labels.mode(state) != mode
+                and not entry(state).is_transient
+            ]
+            self._doomed[key] = _back_closure(self.preds, failing)
+        return self._doomed[key]
+
+    def g(self, handshake: str, mode: Mode, state: str) -> bool:
+        return state not in self.doomed(handshake, mode)
+
+    def fg(self, handshake: str, mode: Mode, state: str) -> bool:
+        doomed = self.doomed(handshake, mode)
+        if state == self.root:
+            return len(doomed) < len(self.order)
+        key = (handshake, mode)
+        if key not in self._hopeful:
+            undoomed = [other for other in self.order if other not in doomed]
+            self._hopeful[key] = _back_closure(self.preds, undoomed)
+        return state in self._hopeful[key]
 
 
 # --- Bounded walk-enumeration oracle ---------------------------------------
@@ -338,15 +407,16 @@ def cross_validate(
     states = [entry.name for entry in machine.states]
     found: list[Disagreement] = []
     for env in reasonable_envs(machine):
+        answers = _EnvAnswers(machine, env, states)
         for handshake in handshakes:
             for mode in (BLOCKING, IDLING):
                 for start in states:
                     query = TemporalQuery(machine, handshake, mode, env, start)
-                    pairs = (
-                        ("g", g_check(query).holds, oracle_g_check(query, bound, max_states)),
-                        ("fg", fg_check(query).holds, oracle_fg_check(query, bound, max_states)),
-                    )
-                    for op, fast, slow in pairs:
+                    g = answers.g(handshake, mode, start)
+                    oracle_g = oracle_g_check(query, bound, max_states)
+                    fg = answers.fg(handshake, mode, start)
+                    oracle_fg = oracle_fg_check(query, bound, max_states)
+                    for op, fast, slow in (("g", g, oracle_g), ("fg", fg, oracle_fg)):
                         if fast != slow:
                             found.append(
                                 Disagreement(op, handshake, mode, env, start, fast, slow)

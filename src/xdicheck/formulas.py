@@ -325,12 +325,19 @@ def evaluate(form: Formula, resolve: Callable[[Formula], bool]) -> bool:
 
 
 def _machine_resolver(machine: XdiMachine, env: Environment) -> Callable[[Formula], bool]:
+    """Answer blocked(h) and idle(h) as checker.blocked and checker.idle
+    would, from one exploration under env, made at the first such atom."""
+
+    answers: checker._EnvAnswers | None = None
+
     def resolve(atom: Formula) -> bool:
-        if isinstance(atom, BlockedAtom):
-            return checker.blocked(machine, atom.handshake, env)
-        if isinstance(atom, IdleAtom):
-            return checker.idle(machine, atom.handshake, env)
-        raise ValueError(f"free variable {atom.name!r} in a machine condition")
+        nonlocal answers
+        if not isinstance(atom, (BlockedAtom, IdleAtom)):
+            raise ValueError(f"free variable {atom.name!r} in a machine condition")
+        if answers is None:
+            answers = checker._EnvAnswers(machine, env, (machine.init_state,))
+        mode = checker.BLOCKING if isinstance(atom, BlockedAtom) else checker.IDLING
+        return answers.fg(atom.handshake, mode, machine.init_state)
 
     return resolve
 

@@ -7,8 +7,6 @@ tracks line and column so parse failures point at the offending input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["ParseError", "Symbol", "Node", "expect_list", "expect_symbol", "read_forms"]
 
 
@@ -32,13 +30,19 @@ class Symbol(str):
         return f"Symbol({str.__repr__(self)})"
 
 
-@dataclass(frozen=True)
 class Node:
-    """One parsed form: a Symbol, a quoted string, or a tuple of Nodes."""
+    """One parsed form: a Symbol, a quoted string, or a tuple of Nodes.
 
-    value: object
-    line: int
-    column: int
+    A plain class with slots rather than a dataclass, since the reader
+    builds one per token. Nodes compare and hash by identity.
+    """
+
+    __slots__ = ("value", "line", "column")
+
+    def __init__(self, value: object, line: int, column: int) -> None:
+        self.value = value
+        self.line = line
+        self.column = column
 
     @property
     def is_list(self) -> bool:

@@ -1,0 +1,244 @@
+"""One exploration per environment: the shared answer table against the
+per-query checker, verify_condition against the per-atom resolver it
+replaced, and the number of explorations each environment costs."""
+
+import pytest
+from hypothesis import given
+
+from test_properties import BASE, formula_st
+from xdicheck import checker, formulas, labeling
+from xdicheck.checker import (
+    BLOCKING,
+    IDLING,
+    TemporalQuery,
+    cross_validate,
+    fg_check,
+    g_check,
+    reasonable_envs,
+)
+from xdicheck.formulas import (
+    FALSE,
+    TRUE,
+    And,
+    BlockedAtom,
+    IdleAtom,
+    Iff,
+    Or,
+    VarAtom,
+    parse_condition,
+    verify_condition,
+)
+from xdicheck.labeling import UnknownHandshakeError
+from xdicheck.library import builtin_library
+from xdicheck.machine import parse_document
+
+
+def wide_document(k: int) -> str:
+    """Requests on inputs i0..i{k-1} in turn, a transient request on output
+    o, its acknowledgement, then the input acknowledgements in the same
+    order: k + 1 input wires, so 2^(k+1) environments."""
+
+    rows = [f"(q{j} {'t' if j == 0 else 'nil'} box (((i{j} R I) q{j + 1})))" for j in range(k)]
+    rows.append(f"(q{k} nil transient (((o R O) h)))")
+    rows.append("(h nil box (((o A I) a0)))")
+    for j in range(k):
+        target = f"a{j + 1}" if j + 1 < k else "q0"
+        rows.append(f"(a{j} nil transient (((i{j} A O) {target})))")
+    return f"(machine wide{k}\n  " + "\n  ".join(rows) + ")\n"
+
+
+def wide_conditions(k: int) -> list[str]:
+    last = f"i{k - 1}"
+    handshakes = [f"i{j}" for j in range(k)] + ["o"]
+    texts = [f"{atom}({h})" for h in handshakes for atom in ("blocked", "idle")]
+    texts += [
+        f"blocked(i0) <-> blocked(o) | idle({last})",
+        f"idle(o) <-> idle(i0) & idle({last})",
+        f"blocked({last}) -> !idle(o)",
+    ]
+    return texts
+
+
+def every_atom_iff(machine) -> formulas.Formula:
+    """An iff chain over every blocked and idle atom: evaluate resolves all
+    of them under every environment, since no iff operand short-circuits."""
+
+    form = None
+    for handshake in sorted(machine.handshakes):
+        for atom in (BlockedAtom(handshake), IdleAtom(handshake)):
+            form = atom if form is None else Iff(form, atom)
+    return form
+
+
+def _outcome(thunk):
+    """The value, or the type and message of the ValueError raised."""
+
+    try:
+        return thunk()
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@pytest.fixture(scope="module")
+def machines(join, distributor, twopath, ring_document):
+    found = [spec.machine for spec in builtin_library()]  # test_properties.CORPUS
+    found += [join, distributor, twopath]
+    found += [parse_document(ring_document(24, polarity))[0] for polarity in ("idle", "blocked")]
+    return list(dict.fromkeys(found))  # the shipped distributor is the library's
+
+
+def test_answer_table_matches_the_per_query_checker(machines):
+    for machine in machines:
+        states = [entry.name for entry in machine.states]
+        for env in reasonable_envs(machine):
+            shared = checker._EnvAnswers(machine, env, states)
+            for start in states:
+                single = checker._EnvAnswers(machine, env, (start,))
+                for handshake in sorted(machine.handshakes):
+                    for mode in (BLOCKING, IDLING):
+                        query = TemporalQuery(machine, handshake, mode, env, start)
+                        expected = (
+                            _outcome(lambda: g_check(query).holds),
+                            _outcome(lambda: fg_check(query).holds),
+                        )
+                        for answers in (shared, single):
+                            got = (
+                                _outcome(lambda: answers.g(handshake, mode, start)),
+                                _outcome(lambda: answers.fg(handshake, mode, start)),
+                            )
+                            assert got == expected, (machine.name, env, handshake, mode, start)
+
+
+def test_answer_table_raises_the_ambiguity_error_of_the_checker(twopath):
+    answers = checker._EnvAnswers(twopath, frozenset(), (twopath.init_state,))
+    with pytest.raises(labeling.AmbiguousMachineError) as fast:
+        answers.fg("a", BLOCKING, twopath.init_state)
+    with pytest.raises(labeling.AmbiguousMachineError) as slow:
+        fg_check(TemporalQuery(twopath, "a", BLOCKING, frozenset()))
+    assert str(fast.value) == str(slow.value)
+
+
+# --- verify_condition against the per-atom resolver ---------------------------
+
+
+def per_atom_resolver(machine, env):
+    """The resolver verify_condition used before one exploration per
+    environment: one checker.blocked or checker.idle query per atom."""
+
+    def resolve(atom):
+        if isinstance(atom, BlockedAtom):
+            return checker.blocked(machine, atom.handshake, env)
+        if isinstance(atom, IdleAtom):
+            return checker.idle(machine, atom.handshake, env)
+        raise ValueError(f"free variable {atom.name!r} in a machine condition")
+
+    return resolve
+
+
+def reference_verdict(form, machine):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formulas, "_machine_resolver", per_atom_resolver)
+        return verify_condition(form, machine)
+
+
+def assert_same_verdict(form, machine):
+    """Both resolvers give the same verdict or raise the same error; returns it."""
+
+    expected = _outcome(lambda: reference_verdict(form, machine))
+    assert _outcome(lambda: verify_condition(form, machine)) == expected, (machine.name, form)
+    return expected
+
+
+def test_verdicts_match_on_library_and_shipped_conditions(
+    join, join_conditions, distributor, distributor_conditions
+):
+    for spec in builtin_library():
+        for cond in spec.conditions:
+            assert_same_verdict(cond.formula, spec.machine)
+    for machine, conditions in ((join, join_conditions), (distributor, distributor_conditions)):
+        for _, text in conditions:
+            assert_same_verdict(parse_condition(text), machine)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_verdicts_match_on_wide_machines(k):
+    machine = parse_document(wide_document(k))[0]
+    for text in wide_conditions(k):
+        assert_same_verdict(parse_condition(text), machine)
+    assert_same_verdict(every_atom_iff(machine), machine)
+
+
+@BASE
+@given(form=formula_st(("a", "b", "c")))
+def test_verdicts_match_on_random_join_conditions(join, form):
+    assert_same_verdict(form, join)
+
+
+@pytest.mark.parametrize(
+    "form, error",
+    [
+        (parse_condition("blocked(zz)"), UnknownHandshakeError),
+        (Or(VarAtom("blk_a"), TRUE), ValueError),
+        (And(parse_condition("blocked(a)"), VarAtom("full")), ValueError),
+        (And(FALSE, VarAtom("full")), None),  # short-circuits before the variable
+    ],
+)
+def test_errors_match_on_join(join, form, error):
+    outcome = assert_same_verdict(form, join)
+    if error is None:
+        assert isinstance(outcome, formulas.Verdict)
+    else:
+        assert outcome[0] is error
+
+
+def test_errors_match_on_an_ambiguous_machine(twopath):
+    outcome = assert_same_verdict(parse_condition("idle(b) -> blocked(a)"), twopath)
+    assert outcome[0] is labeling.AmbiguousMachineError
+    assert isinstance(assert_same_verdict(TRUE, twopath), formulas.Verdict)
+
+
+def test_errors_match_without_an_initial_state():
+    machine = parse_document("(machine headless (s0 nil box (((a R I) s0))))")[0]
+    assert assert_same_verdict(parse_condition("blocked(a)"), machine)[0] is ValueError
+    assert isinstance(assert_same_verdict(TRUE, machine), formulas.Verdict)
+
+
+# --- Cost and memory guards ----------------------------------------------------
+
+
+@pytest.fixture
+def explorations(monkeypatch):
+    """The environment of every graph exploration made, in order."""
+
+    made = []
+    reach = checker._reach
+
+    def counted(machine, env, *starts):
+        made.append(env)
+        return reach(machine, env, *starts)
+
+    monkeypatch.setattr(checker, "_reach", counted)
+    return made
+
+
+def test_verify_condition_explores_once_per_environment(explorations):
+    machine = parse_document(wide_document(4))[0]
+    form = every_atom_iff(machine)
+    assert len(list(formulas.atoms(form))) == 10
+    verify_condition(form, machine)
+    assert explorations == list(reasonable_envs(machine))
+
+
+def test_cross_validate_explores_once_per_environment(explorations, join):
+    assert cross_validate(join) == ()
+    assert explorations == list(reasonable_envs(join))
+
+
+def test_verify_condition_memoises_only_labels():
+    machine = parse_document(wide_document(6))[0]
+    verify_condition(every_atom_iff(machine), machine)
+    assert machine._memo
+    assert {fn for fn, _ in machine._memo} == {
+        labeling._check_unambiguous,
+        labeling._compute_block_idle,
+    }
