@@ -3,17 +3,16 @@
 g_check decides "globally" queries: every state reachable from the start
 must be transient, carry the queried label, or be a dead end under the
 environment. fg_check decides "eventually globally" queries, EF AG pass
-in CTL, with one fixpoint: the reachable states from which a failing
-state is reachable form the backward closure of the failing states, and
-any reachable state outside it is a witness. Both run in time linear in
-the reachable states plus edges. blocked and idle are the fg forms from
-the initial state, with the blocking and idling labels.
+in CTL. blocked and idle are the fg forms from the initial state, with
+the blocking and idling labels.
 
-Condition verification and cross validation need only the holds answers,
-for many queries under each environment. They read them from _EnvAnswers:
-one exploration per environment, then one backward closure per
-(handshake, mode), shared by every query on that pair. fg_check and
-_EnvAnswers compute their closures with the one helper _back_closure.
+Every answer comes from _EnvAnswers, the one g/fg engine: one exploration
+of the enabled graph, then one backward closure of the failing states per
+(handshake, mode). g_check and fg_check build one from their start and read
+their trace and witness from it; condition verification and cross
+validation build one per environment and share it among their queries. A
+query costs time linear in the reachable states plus edges, and a failing g
+query explores the whole reachable graph.
 
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
@@ -68,10 +67,13 @@ class TemporalQuery:
 class CheckResult:
     """Outcome plus evidence.
 
-    visited is the explored state set. For a failed g check the
-    counterexample is a shortest trace from the start to an offending
-    state; for a successful fg check it is a trace from the start to the
-    witness state.
+    visited is the reachable state set, except for a failed g check:
+    there it holds the states a breadth-first search from the start has
+    discovered when it dequeues the first failing state, that is, the
+    start and the successors of every state dequeued before that one.
+    For a failed g check the counterexample is a shortest trace from the
+    start to that failing state; for a successful fg check it is a trace
+    from the start to the witness state.
     """
 
     holds: bool
@@ -85,30 +87,23 @@ class CheckResult:
         return None
 
 
-class _QueryContext:
-    __slots__ = ("machine", "env", "mode", "labels", "start")
+def _checked_start(query: TemporalQuery) -> str:
+    """The query's start state, once the query is known to be well formed.
 
-    def __init__(self, query: TemporalQuery) -> None:
-        machine = query.machine
-        if query.mode not in (BLOCKING, IDLING):
-            raise ValueError(f"unknown mode {query.mode!r}")
-        if not is_environment(machine, query.env):
-            raise ValueError(f"not an environment of {machine.name}")
-        self.machine = machine
-        self.env = query.env
-        self.mode = query.mode
-        self.labels = compute_block_idle(machine, query.handshake)
-        self.start = query.resolved_start()
-        if self.start not in machine.state_map:
-            raise ValueError(f"machine {machine.name} has no state {self.start!r}")
+    Checks, in order, the mode, the environment, the handshake's labels
+    (unknown or ambiguous handshakes raise from labeling) and the start.
+    """
 
-    def passes(self, state: str) -> bool:
-        entry = self.machine.entry(state)
-        if entry.is_transient:
-            return True
-        if self.labels.mode(state) == self.mode:
-            return True
-        return not enabled_transitions(self.machine, state, self.env)
+    machine = query.machine
+    if query.mode not in (BLOCKING, IDLING):
+        raise ValueError(f"unknown mode {query.mode!r}")
+    if not is_environment(machine, query.env):
+        raise ValueError(f"not an environment of {machine.name}")
+    compute_block_idle(machine, query.handshake)
+    start = query.resolved_start()
+    if start not in machine.state_map:
+        raise ValueError(f"machine {machine.name} has no state {start!r}")
+    return start
 
 
 def reasonable_envs(machine: XdiMachine) -> tuple[Environment, ...]:
@@ -171,45 +166,37 @@ def _trace_to(parents: dict[str, str | None], state: str) -> tuple[str, ...]:
 def g_check(query: TemporalQuery) -> CheckResult:
     """Check that every reachable state passes the mode test.
 
-    Exploration is breadth first, so the returned counterexample is a
-    shortest offending trace. When the check holds, visited is exactly
+    On failure the counterexample is a shortest trace to the first failing
+    state in breadth-first order. When the check holds, visited is exactly
     the reachable set from the start.
     """
 
-    ctx = _QueryContext(query)
-    parents: dict[str, str | None] = {ctx.start: None}
-    queue = deque([ctx.start])
-    seen: list[str] = []
-    while queue:
-        state = queue.popleft()
-        seen.append(state)
-        if not ctx.passes(state):
-            return CheckResult(False, frozenset(parents), _trace_to(parents, state))
-        for _, target in enabled_transitions(ctx.machine, state, ctx.env):
-            if target not in parents:
-                parents[target] = state
-                queue.append(target)
-    return CheckResult(True, frozenset(seen), None)
+    start = _checked_start(query)
+    answers = _EnvAnswers(query.machine, query.env, (start,))
+    order, parents = answers.order, answers.parents
+    if answers.g(query.handshake, query.mode, start):
+        return CheckResult(True, frozenset(order), None)
+    first = answers.failing(query.handshake, query.mode)[0]
+    expanded = set(order[: order.index(first)])
+    visited = frozenset([start, *(state for state in order if parents[state] in expanded)])
+    return CheckResult(False, visited, _trace_to(parents, first))
 
 
 def fg_check(query: TemporalQuery) -> CheckResult:
     """Find the first reachable state, in breadth-first order, where g holds.
 
-    g holds from a state iff no failing state is reachable from it, so the
-    states where it fails are the backward closure of the failing states.
-    The witness is the first reachable state outside that closure, and the
-    evidence trace leads from the start to it. The cost is linear in the
-    reachable states plus edges.
+    The witness is the first reachable state that is not doomed, and the
+    evidence trace leads from the start to it.
     """
 
-    ctx = _QueryContext(query)
-    order, parents, preds = _reach(ctx.machine, ctx.env, ctx.start)
-    doomed = _back_closure(preds, [state for state in order if not ctx.passes(state)])
-    visited = frozenset(order)
-    for state in order:
-        if state not in doomed:
-            return CheckResult(True, visited, _trace_to(parents, state))
-    return CheckResult(False, visited, None)
+    start = _checked_start(query)
+    answers = _EnvAnswers(query.machine, query.env, (start,))
+    doomed = answers.doomed(query.handshake, query.mode)
+    visited = frozenset(answers.order)
+    witness = next((state for state in answers.order if state not in doomed), None)
+    if witness is None:
+        return CheckResult(False, visited, None)
+    return CheckResult(True, visited, _trace_to(answers.parents, witness))
 
 
 def blocked(machine: XdiMachine, handshake: str, env: Environment) -> bool:
@@ -225,43 +212,48 @@ def idle(machine: XdiMachine, handshake: str, env: Environment) -> bool:
 
 
 class _EnvAnswers:
-    """The holds answers of g_check and fg_check for every handshake, mode
-    and reached state under one environment, from one exploration.
+    """The g and fg answers for every handshake, mode and reached state
+    under one environment, from one exploration.
 
-    The enabled graph reachable from the starts is explored once. Per
-    (handshake, mode), on first use, the failing states and their backward
-    closure, the doomed states, are computed: g holds at a state iff it is
-    not doomed, and fg iff it reaches a state that is not doomed, that is,
-    iff it lies in the backward closure of the undoomed states. From a
-    graph's only start every state is reached, so there fg is just "some
-    state is not doomed". Build one per environment and drop it after: it
-    is never memoised on the machine.
+    The enabled graph reachable from the starts is explored once. A state
+    fails when it can move but is neither transient nor labeled with the
+    queried mode. Per (handshake, mode), on first use, the backward closure
+    of the failing states, the doomed states, is computed: g holds at a
+    state iff it is not doomed, and fg iff it lies in the backward closure
+    of the undoomed states. From a graph's only start every state is
+    reached, so there fg is just "some state is not doomed". Build one per
+    query or per environment and drop it after: it is never memoised on the
+    machine.
     """
 
-    __slots__ = ("machine", "root", "order", "preds", "movers", "_doomed", "_hopeful")
+    __slots__ = ("machine", "root", "order", "parents", "preds", "movers", "_doomed", "_hopeful")
 
     def __init__(self, machine: XdiMachine, env: Environment, starts: Sequence[str]) -> None:
         self.machine = machine
         self.root = starts[0] if len(starts) == 1 else None
-        self.order, _, self.preds = _reach(machine, env, *starts)
+        self.order, self.parents, self.preds = _reach(machine, env, *starts)
         # A state with an enabled move is some state's predecessor.
         self.movers = {pred for preds in self.preds.values() for pred in preds}
         self._doomed: dict[tuple[str, Mode], set[str]] = {}
         self._hopeful: dict[tuple[str, Mode], set[str]] = {}
 
+    def failing(self, handshake: str, mode: Mode) -> list[str]:
+        """The failing states, in discovery order."""
+
+        labels = compute_block_idle(self.machine, handshake)
+        entry = self.machine.entry
+        return [
+            state
+            for state in self.order
+            if state in self.movers
+            and labels.mode(state) != mode
+            and not entry(state).is_transient
+        ]
+
     def doomed(self, handshake: str, mode: Mode) -> set[str]:
         key = (handshake, mode)
         if key not in self._doomed:
-            labels = compute_block_idle(self.machine, handshake)
-            entry = self.machine.entry
-            failing = [
-                state
-                for state in self.order
-                if state in self.movers
-                and labels.mode(state) != mode
-                and not entry(state).is_transient
-            ]
-            self._doomed[key] = _back_closure(self.preds, failing)
+            self._doomed[key] = _back_closure(self.preds, self.failing(handshake, mode))
         return self._doomed[key]
 
     def g(self, handshake: str, mode: Mode, state: str) -> bool:
@@ -356,10 +348,10 @@ def oracle_g_check(
 ) -> bool:
     """Reference implementation of the g query over bounded walks."""
 
-    ctx = _QueryContext(query)
-    _check_oracle_size(ctx.machine, max_states)
-    steps = _oracle_bound(ctx.machine, bound)
-    return ctx.machine.memo(_oracle_g, query.handshake, ctx.mode, ctx.env, ctx.start, steps)
+    start = _checked_start(query)
+    _check_oracle_size(query.machine, max_states)
+    steps = _oracle_bound(query.machine, bound)
+    return query.machine.memo(_oracle_g, query.handshake, query.mode, query.env, start, steps)
 
 
 def oracle_fg_check(
@@ -369,13 +361,13 @@ def oracle_fg_check(
 ) -> bool:
     """Reference implementation of the fg query over bounded walks."""
 
-    ctx = _QueryContext(query)
-    _check_oracle_size(ctx.machine, max_states)
-    steps = _oracle_bound(ctx.machine, bound)
-    machine = ctx.machine
+    start = _checked_start(query)
+    machine = query.machine
+    _check_oracle_size(machine, max_states)
+    steps = _oracle_bound(machine, bound)
     return any(
-        machine.memo(_oracle_g, query.handshake, ctx.mode, ctx.env, state, steps)
-        for state in machine.memo(_walk_states, ctx.env, ctx.start, steps)
+        machine.memo(_oracle_g, query.handshake, query.mode, query.env, state, steps)
+        for state in machine.memo(_walk_states, query.env, start, steps)
     )
 
 

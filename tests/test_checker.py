@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from checker_reference import reference_g_check
 from xdicheck import checker
 from xdicheck.checker import (
     BLOCKING,
@@ -118,11 +119,12 @@ def test_oracle_agrees_on_the_running_example(join):
 
 
 def per_state_fg_check(query):
-    """Reference fg: the first reachable state, in BFS order, where g holds."""
+    """Reference fg: the first reachable state, in BFS order, where the
+    reference g holds."""
 
     order, parents, _ = checker._reach(query.machine, query.env, query.resolved_start())
     for state in order:
-        if g_check(replace(query, start=state)).holds:
+        if reference_g_check(replace(query, start=state)).holds:
             return CheckResult(True, frozenset(order), checker._trace_to(parents, state))
     return CheckResult(False, frozenset(order), None)
 

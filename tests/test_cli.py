@@ -104,6 +104,25 @@ def test_query_g_counterexample(run_cli, join_path):
     assert result.out == "holds: no\ntrace: s0\n"
 
 
+@pytest.mark.parametrize(
+    "start, visited, trace",
+    [
+        ((), ["s0", "s1", "s2", "s3"], ["s0", "s1"]),
+        (("--start", "s2"), ["s2", "s3", "s4"], ["s2", "s3", "s4"]),
+    ],
+)
+def test_query_g_failure_reports_states_discovered_before_the_failing_one(
+    run_cli, join_path, start, visited, trace
+):
+    result = run_cli(
+        "query", join_path,
+        "--handshake", "a", "--op", "g", "--mode", "idling", "--json", *start,
+    )
+    assert result.code == 1
+    payload = json.loads(result.out)
+    assert (payload["holds"], payload["visited"], payload["trace"]) == (False, visited, trace)
+
+
 def test_query_blocked_shorthand(run_cli, join_path):
     live = run_cli("query", join_path, "--handshake", "a", "--op", "blocked")
     assert live.code == 1

@@ -1,10 +1,15 @@
-"""One exploration per environment: the shared answer table against the
-per-query checker, verify_condition against the per-atom resolver it
-replaced, and the number of explorations each environment costs."""
+"""The answer table as the one g/fg engine: the table, g_check and
+fg_check against the reference checks of tests/checker_reference.py,
+verify_condition against the per-atom resolver it replaced, and the number
+of explorations each query and each environment costs."""
+
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 
+from checker_reference import reference_fg_check, reference_g_check
 from test_properties import BASE, formula_st
 from xdicheck import checker, formulas, labeling
 from xdicheck.checker import (
@@ -98,8 +103,8 @@ def test_answer_table_matches_the_per_query_checker(machines):
                     for mode in (BLOCKING, IDLING):
                         query = TemporalQuery(machine, handshake, mode, env, start)
                         expected = (
-                            _outcome(lambda: g_check(query).holds),
-                            _outcome(lambda: fg_check(query).holds),
+                            _outcome(lambda: reference_g_check(query).holds),
+                            _outcome(lambda: reference_fg_check(query).holds),
                         )
                         for answers in (shared, single):
                             got = (
@@ -114,8 +119,58 @@ def test_answer_table_raises_the_ambiguity_error_of_the_checker(twopath):
     with pytest.raises(labeling.AmbiguousMachineError) as fast:
         answers.fg("a", BLOCKING, twopath.init_state)
     with pytest.raises(labeling.AmbiguousMachineError) as slow:
-        fg_check(TemporalQuery(twopath, "a", BLOCKING, frozenset()))
+        reference_fg_check(TemporalQuery(twopath, "a", BLOCKING, frozenset()))
     assert str(fast.value) == str(slow.value)
+
+
+def every_query(machine):
+    """Every query over the machine's handshakes, modes and environments,
+    from the default start and from each state; then one query with every
+    nonempty set of its parts made bad: an unknown handshake, a bad mode, a
+    foreign wire and a ghost start."""
+
+    states = [entry.name for entry in machine.states]
+    for env in reasonable_envs(machine):
+        for handshake in sorted(machine.handshakes):
+            for mode in (BLOCKING, IDLING):
+                for start in [None, *states]:
+                    yield TemporalQuery(machine, handshake, mode, env, start)
+    good = TemporalQuery(machine, min(machine.handshakes), BLOCKING, frozenset())
+    bad = dict(handshake="zz", mode="stuck", env=frozenset({("zz", "R")}), start="ghost")
+    for size in range(1, len(bad) + 1):
+        for parts in combinations(bad, size):
+            yield replace(good, **{part: bad[part] for part in parts})
+
+
+@pytest.fixture(scope="module")
+def differential_machines(machines, ring_document):
+    found = list(machines)
+    found += [
+        parse_document(ring_document(length, polarity))[0]
+        for length in (8, 14)
+        for polarity in ("idle", "blocked")
+    ]
+    found += [parse_document(wide_document(k))[0] for k in (2, 3, 4)]
+    found.append(parse_document("(machine headless (s0 nil box (((a R I) s0))))")[0])
+    return found
+
+
+def _full_outcome(check, query):
+    """The result with its witness, or the error, as _outcome gives it."""
+
+    def run():
+        result = check(query)
+        return result, result.witness
+
+    return _outcome(run)
+
+
+def test_checks_match_the_references_result_for_result(differential_machines):
+    for machine in differential_machines:
+        for query in every_query(machine):
+            for check, reference in ((g_check, reference_g_check), (fg_check, reference_fg_check)):
+                expected = _full_outcome(reference, query)
+                assert _full_outcome(check, query) == expected, (check.__name__, query)
 
 
 # --- verify_condition against the per-atom resolver ---------------------------
@@ -232,6 +287,29 @@ def test_verify_condition_explores_once_per_environment(explorations):
 def test_cross_validate_explores_once_per_environment(explorations, join):
     assert cross_validate(join) == ()
     assert explorations == list(reasonable_envs(join))
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda machine, handshake, env: g_check(TemporalQuery(machine, handshake, IDLING, env)),
+        lambda machine, handshake, env: fg_check(TemporalQuery(machine, handshake, BLOCKING, env)),
+        checker.blocked,
+        checker.idle,
+    ],
+    ids=["g", "fg", "blocked", "idle"],
+)
+def test_single_queries_explore_once_and_memoise_only_labels(explorations, ask):
+    machine = parse_document(wide_document(3))[0]
+    envs = reasonable_envs(machine)
+    for env in envs:
+        for handshake in sorted(machine.handshakes):
+            ask(machine, handshake, env)
+    assert explorations == [env for env in envs for _ in machine.handshakes]
+    assert {fn for fn, _ in machine._memo} == {
+        labeling._check_unambiguous,
+        labeling._compute_block_idle,
+    }
 
 
 def test_verify_condition_memoises_only_labels():
