@@ -95,34 +95,33 @@ def _to_dot(mach: machine.XdiMachine) -> str:
 def _cmd_labels(args) -> int:
     mach, _ = _load_document(args.file)
     try:
-        report = labeling.check_unambiguous(mach, args.handshake)
-        if report.ambiguous:
-            lines = ["ambiguous: yes"]
-            payload_witnesses = []
-            for witness in report.witnesses:
-                lines.append(
-                    f"conflict at {witness.state}:"
-                    f" idling via {' '.join(witness.idling_path)},"
-                    f" blocking via {' '.join(witness.blocking_path)}"
-                )
-                payload_witnesses.append(
-                    {
-                        "state": witness.state,
-                        "idling_path": list(witness.idling_path),
-                        "blocking_path": list(witness.blocking_path),
-                    }
-                )
-            payload = {
-                "machine": mach.name,
-                "handshake": args.handshake,
-                "ambiguous": True,
-                "witnesses": payload_witnesses,
-            }
-            _emit(payload, args.json, lines)
-            return 2
         labels = labeling.compute_block_idle(mach, args.handshake)
     except labeling.UnknownHandshakeError as exc:
         raise CommandError(str(exc)) from exc
+    except labeling.AmbiguousMachineError as exc:
+        lines = ["ambiguous: yes"]
+        payload_witnesses = []
+        for witness in exc.report.witnesses:
+            lines.append(
+                f"conflict at {witness.state}:"
+                f" idling via {' '.join(witness.idling_path)},"
+                f" blocking via {' '.join(witness.blocking_path)}"
+            )
+            payload_witnesses.append(
+                {
+                    "state": witness.state,
+                    "idling_path": list(witness.idling_path),
+                    "blocking_path": list(witness.blocking_path),
+                }
+            )
+        payload = {
+            "machine": mach.name,
+            "handshake": args.handshake,
+            "ambiguous": True,
+            "witnesses": payload_witnesses,
+        }
+        _emit(payload, args.json, lines)
+        return 2
     blocking = sorted(state for state, value in labels.labels.items() if value)
     idling = sorted(state for state, value in labels.labels.items() if not value)
     payload = {
@@ -209,6 +208,8 @@ def _verdict_payload(name: str, mach_name: str, text: str, verdict: formulas.Ver
 
 
 def _cmd_check(args) -> int:
+    if args.condition is not None and args.name is not None:
+        raise CommandError("--name does not apply to --condition")
     mach, trailer = _load_document(args.file)
     selected: list[tuple[str, str]] = []
     if args.condition is not None:

@@ -5,14 +5,13 @@ read from the condition DSL by parse_condition. Verifying one against a
 machine means evaluating it under every reasonable environment, with
 blocked(h) and idle(h) answered by the checker. The same AST doubles as the
 constraint language for deadlock instances, where the atoms have been
-substituted by free boolean variables: smt_term renders those as SMT-LIB,
-first_model solves them, and satisfying_models enumerates them exhaustively.
+substituted by free boolean variables: smt_term renders those as SMT-LIB
+and first_model solves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as cartesian
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from . import checker
@@ -42,7 +41,6 @@ __all__ = [
     "Verdict",
     "verify_condition",
     "smt_term",
-    "satisfying_models",
     "first_model",
 ]
 
@@ -466,21 +464,7 @@ def smt_term(form: Formula) -> str:
     return "".join(out)
 
 
-# --- Satisfiability: enumerator and lex-first DPLL ---------------------------
-
-
-def satisfying_models(
-    forms: Sequence[Formula], variables: Sequence[str]
-) -> Iterator[dict[str, bool]]:
-    """Enumerate assignments satisfying every formula, lexicographically
-    with False before True over the variable list. Exhaustive over
-    2^vars assignments: the reference that first_model is tested against."""
-
-    for bits in cartesian((False, True), repeat=len(variables)):
-        model = dict(zip(variables, bits))
-        resolve = lambda atom: model[atom.name]
-        if all(evaluate(form, resolve) for form in forms):
-            yield model
+# --- Satisfiability: lex-first DPLL ------------------------------------------
 
 
 def _tseitin(forms: Sequence[Formula], index: Mapping[str, int]) -> tuple[list[list[int]], int]:
@@ -541,7 +525,8 @@ def _tseitin(forms: Sequence[Formula], index: Mapping[str, int]) -> tuple[list[l
 def first_model(
     forms: Sequence[Formula], variables: Sequence[str]
 ) -> dict[str, bool] | None:
-    """The first satisfying assignment in satisfying_models order, or None.
+    """The lexicographically first satisfying assignment, False before True
+    over the variable list, or None.
 
     DPLL over the Tseitin clauses of the formulas: branch on the given
     variables in order, False before True, with unit propagation after

@@ -3,7 +3,11 @@
 Every path from the initial state assigns a state the parity of the
 handshake events seen along the way: even parity is idling, odd parity is
 blocking. A machine is unambiguous for a handshake when all paths agree
-on every non-transient state; labels are only meaningful in that case.
+on every state, box and transient alike; labels exist only in that case.
+One breadth-first search over (state, parity) pairs yields both the
+labels and the conflicts, so neither a label nor the set of conflicting
+states depends on declaration order; only the choice between equally
+short witness paths does.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class UnknownHandshakeError(ValueError):
 
 
 class AmbiguousMachineError(ValueError):
-    """Two paths assign conflicting labels to a non-transient state."""
+    """Two paths assign conflicting labels to a state."""
 
     def __init__(self, machine: XdiMachine, handshake: str, report: "AmbiguityReport"):
         states = " ".join(conflict.state for conflict in report.witnesses)
@@ -72,10 +76,9 @@ class ParityConflict:
 class AmbiguityReport:
     """Conflicts found by parity propagation.
 
-    Conflicts on non-transient states make the machine ambiguous and are
-    listed as witnesses. A transient state reached with both parities is
-    not reported: compute_block_idle gives it the parity that first
-    reaches it depth first in declaration order.
+    Every state reached with both parities, box or transient, is a witness,
+    in declaration order of the states; any witness makes the machine
+    ambiguous for the handshake.
     """
 
     ambiguous: bool
@@ -90,13 +93,31 @@ def _require_handshake(machine: XdiMachine, handshake: str) -> None:
 
 
 def check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
-    """Propagate (state, parity) pairs breadth first and report conflicts."""
+    """Every state reached with both parities, with a witness path for each."""
 
     _require_handshake(machine, handshake)
-    return machine.memo(_check_unambiguous, handshake)
+    return machine.memo(_parity_search, handshake)[0]
 
 
-def _check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
+def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
+    """Label every state with the parity the search reaches it with.
+
+    The flag starts as idling and toggles on any transition whose wire names
+    the handshake, request and acknowledge alike. A state is blocking when
+    it is reached with odd parity; a state never reached stays idling. An
+    ambiguous machine raises AmbiguousMachineError on every call.
+    """
+
+    _require_handshake(machine, handshake)
+    report, labels = machine.memo(_parity_search, handshake)
+    if report.ambiguous:
+        raise AmbiguousMachineError(machine, handshake, report)
+    return labels
+
+
+def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport, LabelMap]:
+    """Propagate (state, parity) pairs breadth first from the initial state."""
+
     start = (machine.init_state, False)
     parents: dict[tuple[str, bool], tuple[str, bool] | None] = {start: None}
     queue = deque([start])
@@ -116,46 +137,10 @@ def _check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
             cursor = parents[cursor]
         return tuple(reversed(trail))
 
-    witnesses: list[ParityConflict] = []
-    for entry in machine.states:
-        name = entry.name
-        if not entry.is_transient and (name, False) in parents and (name, True) in parents:
-            witnesses.append(ParityConflict(name, path_to((name, False)), path_to((name, True))))
-    return AmbiguityReport(bool(witnesses), tuple(witnesses))
-
-
-def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
-    """Label every state by depth-first parity propagation from the start.
-
-    The flag starts as idling and toggles on any transition whose wire names
-    the handshake, request and acknowledge alike. The first flag value to
-    reach a state wins; descent follows declaration order. Ambiguity on a
-    non-transient state is an error, checked up front; an ambiguous
-    machine raises on every call, since no label map is memoised for it.
-    """
-
-    _require_handshake(machine, handshake)
-    return machine.memo(_compute_block_idle, handshake)
-
-
-def _compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
-    report = check_unambiguous(machine, handshake)
-    if report.ambiguous:
-        raise AmbiguousMachineError(machine, handshake, report)
-    labels: dict[str, bool] = {}
-    stack: list[tuple[str, bool]] = [(machine.init_state, False)]
-    while stack:
-        state, flag = stack.pop()
-        if state in labels:
-            continue
-        labels[state] = flag
-        entry = machine.entry(state)
-        for wire, target in reversed(entry.transitions):
-            if target not in labels:
-                stack.append((target, flag ^ (wire.handshake == handshake)))
-    # Validation rejects unreachable states, but tolerate them here so the
-    # label map always covers every declared state.
-    for entry in machine.states:
-        labels.setdefault(entry.name, False)
-    return LabelMap(handshake, labels)
-
+    witnesses = tuple(
+        ParityConflict(entry.name, path_to((entry.name, False)), path_to((entry.name, True)))
+        for entry in machine.states
+        if (entry.name, False) in parents and (entry.name, True) in parents
+    )
+    labels = {entry.name: (entry.name, True) in parents for entry in machine.states}
+    return AmbiguityReport(bool(witnesses), witnesses), LabelMap(handshake, labels)

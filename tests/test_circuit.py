@@ -25,6 +25,7 @@ from xdicheck.circuit import (
     settled_states,
 )
 from dsl_reference import to_dsl
+from solver_reference import satisfying_models
 from test_formulas import recursive_smt_term
 from xdicheck.formulas import (
     FALSE,
@@ -36,7 +37,6 @@ from xdicheck.formulas import (
     VarAtom,
     evaluate,
     map_atoms,
-    satisfying_models,
     smt_term,
 )
 from xdicheck.library import STORAGE_FULLNESS, get_primitive

@@ -70,6 +70,32 @@ def test_labels_ambiguous_machine(run_cli, machines_dir):
     assert "conflict at s3" in result.out
 
 
+def test_labels_check_and_query_refuse_a_transient_parity_conflict(run_cli, tmp_path):
+    # s3 is transient and reached with both parities for a
+    softclash = tmp_path / "softclash.xdi"
+    softclash.write_text(
+        "(machine softclash"
+        " (s0 t box (((a R I) s1) ((b R I) s2)))"
+        " (s1 nil box (((b R I) s3)))"
+        " (s2 nil box (((h R I) s3)))"
+        " (s3 nil transient ()))"
+    )
+    result = run_cli("labels", str(softclash), "--handshake", "a")
+    assert result.code == 2
+    assert result.out == (
+        "ambiguous: yes\n"
+        "conflict at s3: idling via s0 s2 s3, blocking via s0 s1 s3\n"
+    )
+    for command, *flags in (
+        ("check", "--condition", "blocked(a)"),
+        ("query", "--op", "blocked", "--handshake", "a"),
+    ):
+        refused = run_cli(command, str(softclash), *flags)
+        assert refused.code == 2
+        assert refused.out == ""
+        assert "ambiguous for handshake 'a' at: s3" in refused.err
+
+
 def test_labels_unknown_handshake(run_cli, join_path):
     result = run_cli("labels", join_path, "--handshake", "zz")
     assert result.code == 2
@@ -179,6 +205,13 @@ def test_check_name_filter(run_cli, join_path):
     assert result.out == "join/idle_c: holds (8 environments)\n"
     missing = run_cli("check", join_path, "--name", "nope")
     assert missing.code == 2
+
+
+def test_check_rejects_name_with_an_explicit_condition(run_cli, join_path):
+    result = run_cli("check", join_path, "--condition", "true", "--name", "nosuch")
+    assert result.code == 2
+    assert result.out == ""
+    assert result.err == "error: --name does not apply to --condition\n"
 
 
 def test_check_without_conditions_reports_nothing(run_cli, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsl_reference import recursive_parse_condition, to_dsl
+from solver_reference import satisfying_models
 from test_properties import BASE, formula_st
 from xdicheck import formulas as f
 from xdicheck.formulas import (
@@ -21,7 +22,6 @@ from xdicheck.formulas import (
     evaluate,
     first_model,
     parse_condition,
-    satisfying_models,
     smt_term,
     verify_condition,
 )

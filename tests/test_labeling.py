@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from labeling_sweep import sweep
 from xdicheck.checker import cross_validate
 from xdicheck.labeling import (
     AmbiguousMachineError,
@@ -97,21 +98,38 @@ def test_compute_block_idle_refuses_ambiguous_machine(twopath):
     assert info.value.report.ambiguous
 
 
-def test_transient_only_conflict_is_not_ambiguity():
-    # the conflicting state s3 is transient, so it is no witness; it keeps
-    # the parity that first reaches it depth first: s0 -a-> s1 -b-> s3
-    text = """
-    (machine softclash
-      (s0 t box (((a R I) s1) ((b R I) s2)))
-      (s1 nil box (((b R I) s3)))
-      (s2 nil box (((h R I) s3)))
-      (s3 nil transient ()))
-    """
-    mach = parse_document(text)[0]
-    report = check_unambiguous(mach, "a")
-    assert not report.ambiguous
-    assert report.witnesses == ()
-    assert compute_block_idle(mach, "a").labels["s3"] is True
+SOFTCLASH = """
+(machine softclash
+  (s0 t box ({first} {second}))
+  (s1 nil box (((b R I) s3)))
+  (s2 nil box (((h R I) s3)))
+  (s3 nil transient ()))
+"""
+
+
+def test_transient_conflict_is_ambiguity_in_either_order():
+    # s3 is transient and reached with both parities, via s1 (crossing a)
+    # and via s2 (not crossing it); swapping s0's transitions changes nothing
+    moves = ("((a R I) s1)", "((b R I) s2)")
+    for first, second in (moves, moves[::-1]):
+        mach = parse_document(SOFTCLASH.format(first=first, second=second))[0]
+        report = check_unambiguous(mach, "a")
+        assert report.ambiguous
+        assert [w.state for w in report.witnesses] == ["s3"]
+        assert report.witnesses[0].idling_path == ("s0", "s2", "s3")
+        assert report.witnesses[0].blocking_path == ("s0", "s1", "s3")
+        with pytest.raises(AmbiguousMachineError) as info:
+            compute_block_idle(mach, "a")
+        assert info.value.report is report
+
+
+def test_labels_match_the_parity_oracle_in_every_transition_order():
+    # Every valid machine of at most 3 box states over wires a.R and b.A,
+    # with at most 2 transitions per state, and every machine of at most 2
+    # states of either kind over the same wires. The larger bound runs from
+    # tests/labeling_sweep.py.
+    assert sweep("a.R,b.A", 3, 2, kinds=("box",)) == (2765, 5370)
+    assert sweep("a.R,b.A", 2, 2) == (316, 560)
 
 
 def test_first_visit_wins_on_diamonds(join):

@@ -5,6 +5,7 @@ import itertools
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dsl_reference import to_dsl
+from solver_reference import satisfying_models
 from xdicheck import checker, formulas, labeling, machine
 from xdicheck.checker import BLOCKING, IDLING, TemporalQuery
 from xdicheck.formulas import (
@@ -22,7 +23,6 @@ from xdicheck.formulas import (
     evaluate,
     first_model,
     parse_condition,
-    satisfying_models,
     verify_condition,
 )
 from xdicheck.library import builtin_library, get_primitive
