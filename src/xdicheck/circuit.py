@@ -12,9 +12,11 @@ variables, and emits the result as SMT-LIB.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from itertools import islice
+from typing import NamedTuple
 
 from .formulas import (
     And,
@@ -242,130 +244,237 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class ProductSystem:
-    """Reachable product transition system of a netlist."""
+    """Reachable product transition system of a netlist, packed into ints.
+
+    Each instance numbers its local states in declaration order, and a
+    product state is the mixed-radix code sum(number[i] * weights[i]).
+    States are identified by breadth-first discovery order: codes[s] is
+    the code of state s, and state 0 is init. The edges of s are
+    offsets[s]:offsets[s + 1] of the flat columns targets (state ids) and
+    edge_labels (ids into labels). A label always moves the same
+    instances, so its mover set is one bitmask, label_movers[label], with
+    bit i for order[i]. parent[s] and parent_label[s] give the
+    breadth-first tree; both are -1 at state 0.
+
+    states, adjacency and parents are the tuple-form views: product
+    states as tuples of local state names, edges as Edge. Each is built on
+    first access and then kept; analyze_deadlock, fullness_invariant and
+    the CLI never build them.
+    """
 
     netlist: Netlist
     order: tuple[str, ...]
     machines: tuple[XdiMachine, ...]
     init: ProductState
-    states: tuple[ProductState, ...]
-    adjacency: Mapping[ProductState, tuple[Edge, ...]]
-    parents: Mapping[ProductState, tuple[ProductState, str] | None]
+    weights: tuple[int, ...]
+    codes: list[int]
+    labels: tuple[str, ...]
+    label_movers: tuple[int, ...]
+    offsets: array
+    targets: array
+    edge_labels: array
+    parent: array
+    parent_label: array
+
+    def decode(self, code: int) -> ProductState:
+        """The product state with the given code, as local state names."""
+
+        return tuple(
+            machine.states[code // weight % len(machine.states)].name
+            for machine, weight in zip(self.machines, self.weights)
+        )
+
+    @cached_property
+    def states(self) -> tuple[ProductState, ...]:
+        return tuple(map(self.decode, self.codes))
+
+    @cached_property
+    def adjacency(self) -> dict[ProductState, tuple[Edge, ...]]:
+        states, offsets, targets, edge_labels = (
+            self.states, self.offsets, self.targets, self.edge_labels
+        )
+        movers = [
+            frozenset(name for idx, name in enumerate(self.order) if mask >> idx & 1)
+            for mask in self.label_movers
+        ]
+        return {
+            state: tuple(
+                Edge(self.labels[edge_labels[e]], movers[edge_labels[e]], states[targets[e]])
+                for e in range(offsets[s], offsets[s + 1])
+            )
+            for s, state in enumerate(states)
+        }
+
+    @cached_property
+    def parents(self) -> dict[ProductState, tuple[ProductState, str] | None]:
+        states = self.states
+        table: dict[ProductState, tuple[ProductState, str] | None] = {states[0]: None}
+        for s in range(1, len(states)):
+            table[states[s]] = (states[self.parent[s]], self.labels[self.parent_label[s]])
+        return table
 
     def path_to(self, state: ProductState) -> tuple[str, ...]:
-        """Event labels along the breadth-first path from the initial state."""
+        """Event labels along the breadth-first path from the initial state.
 
+        The state is found by a scan of codes; raises KeyError if it is
+        not reachable.
+        """
+
+        try:
+            return self._path(self.codes.index(_encode(self.machines, self.weights, state)))
+        except ValueError:
+            raise KeyError(state) from None
+
+    def _path(self, s: int) -> tuple[str, ...]:
         labels: list[str] = []
-        cursor = state
-        while True:
-            parent = self.parents[cursor]
-            if parent is None:
-                return tuple(reversed(labels))
-            cursor, label = parent
-            labels.append(label)
+        while s > 0:
+            labels.append(self.labels[self.parent_label[s]])
+            s = self.parent[s]
+        return tuple(reversed(labels))
+
+
+def _encode(
+    machines: tuple[XdiMachine, ...], weights: tuple[int, ...], state: ProductState
+) -> int:
+    """The code of a product state; ValueError if it names no local state."""
+
+    return sum(
+        [entry.name for entry in machine.states].index(local) * weight
+        for machine, weight, local in zip(machines, weights, state, strict=True)
+    )
 
 
 def _compile(
-    netlist: Netlist, order: tuple[str, ...], machines: tuple[XdiMachine, ...]
-) -> tuple[list[dict[str, tuple]], list[dict[str, dict]]]:
-    """Per instance and local state: the moves it starts, and its input table.
+    netlist: Netlist,
+    order: tuple[str, ...],
+    machines: tuple[XdiMachine, ...],
+    weights: tuple[int, ...],
+) -> tuple[tuple, tuple[str, ...], tuple[int, ...]]:
+    """Per instance, (weight, radix, moves by local state number); the
+    label names; and each label's mover bitmask.
 
-    A move is (label, movers, partner, partner key, local target), with
-    partner -1 for a move on an external wire. The input table maps a
-    (handshake, phase) to the local targets of its input transitions, in
-    declaration order; a partner's output move fires once per target.
+    A move is (label id, partner weight, partner radix, deltas by the
+    partner's local state number): adding a delta to a product state's
+    code gives a successor's. A move on a channel fires once per input
+    transition of the partner on the same handshake and phase, in
+    declaration order, and not at all where the partner has none. A move
+    on an external wire involves no partner: weight and radix 1, one delta.
     """
 
     index_of = {instance: idx for idx, instance in enumerate(order)}
-    channel_movers = {
-        channel.name: frozenset((channel.end_a.instance, channel.end_b.instance))
-        for channel in netlist.channels
-    }
-    moves: list[dict[str, tuple]] = []
-    inputs: list[dict[str, dict]] = []
-    for instance, machine in zip(order, machines):
-        alone = frozenset((instance,))
-        instance_moves: dict[str, tuple] = {}
-        instance_inputs: dict[str, dict] = {}
+    numbers = [
+        {entry.name: number for number, entry in enumerate(machine.states)}
+        for machine in machines
+    ]
+    # Per instance and local state number: (handshake, phase) -> local
+    # target numbers of its input transitions.
+    inputs: list[list[dict[tuple[str, str], list[int]]]] = []
+    for number, machine in zip(numbers, machines):
+        tables = []
         for entry in machine.states:
-            local = []
-            table: dict[tuple[str, str], list[str]] = {}
+            table: dict[tuple[str, str], list[int]] = {}
             for wire, target in entry.transitions:
+                if wire.direction == INPUT:
+                    table.setdefault((wire.handshake, wire.phase), []).append(number[target])
+            tables.append(table)
+        inputs.append(tables)
+
+    label_ids: dict[str, int] = {}
+    label_movers: list[int] = []
+
+    def label_id(name: str, movers: int) -> int:
+        if name not in label_ids:
+            label_ids[name] = len(label_movers)
+            label_movers.append(movers)
+        return label_ids[name]
+
+    plan = []
+    for idx, (instance, machine) in enumerate(zip(order, machines)):
+        weight = weights[idx]
+        by_state = []
+        for here, entry in enumerate(machine.states):
+            moves = []
+            for wire, target in entry.transitions:
+                own = (numbers[idx][target] - here) * weight
                 point = Endpoint(instance, wire.handshake)
                 channel = netlist.endpoint_channel.get(point)
                 if channel is not None and wire.direction == OUTPUT:
                     other = channel.end_b if channel.end_a == point else channel.end_a
-                    local.append(
-                        (
-                            f"{channel.name}.{wire.phase}",
-                            channel_movers[channel.name],
-                            index_of[other.instance],
-                            (other.handshake, wire.phase),
-                            target,
-                        )
+                    jdx = index_of[other.instance]
+                    key = (other.handshake, wire.phase)
+                    deltas = tuple(
+                        tuple(own + (arrival - there) * weights[jdx] for arrival in table.get(key, ()))
+                        for there, table in enumerate(inputs[jdx])
                     )
-                    continue
-                if wire.direction == INPUT:
-                    table.setdefault((wire.handshake, wire.phase), []).append(target)
+                    label = label_id(f"{channel.name}.{wire.phase}", 1 << idx | 1 << jdx)
+                    moves.append((label, weights[jdx], len(deltas), deltas))
                 # External wires move alone: outputs always, inputs unless
                 # marked stable. Connected inputs are driven by the partner.
-                if channel is None and (
+                elif channel is None and (
                     wire.direction == OUTPUT or point not in netlist.stable
                 ):
-                    local.append((f"{point}.{wire.phase}", alone, -1, None, target))
-            instance_moves[entry.name] = tuple(local)
-            instance_inputs[entry.name] = {
-                key: tuple(targets) for key, targets in table.items()
-            }
-        moves.append(instance_moves)
-        inputs.append(instance_inputs)
-    return moves, inputs
+                    moves.append((label_id(f"{point}.{wire.phase}", 1 << idx), 1, 1, ((own,),)))
+            by_state.append(tuple(moves))
+        plan.append((weight, len(by_state), tuple(by_state)))
+    return tuple(plan), tuple(label_ids), tuple(label_movers)
 
 
 def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     """Explore the reachable product set breadth first.
 
-    Raises ExplorationLimitError past max_states. The state order, edge
+    Raises ExplorationLimitError when the product has more than
+    max_states states, the initial state included. The state order, edge
     order, and parent links are deterministic: edges follow instance
     order, then transition order, then the partner's transition order.
-    Each instance is compiled into move tables once, so the cost is
-    linear in product states plus edges.
+    Each instance is compiled into move tables once, so a successor is
+    the state's code plus a precomputed delta, and the cost is linear in
+    product states plus edges. A state costs one code, one dict entry
+    while composing, and three array slots; an edge two array slots.
     """
 
     order = tuple(instance for instance, _ in netlist.instances)
     machines = tuple(netlist.machine_of(instance) for instance in order)
-    moves, inputs = _compile(netlist, order, machines)
+    places: list[int] = []
+    weight = 1
+    for machine in machines:
+        places.append(weight)
+        weight *= len(machine.states)
+    weights = tuple(places)
+    plan, labels, label_movers = _compile(netlist, order, machines, weights)
     init: ProductState = tuple(machine.init_state for machine in machines)
+    too_many = f"product of {netlist.name} exceeds {max_states} states"
+    if max_states < 1:
+        raise ExplorationLimitError(too_many)
 
-    parents: dict[ProductState, tuple[ProductState, str] | None] = {init: None}
-    adjacency: dict[ProductState, tuple[Edge, ...]] = {}
-    states: list[ProductState] = [init]
-    # The state list doubles as the breadth-first queue.
-    for state in states:
-        edges: list[Edge] = []
-        for idx, local in enumerate(state):
-            for label, movers, partner, key, target in moves[idx][local]:
-                if partner < 0:
-                    edges.append(
-                        Edge(label, movers, state[:idx] + (target,) + state[idx + 1 :])
-                    )
-                    continue
-                for partner_target in inputs[partner][state[partner]].get(key, ()):
-                    successor = list(state)
-                    successor[idx] = target
-                    successor[partner] = partner_target
-                    edges.append(Edge(label, movers, tuple(successor)))
-        adjacency[state] = tuple(edges)
-        for edge in edges:
-            if edge.target not in parents:
-                if len(parents) >= max_states:
-                    raise ExplorationLimitError(
-                        f"product of {netlist.name} exceeds {max_states} states"
-                    )
-                parents[edge.target] = (state, edge.label)
-                states.append(edge.target)
+    start = _encode(machines, weights, init)
+    ids = {start: 0}
+    codes = [start]
+    offsets = array("q", [0])
+    targets = array("q")
+    edge_labels = array("q")
+    parent = array("q", [-1])
+    parent_label = array("q", [-1])
+    # The code list doubles as the breadth-first queue.
+    for state, code in enumerate(codes):
+        for weight, radix, moves in plan:
+            for label, partner_weight, partner_radix, deltas in moves[code // weight % radix]:
+                for delta in deltas[code // partner_weight % partner_radix]:
+                    successor = code + delta
+                    target = ids.get(successor)
+                    if target is None:
+                        target = len(codes)
+                        if target >= max_states:
+                            raise ExplorationLimitError(too_many)
+                        ids[successor] = target
+                        codes.append(successor)
+                        parent.append(state)
+                        parent_label.append(label)
+                    targets.append(target)
+                    edge_labels.append(label)
+        offsets.append(len(targets))
     return ProductSystem(
-        netlist, order, machines, init, tuple(states), adjacency, parents
+        netlist, order, machines, init, weights, codes, labels, label_movers,
+        offsets, targets, edge_labels, parent, parent_label,
     )
 
 
@@ -404,58 +513,60 @@ def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
 
     One backward pass decides "can still move" for every instance at
     once: can[s] is the least fixpoint of movers(s) | OR can[t] over the
-    successors t of s, as a bitmask over instances. A state re-enters
-    the worklist only when its mask grows, so the pass costs at most
-    instances x (states + edges).
+    successors t of s, as a bitmask over instances. It runs over a
+    predecessor index built from the edge columns. A state enters the
+    worklist only when its mask grows and is never in it twice, so the
+    pass costs at most instances x (states + edges). Only the witness
+    state is decoded.
     """
 
     if not system.order:
         return None
-    states = system.states
-    index = {state: i for i, state in enumerate(states)}
-    bit = {instance: 1 << idx for idx, instance in enumerate(system.order)}
-    mask_of: dict[frozenset, int] = {}
+    codes, offsets, movers = system.codes, system.offsets, system.label_movers
+    predecessors: list[list[int]] = [[] for _ in codes]
     can: list[int] = []
-    predecessors: list[list[int]] = [[] for _ in states]
-    for i, state in enumerate(states):
+    edges = zip(system.targets, system.edge_labels)
+    for s in range(len(codes)):
         mask = 0
-        for edge in system.adjacency[state]:
-            movers = mask_of.get(edge.movers)
-            if movers is None:
-                movers = mask_of[edge.movers] = sum(bit[name] for name in edge.movers)
-            mask |= movers
-            predecessors[index[edge.target]].append(i)
+        for target, label in islice(edges, offsets[s + 1] - offsets[s]):
+            mask |= movers[label]
+            predecessors[target].append(s)
         can.append(mask)
 
-    worklist = [i for i, mask in enumerate(can) if mask]
+    worklist = [s for s, mask in enumerate(can) if mask]
+    queued = bytearray(map(bool, can))
     while worklist:
-        i = worklist.pop()
-        mask = can[i]
-        for prior in predecessors[i]:
+        s = worklist.pop()
+        queued[s] = 0
+        mask = can[s]
+        for prior in predecessors[s]:
             if mask & ~can[prior]:
                 can[prior] |= mask
-                worklist.append(prior)
+                if not queued[prior]:
+                    queued[prior] = 1
+                    worklist.append(prior)
 
     # Transient or blocking local states owe progress; a state that is
     # neither is a quiescent resting point, never a deadlock however
-    # permanent it is.
-    stuck = [
-        _blocking_states(machine)
-        | {entry.name for entry in machine.states if entry.is_transient}
-        for machine in system.machines
-    ]
+    # permanent it is. Per instance: its weight, and whether each local
+    # state number owes progress.
+    places = []
+    for machine, weight in zip(system.machines, system.weights):
+        blocking = _blocking_states(machine)
+        stuck = tuple(entry.is_transient or entry.name in blocking for entry in machine.states)
+        places.append((weight, stuck))
     every = (1 << len(system.order)) - 1
-    for i, state in enumerate(states):
-        frozen = every & ~can[i]
+    for s, code in enumerate(codes):
+        frozen = every & ~can[s]
         if not frozen:
             continue
         flagged = tuple(
             instance
-            for idx, instance in enumerate(system.order)
-            if frozen >> idx & 1 and state[idx] in stuck[idx]
+            for idx, (instance, (weight, stuck)) in enumerate(zip(system.order, places))
+            if frozen >> idx & 1 and stuck[code // weight % len(stuck)]
         )
         if flagged:
-            return DeadlockFinding(state, system.path_to(state), flagged)
+            return DeadlockFinding(system.decode(code), system._path(s), flagged)
     return None
 
 
@@ -493,13 +604,18 @@ def fullness_invariant(system: ProductSystem) -> Formula | None:
     indices = tuple(idx for idx, table in enumerate(fullness) if table)
     if not indices:
         return None
-    profiles = sorted(
-        {
-            tuple(fullness[idx][state[idx]] for idx in indices)
-            for state in system.states
-            if all(state[idx] in fullness[idx] for idx in indices)
-        }
-    )
+    # One column of local state numbers per instance with a fullness map;
+    # only the distinct rows are decoded.
+    columns = [
+        [code // system.weights[idx] % len(system.machines[idx].states) for code in system.codes]
+        for idx in indices
+    ]
+    tables = [
+        tuple(fullness[idx].get(entry.name) for entry in system.machines[idx].states)
+        for idx in indices
+    ]
+    projected = (tuple(table[n] for table, n in zip(tables, row)) for row in set(zip(*columns)))
+    profiles = sorted({profile for profile in projected if None not in profile})
     if not profiles or len(profiles) == 2 ** len(indices):
         return None
     names = [f"full_{system.order[idx]}" for idx in indices]

@@ -2,8 +2,10 @@
 
 import pathlib
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xdicheck import circuit
 from xdicheck.circuit import (
@@ -14,7 +16,6 @@ from xdicheck.circuit import (
     Endpoint,
     ExplorationLimitError,
     NetlistError,
-    ProductSystem,
     analyze_deadlock,
     compose,
     derive_deadlock_formula,
@@ -39,7 +40,7 @@ from xdicheck.formulas import (
     map_atoms,
     smt_term,
 )
-from xdicheck.library import STORAGE_FULLNESS, get_primitive
+from xdicheck.library import STORAGE_FULLNESS, builtin_library, get_primitive
 from xdicheck.labeling import compute_block_idle
 from xdicheck.machine import INPUT, OUTPUT, REQUEST
 
@@ -365,11 +366,34 @@ def reference_successors(netlist, order, machines, index_of, state):
     return edges
 
 
+@dataclass(frozen=True)
+class ReferenceSystem:
+    """The tuple-keyed product the reference engine builds: the fields
+    ProductSystem offers as views, stored."""
+
+    netlist: object
+    order: tuple
+    machines: tuple
+    init: tuple
+    states: tuple
+    adjacency: dict
+    parents: dict
+
+    def path_to(self, state):
+        labels = []
+        while self.parents[state] is not None:
+            state, label = self.parents[state]
+            labels.append(label)
+        return tuple(reversed(labels))
+
+
 def reference_compose(netlist, max_states=circuit.PRODUCT_LIMIT):
     order = tuple(instance for instance, _ in netlist.instances)
     machines = tuple(netlist.machine_of(instance) for instance in order)
     index_of = {instance: idx for idx, instance in enumerate(order)}
     init = tuple(machine.init_state for machine in machines)
+    if max_states < 1:
+        raise ExplorationLimitError(f"product of {netlist.name} exceeds {max_states} states")
     parents = {init: None}
     adjacency = {}
     states = []
@@ -387,7 +411,7 @@ def reference_compose(netlist, max_states=circuit.PRODUCT_LIMIT):
                     )
                 parents[edge.target] = (state, edge.label)
                 queue.append(edge.target)
-    return ProductSystem(netlist, order, machines, init, tuple(states), adjacency, parents)
+    return ReferenceSystem(netlist, order, machines, init, tuple(states), adjacency, parents)
 
 
 def reference_can_move(system, instance):
@@ -480,6 +504,75 @@ def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_docum
         assert finding.state == reference.state
         assert finding.path == reference.path
         assert finding.instances == reference.instances
+
+
+PRIMITIVES = sorted(spec.name for spec in builtin_library())
+
+
+@st.composite
+def random_netlists(draw):
+    """Well-formed netlists of 1 to 6 library instances. Channels join
+    complementary endpoints (one drives its request, the other receives
+    it) of different instances; any endpoint left external may be stable."""
+
+    kinds = draw(st.lists(st.sampled_from(PRIMITIVES), min_size=1, max_size=6))
+    points = [
+        (f"i{k}", handshake, get_primitive(kind).machine.wire_direction(handshake, REQUEST))
+        for k, kind in enumerate(kinds)
+        for handshake in sorted(get_primitive(kind).machine.handshakes)
+    ]
+    shuffled = draw(st.permutations(points))
+    used = set()
+    entries = [f"(instance i{k} {kind})" for k, kind in enumerate(kinds)]
+    for point in shuffled:
+        if point in used:
+            continue
+        partners = [
+            other
+            for other in shuffled
+            if other not in used and other[0] != point[0] and other[2] != point[2]
+        ]
+        if partners and draw(st.booleans()):
+            other = draw(st.sampled_from(partners))
+            used |= {point, other}
+            entries.append(
+                f"(channel c{len(used) // 2} ({point[0]} {point[1]}) ({other[0]} {other[1]}))"
+            )
+    for point in points:
+        if point not in used and draw(st.booleans()):
+            entries.append(f"(stable ({point[0]} {point[1]}))")
+    return parse_netlist(f"(circuit random {' '.join(entries)})")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(netlist=random_netlists(), max_states=st.integers(0, 300))
+def test_engine_matches_reference_on_random_netlists(netlist, max_states):
+    """compose, analyze_deadlock and fullness_invariant agree with the
+    tuple-based references, and the state limit trips at the same bound."""
+
+    try:
+        expected = reference_compose(netlist, max_states)
+    except ExplorationLimitError as exc:
+        with pytest.raises(ExplorationLimitError) as info:
+            compose(netlist, max_states)
+        assert str(info.value) == str(exc)
+        return
+    system = compose(netlist, max_states)
+    assert system.order == expected.order
+    assert system.machines == expected.machines
+    assert system.init == expected.init
+    assert system.states == expected.states
+    assert system.adjacency == expected.adjacency
+    assert system.parents == expected.parents
+    assert [system.path_to(state) for state in expected.states] == [
+        expected.path_to(state) for state in expected.states
+    ]
+    with pytest.raises(ExplorationLimitError):
+        compose(netlist, len(expected.states) - 1)
+    finding = analyze_deadlock(system)
+    reference = reference_analyze_deadlock(expected)
+    assert finding == reference
+    assert fullness_invariant(system) == reference_fullness_invariant(expected)
 
 
 def test_external_inputs_fire_unless_stable():

@@ -413,6 +413,106 @@ def test_deadlock_channel_explores_once_within_limit(run_cli, machines_dir, monk
     assert result.err == f"error: product of pipeline exceeds {size - 1} states\n"
 
 
+def test_deadlock_max_states_counts_the_initial_state(run_cli, machines_dir):
+    # ring's product is its initial state alone: one state, more than 0.
+    path = str(machines_dir / "ring.net")
+    result = run_cli("deadlock", path, "--max-states", "0")
+    assert (result.code, result.out, result.err) == (
+        2, "", "error: product of ring exceeds 0 states\n"
+    )
+    result = run_cli("deadlock", path, "--max-states", "1")
+    assert (result.code, result.out, result.err) == (0, "deadlock: no\n", "")
+
+
+BROKEN_PIPELINE_SMT = """\
+(set-logic QF_UF)
+(declare-const blk_a Bool)
+(declare-const blk_b Bool)
+(declare-const blk_d Bool)
+(declare-const blk_f2 Bool)
+(declare-const blk_f_out1 Bool)
+(declare-const blk_j_in1 Bool)
+(declare-const idl_a Bool)
+(declare-const idl_b Bool)
+(declare-const idl_d Bool)
+(declare-const idl_f2 Bool)
+(declare-const idl_f_out1 Bool)
+(declare-const idl_j_in1 Bool)
+(declare-const full_st0 Bool)
+; src: !idle(out)
+(assert (not idl_a))
+; f: blocked(in) <-> blocked(out0) | blocked(out1)
+(assert (= blk_a (or blk_b blk_f_out1)))
+; f: idle(out0) <-> idle(in) | blocked(out1)
+(assert (= idl_b (or idl_a blk_f_out1)))
+; f: idle(out1) <-> idle(in) | blocked(out0)
+(assert (= idl_f_out1 (or idl_a blk_b)))
+; st0: blocked(in) <-> full & blocked(out)
+(assert (= blk_b (and full_st0 blk_d)))
+; st0: idle(out) <-> !full & idle(in)
+(assert (= idl_d (and (not full_st0) idl_b)))
+; j: blocked(in0) <-> blocked(out) | idle(in1)
+(assert (= blk_d (or blk_f2 idl_j_in1)))
+; j: blocked(in1) <-> blocked(out) | idle(in0)
+(assert (= blk_j_in1 (or blk_f2 idl_d)))
+; j: idle(out) <-> idle(in0) | idle(in1)
+(assert (= idl_f2 (or idl_d idl_j_in1)))
+; snk: !blocked(in)
+(assert (not blk_f2))
+; external f.out1: live
+(assert (not blk_f_out1))
+; external j.in1: stable
+(assert (and idl_j_in1 (not blk_j_in1)))
+; target: Dead(a)
+(assert (and blk_a (not idl_a)))
+(check-sat)
+"""
+
+
+@pytest.mark.parametrize(
+    "name, flags, code, out, smt",
+    [
+        (
+            "pipeline_broken.net",
+            ("--channel", "a", "--emit-smt", "out.smt2"),
+            1,
+            "deadlock: yes\n"
+            "instances: j\n"
+            "state: src=s1 f=s5 st0=s3 j=s1 snk=s0\n"
+            "path: a.R b.R f.out1.R b.A d.R\n"
+            "formula(a): sat\n"
+            "model: blk_a blk_b blk_d idl_f2 idl_f_out1 idl_j_in1 full_st0\n",
+            BROKEN_PIPELINE_SMT,
+        ),
+        ("pipeline.net", (), 0, "deadlock: no\n", None),
+    ],
+    ids=["broken-channel-smt", "clean"],
+)
+def test_deadlock_never_builds_the_tuple_views(
+    run_cli, machines_dir, tmp_path, monkeypatch, name, flags, code, out, smt
+):
+    """The command answers from the packed product: the states, adjacency
+    and parents views of its ProductSystem are never built."""
+
+    from xdicheck import circuit
+
+    systems = []
+    compose = circuit.compose
+
+    def spying_compose(*args):
+        systems.append(compose(*args))
+        return systems[-1]
+
+    monkeypatch.setattr(circuit, "compose", spying_compose)
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("deadlock", str(machines_dir / name), *flags)
+    assert (result.code, result.out, result.err) == (code, out, "")
+    if smt is not None:
+        assert (tmp_path / "out.smt2").read_text() == smt
+    assert len(systems) == 1
+    assert not {"states", "adjacency", "parents"} & vars(systems[0]).keys()
+
+
 def test_deadlock_emit_smt_requires_channel(run_cli, machines_dir, tmp_path):
     result = run_cli(
         "deadlock", str(machines_dir / "pipeline.net"),
