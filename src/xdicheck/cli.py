@@ -67,8 +67,9 @@ def _cmd_validate(args) -> int:
     mach, _ = _load_document(args.file, validated=False)
     report = machine.validate(mach)
     if args.emit_dot:
+        dot = _to_dot(mach)  # before open, so a failure leaves no empty file
         with open(args.emit_dot, "w", encoding="utf-8") as handle:
-            handle.write(_to_dot(mach))
+            handle.write(dot)
     payload = {"file": args.file, "ok": report.ok, "violations": list(report.violations)}
     lines = [f"machine: {mach.name}", f"ok: {'yes' if report.ok else 'no'}"]
     lines.extend(f"violation: {violation}" for violation in report.violations)
@@ -78,7 +79,7 @@ def _cmd_validate(args) -> int:
 
 def _to_dot(mach: machine.XdiMachine) -> str:
     lines = [f"digraph {mach.name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
-    lines.append(f"  __start -> {mach.init_state};")
+    lines.extend(f"  __start -> {entry.name};" for entry in mach.states if entry.init)
     for entry in mach.states:
         shape = "oval" if entry.is_transient else "box"
         lines.append(f"  {entry.name} [shape={shape}];")

@@ -11,6 +11,7 @@ and first_model solves them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -239,19 +240,28 @@ def parse_condition(text: str) -> Formula:
 # --- Structure helpers -------------------------------------------------------
 
 
-def atoms(form: Formula) -> Iterator[Formula]:
-    """Yield every atom, left to right, duplicates included."""
+def _postorder(form: Formula) -> list[Formula]:
+    """Every node, children before parents and lhs before rhs: the reverse
+    of a parent-first walk that pushes lhs, then rhs. The transforms fold it
+    with a value stack, so deep formulas stay off the call stack."""
 
+    order = []
     stack = [form]
     while stack:
         node = stack.pop()
-        if isinstance(node, (BlockedAtom, IdleAtom, VarAtom)):
-            yield node
-        elif isinstance(node, Not):
+        order.append(node)
+        kind = type(node)
+        if kind is Not:
             stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.rhs)
-            stack.append(node.lhs)
+        elif kind in (And, Or, Implies, Iff):
+            stack += (node.lhs, node.rhs)
+    return order[::-1]
+
+
+def atoms(form: Formula) -> Iterator[Formula]:
+    """Yield every atom, left to right, duplicates included."""
+
+    return (node for node in _postorder(form) if type(node) in (BlockedAtom, IdleAtom, VarAtom))
 
 
 def condition_handshakes(form: Formula) -> frozenset[str]:
@@ -261,16 +271,21 @@ def condition_handshakes(form: Formula) -> frozenset[str]:
 
 
 def map_atoms(form: Formula, fn: Callable[[Formula], Formula]) -> Formula:
-    """Rebuild the formula with every atom passed through fn."""
+    """Rebuild the formula with every atom passed through fn, left to right."""
 
-    if isinstance(form, (BlockedAtom, IdleAtom, VarAtom)):
-        return fn(form)
-    if isinstance(form, Not):
-        return Not(map_atoms(form.operand, fn))
-    if isinstance(form, (And, Or, Implies, Iff)):
-        rebuilt = type(form)(map_atoms(form.lhs, fn), map_atoms(form.rhs, fn))
-        return rebuilt
-    return form
+    values: list[Formula] = []
+    for node in _postorder(form):
+        kind = type(node)
+        if kind in (BlockedAtom, IdleAtom, VarAtom):
+            values.append(fn(node))
+        elif kind is Not:
+            values[-1] = Not(values[-1])
+        elif kind in (And, Or, Implies, Iff):
+            rhs = values.pop()
+            values[-1] = kind(values[-1], rhs)
+        else:
+            values.append(node)
+    return values[0]
 
 
 # --- Evaluation --------------------------------------------------------------
@@ -282,6 +297,10 @@ def evaluate(form: Formula, resolve: Callable[[Formula], bool]) -> bool:
     Left operands go first and short-circuit as in Python, so resolve sees
     the atoms a recursive evaluation would, in the same order. An explicit
     stack keeps deep formulas off the call stack.
+
+    It keeps its own walk instead of folding _postorder, which lists every
+    atom: an atom that &, | or -> cuts short is never resolved, so it costs
+    no backward pass (the cost model in the README).
     """
 
     stack: list[tuple[Formula, bool | None]] = []  # (node, lhs value or None)
@@ -402,66 +421,55 @@ def verify_condition(form: Formula, machine: XdiMachine) -> Verdict:
 # --- SMT-LIB rendering -------------------------------------------------------
 
 
-class _Text(str):
-    """Literal output on smt_term's stack, as opposed to a formula node."""
-
-    __slots__ = ()
+_SMT_WORD = {Not: "not", And: "and", Or: "or", Implies: "=>", Iff: "="}
 
 
-_CLOSE = _Text(")")
-_SPACE = _Text(" ")
-_OPEN = {
-    kind: _Text(f"({word} ")
-    for kind, word in ((Not, "not"), (And, "and"), (Or, "or"), (Implies, "=>"), (Iff, "="))
-}
+def _close(kind: type | None, pieces: deque) -> deque:
+    """The pieces of a term, with the parentheses its open connective needs."""
 
-
-def _flatten(form: Formula, cls: type) -> list[Formula]:
-    """The operands of a chain of one connective, left to right."""
-
-    parts: list[Formula] = []
-    stack = [form]
-    while stack:
-        node = stack.pop()
-        if type(node) is cls:
-            stack += (node.rhs, node.lhs)
-        else:
-            parts.append(node)
-    return parts
+    if kind is not None:
+        pieces.appendleft(f"({_SMT_WORD[kind]} ")
+        pieces.append(")")
+    return pieces
 
 
 def smt_term(form: Formula) -> str:
     """Render a variable-only formula as an SMT-LIB 2 term.
 
-    A chain of And or of Or becomes one n-ary term. Nodes and the text
-    between them share an explicit stack, so deep formulas stay off the
-    call stack.
+    Each term is a deque of text pieces left open, without its connective's
+    parentheses, until its parent closes it, so a chain of And or of Or
+    becomes one n-ary term. A deque grows at either end in constant time and
+    the shorter operand moves into the longer, so deep formulas render in
+    O(n log n) at worst.
     """
 
-    out: list[str] = []
-    stack: list[Formula | _Text] = [form]
-    while stack:
-        node = stack.pop()
+    values: list[tuple[type | None, deque]] = []  # (connective left open or None, pieces)
+    for node in _postorder(form):
         kind = type(node)
-        if kind is _Text:
-            out.append(node)
-        elif kind is Const:
-            out.append("true" if node.value else "false")
+        if kind is Const:
+            values.append((None, deque(("true" if node.value else "false",))))
         elif kind is VarAtom:
-            out.append(node.name)
+            values.append((None, deque((node.name,))))
         elif kind in (BlockedAtom, IdleAtom):
             raise ValueError("blocked/idle atoms must be substituted before emission")
         elif kind is Not:
-            stack += (_CLOSE, node.operand, _OPEN[Not])
-        elif kind in _OPEN:
-            parts = _flatten(node, kind) if kind in (And, Or) else (node.lhs, node.rhs)
-            stack.append(_CLOSE)
-            for part in reversed(parts):
-                stack += (part, _SPACE)
-            stack[-1] = _OPEN[kind]  # the space before the first part opens the term
+            values[-1] = (Not, _close(*values[-1]))
+        elif kind in _SMT_WORD:
+            (rkind, rhs), (lkind, lhs) = values.pop(), values.pop()
+            chain = kind in (And, Or)
+            lhs = lhs if chain and lkind is kind else _close(lkind, lhs)
+            rhs = rhs if chain and rkind is kind else _close(rkind, rhs)
+            if len(lhs) < len(rhs):
+                rhs.appendleft(" ")
+                rhs.extendleft(reversed(lhs))
+                lhs = rhs
+            else:
+                lhs.append(" ")
+                lhs.extend(rhs)
+            values.append((kind, lhs))
         else:
             raise TypeError(f"not a formula: {node!r}")
-    return "".join(out)
+    return "".join(_close(*values[0]))
 
 
 # --- Satisfiability: lex-first DPLL ------------------------------------------
@@ -472,39 +480,29 @@ def _tseitin(forms: Sequence[Formula], index: Mapping[str, int]) -> tuple[list[l
     variables 1..len(index), are exactly the models of every formula.
 
     Each connective gets an auxiliary variable equivalent to it, numbered
-    after the inputs; variable len(index) + 1 is the constant true. Returns
-    the clauses and the highest variable number.
+    after the inputs; variable len(index) + 1 is the constant true. Formulas
+    are walked as trees: a node shared by identity gets a variable per
+    occurrence. Returns the clauses and the highest variable number.
     """
 
     true = len(index) + 1
     clauses = [[true]]
     top = true
-    literal: dict[int, int] = {}  # id(node) -> literal; forms keep every node alive
     for form in forms:
-        stack = [form]
-        while stack:
-            node = stack[-1]
-            if id(node) in literal:
-                stack.pop()
-                continue
+        literals: list[int] = []
+        for node in _postorder(form):
             kind = type(node)
             if kind is Const:
-                lit = true if node.value else -true
+                literals.append(true if node.value else -true)
             elif kind is VarAtom:
-                lit = index[node.name]
+                literals.append(index[node.name])
             elif kind is Not:
-                if id(node.operand) not in literal:
-                    stack.append(node.operand)
-                    continue
-                lit = -literal[id(node.operand)]
+                literals[-1] = -literals[-1]
             elif kind in (And, Or, Implies, Iff):
-                pending = [part for part in (node.rhs, node.lhs) if id(part) not in literal]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                a, b = literal[id(node.lhs)], literal[id(node.rhs)]
+                b = literals.pop()
+                a = literals[-1]
                 top += 1
-                lit = top
+                lit = literals[-1] = top
                 if kind is And:
                     clauses += [[-lit, a], [-lit, b], [lit, -a, -b]]
                 elif kind is Iff:
@@ -516,9 +514,7 @@ def _tseitin(forms: Sequence[Formula], index: Mapping[str, int]) -> tuple[list[l
                 raise ValueError("blocked/idle atoms must be substituted before solving")
             else:
                 raise TypeError(f"not a formula: {node!r}")
-            literal[id(node)] = lit
-            stack.pop()
-        clauses.append([literal[id(form)]])
+        clauses.append([literals[0]])
     return clauses, top
 
 
@@ -534,8 +530,9 @@ def first_model(
     only cut subtrees that hold no model, so the first complete assignment
     reached is the lexicographically first model.
     Auxiliary variables are never branched on: once the inputs are set,
-    propagation fixes every one of them. A variable a formula names but
-    variables lacks raises KeyError.
+    propagation fixes every one of them, so walking the formulas as trees
+    changes no model. A variable a formula names but variables lacks
+    raises KeyError.
     """
 
     names = tuple(variables)

@@ -166,7 +166,7 @@ def test_criterion_8_differential_solver_check(machines_dir):
         if command is None:
             print(
                 "criterion 8 note: no external SMT solver on PATH;"
-                " builtin enumeration and emitted SMT shape verified"
+                " builtin DPLL solver and emitted SMT shape verified"
             )
             return
         for text, expected in expectations:

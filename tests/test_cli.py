@@ -42,6 +42,19 @@ def test_validate_emit_dot(run_cli, join_path, tmp_path):
     assert "s3" in text and "->" in text
 
 
+def test_validate_emit_dot_without_an_initial_state(run_cli, tmp_path):
+    bad = tmp_path / "noinit.xdi"
+    bad.write_text("(machine m (s0 nil box (((a R I) s1))) (s1 nil box (((a A O) s0))))")
+    out = tmp_path / "noinit.dot"
+    result = run_cli("validate", str(bad), "--emit-dot", str(out))
+    assert result.code == 2
+    assert result.out.splitlines() == ["machine: m", "ok: no", "violation: no initial state"]
+    assert "internal error" not in result.err
+    text = out.read_text()
+    assert text.startswith("digraph m {") and "  s0 -> s1 [label=\"a.R?\"];" in text
+    assert "__start ->" not in text
+
+
 def test_labels_text_output(run_cli, join_path):
     result = run_cli("labels", join_path, "--handshake", "a")
     assert result.code == 0

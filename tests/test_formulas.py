@@ -284,14 +284,47 @@ def test_smt_term_matches_the_recursive_reference(form):
     assert _outcome(smt_term, form) == _outcome(recursive_smt_term, form)
 
 
-@pytest.mark.parametrize("cls, word", [(Or, "or"), (And, "and")])
-def test_smt_term_renders_a_1200_term_chain(cls, word):
-    names = [f"v{i}" for i in range(1200)]
+def _deep(cls, prefix):
+    """A left-nested 1,200-term chain of cls over prefix0, prefix1, ..., or
+    a 5,000-deep Not chain over prefix0; with its variables and SMT-LIB text."""
+
+    if cls is Not:
+        names = [f"{prefix}0"]
+        form = VarAtom(names[0])
+        for _ in range(5000):
+            form = Not(form)
+        return form, names, "(not " * 5000 + names[0] + ")" * 5000
+    names = [f"{prefix}{i}" for i in range(1200)]
     form = VarAtom(names[0])
     for name in names[1:]:
         form = cls(form, VarAtom(name))
-    assert smt_term(form) == f"({word} {' '.join(names)})"
-    assert smt_term(Not(form)) == f"(not ({word} {' '.join(names)}))"
+    return form, names, f"({'and' if cls is And else 'or'} {' '.join(names)})"
+
+
+@pytest.mark.parametrize("cls", [Or, And, Not], ids=["Or-or", "And-and", "Not-not"])
+def test_smt_term_renders_a_1200_term_chain(cls):
+    # Every transform must keep deep input off the call stack. Deep formulas
+    # are compared through their rendering: == on dataclasses recurses.
+    form, names, text = _deep(cls, "v")
+    assert smt_term(form) == text
+    assert smt_term(Not(form)) == f"(not {text})"
+    assert [atom.name for atom in f.atoms(form)] == names
+    renamed = f.map_atoms(form, lambda atom: VarAtom("w" + atom.name[1:]))
+    assert smt_term(renamed) == _deep(cls, "w")[2]
+    expected = {name: cls is not Or or name == names[-1] for name in names}
+    assert first_model([form], names) == expected
+
+
+def test_a_shared_subformula_is_encoded_once_per_occurrence():
+    x, y, z = VarAtom("x"), VarAtom("y"), VarAtom("z")
+    shared = Or(x, y)
+    form = And(shared, Not(And(shared, z)))
+    names = ("x", "y", "z")
+    assert first_model([form], names) == next(satisfying_models([form], names))
+    assert smt_term(form) == recursive_smt_term(form) == "(and (or x y) (not (and (or x y) z)))"
+    # Inputs 1-3, constant true 4, then one variable per connective occurrence.
+    assert f._tseitin([form], {name: i for i, name in enumerate(names, 1)})[1] == 8
+    assert first_model([shared, Not(shared)], names) is None
 
 
 def test_smt_term_rejects_the_first_bad_node_in_rendering_order():
