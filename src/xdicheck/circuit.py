@@ -32,7 +32,7 @@ from .formulas import (
 from .labeling import compute_block_idle
 from .library import builtin_library, get_primitive
 from .machine import INPUT, OUTPUT, REQUEST, ACK, XdiMachine
-from .sexpr import Node, expect_list, expect_symbol, read_forms
+from .sexpr import Form, error_at, expect_list, expect_symbol, located, read_forms
 
 __all__ = [
     "NetlistError",
@@ -121,10 +121,10 @@ class Netlist:
         return get_primitive(self.instance_map[instance]).machine
 
 
-def _parse_endpoint(node: Node) -> Endpoint:
+def _parse_endpoint(node: Form) -> Endpoint:
     items = expect_list(node, "endpoint (instance handshake)")
     if len(items) != 2:
-        raise node.error("endpoint must be (instance handshake)")
+        raise error_at(node, "endpoint must be (instance handshake)")
     return Endpoint(
         expect_symbol(items[0], "instance id"), expect_symbol(items[1], "handshake")
     )
@@ -133,15 +133,20 @@ def _parse_endpoint(node: Node) -> Endpoint:
 def parse_netlist(text: str) -> Netlist:
     """Parse and validate a circuit description."""
 
-    forms = read_forms(text)
+    with located(text):
+        netlist = _netlist_from_forms(read_forms(text))
+    _validate_netlist(netlist, {spec.name for spec in builtin_library()})
+    return netlist
+
+
+def _netlist_from_forms(forms: tuple[Form, ...]) -> Netlist:
     if len(forms) != 1:
         raise NetlistError("expected exactly one (circuit ...) form")
     items = expect_list(forms[0], "(circuit ...) form")
     if not items or expect_symbol(items[0], "circuit keyword") != "circuit" or len(items) < 2:
-        raise forms[0].error("expected (circuit name entries...)")
+        raise error_at(forms[0], "expected (circuit name entries...)")
     name = expect_symbol(items[1], "circuit name")
 
-    known_primitives = {spec.name for spec in builtin_library()}
     instances: list[tuple[str, str]] = []
     channels: list[Channel] = []
     stable: list[Endpoint] = []
@@ -150,13 +155,13 @@ def parse_netlist(text: str) -> Netlist:
         head = expect_symbol(entry[0], "entry keyword") if entry else ""
         if head == "instance":
             if len(entry) != 3:
-                raise node.error("instance entry must be (instance id primitive)")
+                raise error_at(node, "instance entry must be (instance id primitive)")
             instances.append(
                 (expect_symbol(entry[1], "instance id"), expect_symbol(entry[2], "primitive"))
             )
         elif head == "channel":
             if len(entry) != 4:
-                raise node.error("channel entry must be (channel id endpoint endpoint)")
+                raise error_at(node, "channel entry must be (channel id endpoint endpoint)")
             channels.append(
                 Channel(
                     expect_symbol(entry[1], "channel id"),
@@ -166,14 +171,12 @@ def parse_netlist(text: str) -> Netlist:
             )
         elif head == "stable":
             if len(entry) != 2:
-                raise node.error("stable entry must be (stable endpoint)")
+                raise error_at(node, "stable entry must be (stable endpoint)")
             stable.append(_parse_endpoint(entry[1]))
         else:
-            raise node.error(f"unknown circuit entry {head!r}")
+            raise error_at(node, f"unknown circuit entry {head!r}")
 
-    netlist = Netlist(name, tuple(instances), tuple(channels), frozenset(stable))
-    _validate_netlist(netlist, known_primitives)
-    return netlist
+    return Netlist(name, tuple(instances), tuple(channels), frozenset(stable))
 
 
 def _validate_netlist(netlist: Netlist, known_primitives: set[str]) -> None:

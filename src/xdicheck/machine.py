@@ -9,13 +9,13 @@ labelled with a stable wire is disabled.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-from .sexpr import Node, ParseError, expect_list, expect_symbol, read_forms
+from .sexpr import Form, ParseError, error_at, expect_list, expect_symbol, located, read_forms
+from .sexpr import spelling, string_value
 
 __all__ = [
     "Wire",
@@ -34,8 +34,6 @@ __all__ = [
 
 Environment = frozenset  # of (handshake, phase) pairs
 T = TypeVar("T")
-
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 REQUEST = "R"
 ACK = "A"
@@ -155,96 +153,115 @@ class ValidationReport:
         return not self.violations
 
 
-def _expect_identifier(node: Node, what: str) -> str:
+def _is_identifier(text: str) -> bool:
+    """True iff text matches [A-Za-z_][A-Za-z0-9_]*."""
+
+    return text.isascii() and text.isidentifier()
+
+
+def _expect_identifier(node: Form, what: str) -> str:
     text = expect_symbol(node, what)
-    if not _IDENTIFIER.match(text):
-        raise node.error(f"{what} {text!r} is not an identifier")
+    if not _is_identifier(text):
+        raise error_at(node, f"{what} {text!r} is not an identifier")
     return text
 
 
-def _parse_wire(node: Node) -> Wire:
+def _parse_wire(node: Form, wires: dict[tuple[str, ...], Wire]) -> Wire:
+    """The node's wire, built once per spelling: wires maps the texts of
+    the three items to the Wire they name. A list among the items gives
+    no spelling and fails the checks below, so None is never stored."""
+
     items = expect_list(node, "wire (handshake R|A I|O)")
     if len(items) != 3:
-        raise node.error("wire must have exactly three elements")
+        raise error_at(node, "wire must have exactly three elements")
+    key = spelling(items)
+    wire = wires.get(key)
+    if wire is not None:
+        return wire
     handshake = _expect_identifier(items[0], "handshake")
     phase = expect_symbol(items[1], "phase").upper()
     if phase not in (REQUEST, ACK):
-        raise items[1].error(f"phase must be R or A, got {phase!r}")
+        raise error_at(items[1], f"phase must be R or A, got {phase!r}")
     direction = expect_symbol(items[2], "direction").upper()
     if direction not in (INPUT, OUTPUT):
-        raise items[2].error(f"direction must be I or O, got {direction!r}")
-    return Wire(handshake, phase, direction)
+        raise error_at(items[2], f"direction must be I or O, got {direction!r}")
+    wire = wires[key] = Wire(handshake, phase, direction)
+    return wire
 
 
-def _parse_state(node: Node) -> StateEntry:
+def _parse_state(node: Form, wires: dict[tuple[str, ...], Wire]) -> StateEntry:
     items = expect_list(node, "state entry")
     if len(items) != 4:
-        raise node.error("state entry must be (id init kind (transitions...))")
+        raise error_at(node, "state entry must be (id init kind (transitions...))")
     name = _expect_identifier(items[0], "state id")
     init_token = expect_symbol(items[1], "init flag").lower()
     if init_token not in ("t", "nil"):
-        raise items[1].error(f"init flag must be t or nil, got {init_token!r}")
+        raise error_at(items[1], f"init flag must be t or nil, got {init_token!r}")
     kind = expect_symbol(items[2], "state kind").lower()
     if kind not in (BOX, TRANSIENT):
-        raise items[2].error(f"kind must be box or transient, got {kind!r}")
+        raise error_at(items[2], f"kind must be box or transient, got {kind!r}")
     transitions = []
     for transition_node in expect_list(items[3], "transition list"):
         pair = expect_list(transition_node, "transition (wire target)")
         if len(pair) != 2:
-            raise transition_node.error("transition must be ((h R|A I|O) target)")
-        wire = _parse_wire(pair[0])
+            raise error_at(transition_node, "transition must be ((h R|A I|O) target)")
+        wire = _parse_wire(pair[0], wires)
         target = _expect_identifier(pair[1], "target state id")
         transitions.append((wire, target))
     return StateEntry(name, init_token == "t", kind, tuple(transitions))
 
 
-def _machine_from_form(node: Node) -> XdiMachine:
+def _machine_from_form(node: Form) -> XdiMachine:
     items = expect_list(node, "(machine ...) form")
     if not items or expect_symbol(items[0], "machine keyword") != "machine":
-        raise node.error("expected (machine name states...)")
+        raise error_at(node, "expected (machine name states...)")
     if len(items) < 2:
-        raise node.error("machine form needs a name")
+        raise error_at(node, "machine form needs a name")
     name = _expect_identifier(items[1], "machine name")
-    states = tuple(_parse_state(child) for child in items[2:])
+    wires: dict[tuple[str, ...], Wire] = {}
+    states = tuple(_parse_state(child, wires) for child in items[2:])
     if not states:
-        raise node.error("machine declares no states")
+        raise error_at(node, "machine declares no states")
     seen: set[str] = set()
     for index, entry in enumerate(states):
         if entry.name in seen:
-            raise items[2 + index].error(f"duplicate state id {entry.name!r}")
+            raise error_at(items[2 + index], f"duplicate state id {entry.name!r}")
         seen.add(entry.name)
     return XdiMachine(name, states)
 
 
-def _conditions_from_form(node: Node) -> tuple[tuple[str, str], ...]:
-    items = expect_list(node, "(conditions ...) form")
-    out = []
+def _conditions_from_form(items: tuple[Form, ...]) -> tuple[tuple[str, str], ...]:
+    conditions: dict[str, str] = {}
     for child in items[1:]:
         pair = expect_list(child, "condition (name \"dsl\")")
-        if len(pair) != 2 or not pair[1].is_string:
-            raise child.error("condition must be (name \"formula text\")")
-        out.append((_expect_identifier(pair[0], "condition name"), str(pair[1].value)))
-    return tuple(out)
+        text = string_value(pair[1]) if len(pair) == 2 else None
+        if text is None:
+            raise error_at(child, "condition must be (name \"formula text\")")
+        name = _expect_identifier(pair[0], "condition name")
+        if name in conditions:
+            raise error_at(child, f"duplicate condition name {name!r}")
+        conditions[name] = text
+    return tuple(conditions.items())
 
 
 def parse_document(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
     """Parse a machine file plus its optional named-condition trailer."""
 
-    forms = read_forms(text)
-    if not forms:
-        raise ParseError("empty input, expected a (machine ...) form")
-    machine = _machine_from_form(forms[0])
-    conditions: tuple[tuple[str, str], ...] = ()
-    for node in forms[1:]:
-        items = expect_list(node, "trailing form")
-        head = expect_symbol(items[0], "form keyword") if items else ""
-        if head == "conditions":
-            if conditions:
-                raise node.error("duplicate (conditions ...) form")
-            conditions = _conditions_from_form(node)
-        else:
-            raise node.error(f"unexpected form {head!r} after machine")
-    return machine, conditions
+    with located(text):
+        forms = read_forms(text)
+        if not forms:
+            raise ParseError("empty input, expected a (machine ...) form")
+        machine = _machine_from_form(forms[0])
+        conditions = None
+        for node in forms[1:]:
+            items = expect_list(node, "trailing form")
+            head = expect_symbol(items[0], "form keyword") if items else ""
+            if head != "conditions":
+                raise error_at(node, f"unexpected form {head!r} after machine")
+            if conditions is not None:
+                raise error_at(node, "duplicate (conditions ...) form")
+            conditions = _conditions_from_form(items)
+    return machine, conditions or ()
 
 
 def validate(machine: XdiMachine) -> ValidationReport:
@@ -342,7 +359,7 @@ def parse_env(text: str, machine: XdiMachine | None = None) -> Environment:
                 )
             handshake, _, phase = token.rpartition(".")
             phase = phase.upper()
-            if not _IDENTIFIER.match(handshake) or phase not in (REQUEST, ACK):
+            if not _is_identifier(handshake) or phase not in (REQUEST, ACK):
                 raise ValueError(f"bad environment entry {token!r}")
             pairs.add((handshake, phase))
     env = frozenset(pairs)

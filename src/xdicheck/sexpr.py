@@ -2,161 +2,169 @@
 
 The machine and netlist file formats are parenthesized forms built from
 symbols and double-quoted strings, with ``;`` line comments. The reader
-tracks line and column so parse failures point at the offending input.
+splits the text into tokens with one regular expression and builds the
+forms from that token list with one stack.
+
+A form is a pair: a list is ``(children, token)``, with ``children`` a
+tuple of forms, and a leaf is ``(text, token)``, with ``text`` the
+token as written, so a string leaf keeps its quotes until it is read
+with ``string_value``. ``token`` is the form's index in the token list
+(for a list, the index of its opening paren). Line and column are
+computed only when an error is raised: ``located`` rescans the text to
+the failing token, so no position is kept per token.
 """
 
 from __future__ import annotations
 
-__all__ = ["ParseError", "Symbol", "Node", "expect_list", "expect_symbol", "read_forms"]
+import re
+from contextlib import contextmanager
+from itertools import islice
+from operator import itemgetter
+from typing import Iterator, Union
+
+__all__ = [
+    "ParseError",
+    "Form",
+    "error_at",
+    "expect_list",
+    "expect_symbol",
+    "located",
+    "read_forms",
+    "spelling",
+    "string_value",
+]
+
+Form = tuple[Union[str, tuple], int]
+
+# A paren, a well-formed string, a lone quote (a malformed string), a
+# comment, or a symbol. Whitespace matches none of them and is skipped;
+# regex \s and str.isspace agree on every code point.
+_TOKEN = re.compile(r'[()]|"(?:[^"\\\n]|\\["\\])*"|"|;[^\n]*|[^\s()";]+')
+_ESCAPE = re.compile(r'\\(["\\])')
+_TEXT = itemgetter(0)
 
 
 class ParseError(ValueError):
-    """Input text is not well formed for the expected grammar."""
+    """Input text is not well formed for the expected grammar.
 
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
+    An error raised at a node by ``error_at`` carries the node's token
+    index and no line yet; ``located`` replaces it with one that has both.
+    """
+
+    def __init__(
+        self, message: str, line: int = 0, column: int = 0, token: int | None = None
+    ) -> None:
         location = f" (line {line}, column {column})" if line else ""
         super().__init__(message + location)
         self.message = message
         self.line = line
         self.column = column
+        self.token = token
 
 
-class Symbol(str):
-    """A bare identifier token, as opposed to a quoted string."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"Symbol({str.__repr__(self)})"
+def _offset_error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-class Node:
-    """One parsed form: a Symbol, a quoted string, or a tuple of Nodes.
+def _token_offset(text: str, token: int) -> int:
+    return next(islice(_TOKEN.finditer(text), token, None)).start()
 
-    A plain class with slots rather than a dataclass, since the reader
-    builds one per token. Nodes compare and hash by identity.
+
+def _string_error(text: str, start: int) -> ParseError:
+    """Why the string opened at start is malformed.
+
+    The token pattern matched no well-formed string there, so the scan
+    meets one of these faults before any closing quote.
     """
 
-    __slots__ = ("value", "line", "column")
-
-    def __init__(self, value: object, line: int, column: int) -> None:
-        self.value = value
-        self.line = line
-        self.column = column
-
-    @property
-    def is_list(self) -> bool:
-        return isinstance(self.value, tuple)
-
-    @property
-    def is_symbol(self) -> bool:
-        return isinstance(self.value, Symbol)
-
-    @property
-    def is_string(self) -> bool:
-        return isinstance(self.value, str) and not isinstance(self.value, Symbol)
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
-
-
-def expect_list(node: Node, what: str) -> tuple[Node, ...]:
-    """The node's items; a ParseError at the node naming what was expected."""
-
-    if not node.is_list:
-        raise node.error(f"expected {what}")
-    return node.value
-
-
-def expect_symbol(node: Node, what: str) -> str:
-    """The node's symbol text; a ParseError at the node naming what was expected."""
-
-    if not node.is_symbol:
-        raise node.error(f"expected {what}")
-    return str(node.value)
-
-
-_DELIMITERS = "()\";"
-
-
-def _tokenize(text: str):
-    line, column = 1, 1
-    i, n = 0, len(text)
+    i, n = start + 1, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch.isspace():
-            column += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, ch, line, column
-            column += 1
-            i += 1
-        elif ch == '"':
-            start_line, start_column = line, column
-            i += 1
-            column += 1
-            parts = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_column)
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    column += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated escape", line, column)
-                    esc = text[i + 1]
-                    if esc not in ('"', "\\"):
-                        raise ParseError(f"unknown escape '\\{esc}'", line, column)
-                    parts.append(esc)
-                    i += 2
-                    column += 2
-                elif ch == "\n":
-                    raise ParseError("newline in string", line, column)
-                else:
-                    parts.append(ch)
-                    i += 1
-                    column += 1
-            yield "string", "".join(parts), start_line, start_column
+        if ch == "\\":
+            if i + 1 >= n:
+                return _offset_error(text, i, "unterminated escape")
+            if text[i + 1] not in ('"', "\\"):
+                return _offset_error(text, i, f"unknown escape '\\{text[i + 1]}'")
+            i += 2
+        elif ch == "\n":
+            return _offset_error(text, i, "newline in string")
         else:
-            start_line, start_column = line, column
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _DELIMITERS:
-                j += 1
-            yield "symbol", text[i:j], start_line, start_column
-            column += j - i
-            i = j
+            i += 1
+    return _offset_error(text, start, "unterminated string")
 
 
-def read_forms(text: str) -> tuple[Node, ...]:
+def read_forms(text: str) -> tuple[Form, ...]:
     """Parse text into the sequence of its top-level forms."""
 
-    stack: list[tuple[list[Node], int, int]] = []
-    top: list[Node] = []
-    for kind, value, line, column in _tokenize(text):
-        if kind == "(":
-            stack.append((top, line, column))
+    stack: list[tuple[list[Form], int]] = []
+    top: list[Form] = []
+    for index, token in enumerate(_TOKEN.findall(text)):
+        if token == "(":
+            stack.append((top, index))
             top = []
-        elif kind == ")":
+        elif token == ")":
             if not stack:
-                raise ParseError("unmatched ')'", line, column)
-            items = top
-            top, open_line, open_column = stack.pop()
-            top.append(Node(tuple(items), open_line, open_column))
-        elif kind == "string":
-            top.append(Node(value, line, column))
-        else:
-            top.append(Node(Symbol(value), line, column))
+                raise _offset_error(text, _token_offset(text, index), "unmatched ')'")
+            children = tuple(top)
+            top, start = stack.pop()
+            top.append((children, start))
+        elif token == '"':
+            raise _string_error(text, _token_offset(text, index))
+        elif token[0] != ";":
+            top.append((token, index))
     if stack:
-        _, open_line, open_column = stack[-1]
-        raise ParseError("unclosed '('", open_line, open_column)
+        raise _offset_error(text, _token_offset(text, stack[-1][1]), "unclosed '('")
     return tuple(top)
+
+
+def error_at(node: Form, message: str) -> ParseError:
+    """A ParseError at the node; ``located`` gives it its line and column."""
+
+    return ParseError(message, token=node[1])
+
+
+@contextmanager
+def located(text: str) -> Iterator[None]:
+    """Give a ParseError raised at a node of text's forms its line and column."""
+
+    try:
+        yield
+    except ParseError as error:
+        if error.token is None:
+            raise
+        raise _offset_error(text, _token_offset(text, error.token), error.message) from None
+
+
+def expect_list(node: Form, what: str) -> tuple[Form, ...]:
+    """The node's children; a ParseError at the node naming what was expected."""
+
+    children = node[0]
+    if type(children) is not tuple:
+        raise error_at(node, f"expected {what}")
+    return children
+
+
+def expect_symbol(node: Form, what: str) -> str:
+    """The node's symbol text; a ParseError at the node naming what was expected."""
+
+    text = node[0]
+    if type(text) is not str or text[0] == '"':
+        raise error_at(node, f"expected {what}")
+    return text
+
+
+def string_value(node: Form) -> str | None:
+    """The text of a string node with its escapes read; None for any other node."""
+
+    text = node[0]
+    if type(text) is not str or text[0] != '"':
+        return None
+    return _ESCAPE.sub(r"\1", text[1:-1])
+
+
+def spelling(nodes: tuple[Form, ...]) -> tuple[str, ...] | None:
+    """The nodes' texts as written, a hashable key; None when one is a list."""
+
+    texts = tuple(map(_TEXT, nodes))
+    return None if tuple in map(type, texts) else texts

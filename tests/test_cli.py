@@ -237,6 +237,23 @@ def test_check_without_conditions_reports_nothing(run_cli, tmp_path):
     assert json.loads(as_json.out) == []
 
 
+@pytest.mark.parametrize(
+    "trailer, where",
+    [
+        ('(conditions (c1 "blocked(a)")\n  (c1 "!blocked(a)"))', "3:3: duplicate condition name 'c1'"),
+        ('(conditions)\n(conditions (c1 "true"))', "3:1: duplicate (conditions ...) form"),
+    ],
+    ids=["name", "trailer"],
+)
+def test_check_rejects_a_duplicate_condition(run_cli, tmp_path, trailer, where):
+    path = tmp_path / "twice.xdi"
+    path.write_text("(machine m (s0 t box (((a R I) s1))) (s1 nil box (((a A O) s0))))\n" + trailer)
+    result = run_cli("check", str(path), "--name", "c1")
+    assert result.code == 2
+    assert result.out == ""
+    assert result.err == f"error: {path}:{where}\n"
+
+
 def test_check_json_shape(run_cli, join_path):
     result = run_cli("check", join_path, "--json")
     payload = json.loads(result.out)

@@ -98,6 +98,24 @@ def test_parse_errors_point_at_the_offending_form(text, message, line, column):
     assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
 
 
+_PLAIN = "(machine m (s0 t box ()))\n"
+
+
+@pytest.mark.parametrize(
+    "trailer, message, line, column",
+    [
+        ('(conditions (c1 "blocked(a)") (c1 "!blocked(a)"))', "duplicate condition name 'c1'", 2, 31),
+        ('(conditions (c1 "true") (c2 "true")\n (c1 "true"))', "duplicate condition name 'c1'", 3, 2),
+        ('(conditions)\n(conditions (c "true"))', "duplicate (conditions ...) form", 3, 1),
+        ('(conditions (c "true")) (conditions)', "duplicate (conditions ...) form", 2, 25),
+    ],
+)
+def test_a_condition_is_named_once_in_one_trailer(trailer, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_document(_PLAIN + trailer)
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+
+
 def test_parse_document_requires_machine_form():
     with pytest.raises(ParseError):
         parse_document("(conditions (x \"true\"))")
