@@ -32,11 +32,19 @@ def _read_file(path: str) -> str:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _load_document(path: str, validated: bool = True):
+def _load(path: str, parse):
+    """What parse reads from the file; a CommandError naming the file if it fails."""
+
     try:
-        parsed = machine.parse_document(_read_file(path))
+        return parse(_read_file(path))
     except ParseError as exc:
         raise CommandError(f"{path}:{exc.line}:{exc.column}: {exc.message}") from exc
+    except circuit.NetlistError as exc:
+        raise CommandError(f"{path}: {exc}") from exc
+
+
+def _load_document(path: str, validated: bool = True):
+    parsed = _load(path, machine.parse_document)
     if validated:
         report = machine.validate(parsed[0])
         if not report.ok:
@@ -321,12 +329,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_deadlock(args) -> int:
-    try:
-        netlist = circuit.parse_netlist(_read_file(args.file))
-    except ParseError as exc:
-        raise CommandError(f"{args.file}:{exc.line}:{exc.column}: {exc.message}") from exc
-    except circuit.NetlistError as exc:
-        raise CommandError(f"{args.file}: {exc}") from exc
+    netlist = _load(args.file, circuit.parse_netlist)
     if args.emit_smt and args.channel is None:
         raise CommandError("--emit-smt requires --channel")
     channels = {channel.name for channel in netlist.channels}

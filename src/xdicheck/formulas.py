@@ -11,6 +11,7 @@ and first_model solves them.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -18,7 +19,7 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 from . import checker
 from .labeling import UnknownHandshakeError
 from .machine import Environment, XdiMachine, format_env
-from .sexpr import ParseError
+from .sexpr import ParseError, located
 
 __all__ = [
     "Formula",
@@ -116,78 +117,45 @@ FALSE = Const(False)
 # Binary operators: precedence (higher binds tighter) and node type.
 _BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
-_Token = tuple[str, str, int, int]  # kind, text, line, column
+# A word, an arrow, or any other character; whitespace (regex \s is
+# str.isspace) is skipped. \w is str.isalnum or "_", so a word is a name
+# if it starts with a letter or "_", and an unexpected character if not.
+_TOKEN = re.compile(r"\w+|<->|->|\S")
+_PUNCT = frozenset(("(", ")", "!", *_BINARY))
+
+_Item = tuple[int, str]  # token index, token text ("" at the end of input)
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            tokens.append(("name", word, line, col))
-            col += i - start
-            continue
-        if ch in "()!&|":
-            tokens.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("punct", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        raise ParseError(f"unexpected character {ch!r} in condition", line, col)
-    tokens.append(("eof", "", line, col))
-    return tokens
+def _is_name(token: str) -> bool:
+    return token[:1].isalpha() or token[:1] == "_"
 
 
-def _expect(token: _Token, value: str) -> None:
-    kind, text, line, col = token
-    if kind != "punct" or text != value:
-        shown = text if text else "end of input"
-        raise ParseError(f"expected {value!r}, found {shown!r}", line, col)
+def _expect(item: _Item, value: str) -> None:
+    index, token = item
+    if token != value:
+        shown = token or "end of input"
+        raise ParseError(f"expected {value!r}, found {shown!r}", token=index)
 
 
-def _primary(token: _Token, take: Callable[[], _Token]) -> Formula:
-    """The constant or atom starting at token; take reads the tokens after it."""
+def _primary(item: _Item, take: Callable[[], _Item]) -> Formula:
+    """The constant or atom starting at item; take reads the tokens after it."""
 
-    kind, text, line, col = token
-    if kind == "name":
-        if text == "true":
+    index, token = item
+    if _is_name(token):
+        if token == "true":
             return TRUE
-        if text == "false":
+        if token == "false":
             return FALSE
-        if text in ("blocked", "idle"):
+        if token in ("blocked", "idle"):
             _expect(take(), "(")
-            kind2, name, line2, col2 = take()
-            if kind2 != "name":
-                raise ParseError("expected a handshake name", line2, col2)
+            name_index, name = take()
+            if not _is_name(name):
+                raise ParseError("expected a handshake name", token=name_index)
             _expect(take(), ")")
-            return BlockedAtom(name) if text == "blocked" else IdleAtom(name)
-        raise ParseError(f"unknown atom {text!r}", line, col)
-    shown = text if text else "end of input"
-    raise ParseError(f"expected a formula, found {shown!r}", line, col)
+            return BlockedAtom(name) if token == "blocked" else IdleAtom(name)
+        raise ParseError(f"unknown atom {token!r}", token=index)
+    shown = token or "end of input"
+    raise ParseError(f"expected a formula, found {shown!r}", token=index)
 
 
 def parse_condition(text: str) -> Formula:
@@ -196,43 +164,55 @@ def parse_condition(text: str) -> Formula:
     One loop over an operator stack (Dijkstra's shunting-yard) instead of
     recursive descent, so deep nesting stays off the call stack. Tokens are
     read left to right as a recursive descent parser would read them, so
-    each error is raised at the same token with the same message.
+    each error is raised at the same token with the same message. A bad
+    character is reported before any parse error.
     """
 
-    take = iter(_lex(text)).__next__
+    tokens = _TOKEN.findall(text)
+    with located(text, _TOKEN):
+        for index, token in enumerate(tokens):
+            if token not in _PUNCT and not _is_name(token):
+                raise ParseError(f"unexpected character {token[0]!r} in condition", token=index)
+        tokens.append("")  # end of input
+        return _shunting_yard(iter(enumerate(tokens)).__next__)
+
+
+def _shunting_yard(take: Callable[[], _Item]) -> Formula:
+    """The formula read from take's tokens, which end with the end of input."""
+
     operands: list[Formula] = []
     operators: list[str] = []  # "(", "!" and binary operator symbols
     while True:
         # Operand position: prefixes, then one constant or atom.
-        token = take()
-        if token[0] == "punct" and token[1] in ("(", "!"):
-            operators.append(token[1])
+        item = take()
+        if item[1] in ("(", "!"):
+            operators.append(item[1])
             continue
-        operands.append(_primary(token, take))
+        operands.append(_primary(item, take))
         # Operator position, until a binary operator asks for the next operand.
         while True:
             while operators and operators[-1] == "!":
                 operators.pop()
                 operands[-1] = Not(operands[-1])
-            token = take()
-            kind, word, line, col = token
-            prec = _BINARY[word][0] if word in _BINARY else 0
+            item = take()
+            index, token = item
+            prec = _BINARY[token][0] if token in _BINARY else 0
             # Reduce what binds at least as tightly; '->' groups to the right.
             while operators and operators[-1] in _BINARY:
                 top = operators[-1]
-                if _BINARY[top][0] < prec or top == word == "->":
+                if _BINARY[top][0] < prec or top == token == "->":
                     break
                 operators.pop()
                 rhs = operands.pop()
                 operands[-1] = _BINARY[top][1](operands[-1], rhs)
             if prec:
-                operators.append(word)
+                operators.append(token)
                 break
             if operators:  # the innermost open parenthesis
-                _expect(token, ")")
+                _expect(item, ")")
                 operators.pop()
-            elif kind != "eof":
-                raise ParseError(f"trailing input starting at {word!r}", line, col)
+            elif token:
+                raise ParseError(f"trailing input starting at {token!r}", token=index)
             else:
                 return operands[0]
 

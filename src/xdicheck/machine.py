@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .sexpr import Form, ParseError, error_at, expect_list, expect_symbol, located, read_forms
 from .sexpr import spelling, string_value
@@ -55,9 +55,10 @@ class Wire:
         return f"({self.handshake} {self.phase} {self.direction})"
 
 
-@dataclass(frozen=True)
-class StateEntry:
-    """One declared state: id, initial flag, kind, ordered transitions."""
+class StateEntry(NamedTuple):
+    """One declared state: id, initial flag, kind, ordered transitions.
+
+    It compares and hashes as the plain tuple of its fields."""
 
     name: str
     init: bool
@@ -83,10 +84,7 @@ class XdiMachine:
     def memo(self, fn: Callable[..., T], *args: Hashable) -> T:
         """fn(self, *args), computed once per machine and argument tuple.
 
-        The table lives on the machine, so it is freed with it. It takes
-        no lock: two threads may both compute a missing value, and the
-        later store wins, which only matters for identity since every
-        memoised function is deterministic.
+        The table lives on the machine, so it is freed with it.
         """
 
         key = (fn, args)

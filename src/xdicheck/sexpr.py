@@ -11,7 +11,8 @@ token as written, so a string leaf keeps its quotes until it is read
 with ``string_value``. ``token`` is the form's index in the token list
 (for a list, the index of its opening paren). Line and column are
 computed only when an error is raised: ``located`` rescans the text to
-the failing token, so no position is kept per token.
+the failing token, so no position is kept per token. The condition DSL
+reads its own token list and passes its pattern to ``located``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ _TEXT = itemgetter(0)
 class ParseError(ValueError):
     """Input text is not well formed for the expected grammar.
 
-    An error raised at a node by ``error_at`` carries the node's token
-    index and no line yet; ``located`` replaces it with one that has both.
+    An error raised at a token (by ``error_at`` at a node, or by the
+    condition parser) carries the token index and no line yet;
+    ``located`` replaces it with one that has both.
     """
 
     def __init__(
@@ -67,8 +69,9 @@ def _offset_error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _token_offset(text: str, token: int) -> int:
-    return next(islice(_TOKEN.finditer(text), token, None)).start()
+def _token_offset(text: str, token: int, pattern: re.Pattern = _TOKEN) -> int:
+    match = next(islice(pattern.finditer(text), token, None), None)
+    return match.start() if match else len(text)
 
 
 def _string_error(text: str, start: int) -> ParseError:
@@ -125,15 +128,19 @@ def error_at(node: Form, message: str) -> ParseError:
 
 
 @contextmanager
-def located(text: str) -> Iterator[None]:
-    """Give a ParseError raised at a node of text's forms its line and column."""
+def located(text: str, pattern: re.Pattern = _TOKEN) -> Iterator[None]:
+    """Give a ParseError raised at a token of text its line and column.
+
+    The token index counts the pattern's matches; one past the last
+    stands for the end of the text."""
 
     try:
         yield
     except ParseError as error:
         if error.token is None:
             raise
-        raise _offset_error(text, _token_offset(text, error.token), error.message) from None
+        offset = _token_offset(text, error.token, pattern)
+        raise _offset_error(text, offset, error.message) from None
 
 
 def expect_list(node: Form, what: str) -> tuple[Form, ...]:

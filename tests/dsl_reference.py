@@ -3,7 +3,10 @@
 to_dsl prints a formula back to DSL text; the round-trip tests use it as
 their printer. RecursiveConditionParser is the recursive descent parser
 that parse_condition's operator-stack loop replaced, kept as its reference.
-Both recurse once per nesting level, so they are meant for small formulas.
+It reads its tokens from _lex, the character-by-character lexer that
+parse_condition's regex token list replaced, so the differential tests
+check the lexer as well. The printer and the parser recurse once per
+nesting level, so they are meant for small formulas.
 """
 
 from xdicheck.formulas import (
@@ -18,9 +21,54 @@ from xdicheck.formulas import (
     Not,
     Or,
     VarAtom,
-    _lex,
 )
 from xdicheck.sexpr import ParseError
+
+
+def _lex(text):
+    """The condition's tokens as (kind, text, line, column), ending with eof."""
+
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            tokens.append(("name", word, line, col))
+            col += i - start
+            continue
+        if ch in "()!&|":
+            tokens.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if text.startswith("<->", i):
+            tokens.append(("punct", "<->", line, col))
+            i += 3
+            col += 3
+            continue
+        if text.startswith("->", i):
+            tokens.append(("punct", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        raise ParseError(f"unexpected character {ch!r} in condition", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
 
 _PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 

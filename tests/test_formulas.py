@@ -114,9 +114,15 @@ def test_parser_matches_the_recursive_reference_on_printed_formulas(form):
     assert _parsed(parse_condition, text) == _parsed(recursive_parse_condition, text) == form
 
 
+# Besides the grammar's tokens, characters on each side of the lexer's
+# Unicode rules: a name starts with str.isalpha or "_" (not the digits and
+# numerals \xb2, \u2167, \u0663 or 1), goes on with str.isalnum or "_" (a1,
+# but not the combining accent \u0301), and whitespace is str.isspace
+# (\x1c, \xa0, \r and tab).
 SOUP_TOKENS = (
     "(", ")", "!", "&", "|", "->", "<->",
     "true", "false", "blocked", "idle", "blocked(a)", "idle(b)", "foo", "a", "#",
+    "\xb2", "\u2167", "\u0663", "\xe9", "\u0301", "\x1c", "\xa0", "\r", "\t", "1", "a1",
 )
 
 
