@@ -9,10 +9,11 @@ the blocking and idling labels.
 Every answer comes from _EnvAnswers, the one g/fg engine: one exploration
 of the enabled graph, then one backward closure of the failing states per
 (handshake, mode). g_check and fg_check build one from their start and read
-their trace and witness from it; condition verification and cross
-validation build one per environment and share it among their queries. A
-query costs time linear in the reachable states plus edges, and a failing g
-query explores the whole reachable graph.
+their trace and witness from it; cross validation builds one per
+environment and condition verification one per class of environments
+(_EnvClasses), and each shares it among its queries. A query costs time
+linear in the reachable states plus edges, and a failing g query explores
+the whole reachable graph.
 
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
@@ -28,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
-from .machine import Environment, XdiMachine, enabled_transitions, is_environment
+from .machine import OUTPUT, Environment, XdiMachine, enabled_transitions, is_environment
 
 __all__ = [
     "TemporalQuery",
@@ -121,24 +122,33 @@ def _reach(machine: XdiMachine, env: Environment, *starts: str):
     """Breadth-first reachability from the start states.
 
     Returns the discovery order, parent links for trace rebuilding (None
-    at each start), and the predecessors of each reached state over the
-    enabled edges.
+    at each start), the predecessors of each reached state over the
+    enabled edges, and the input wires tested against env, in first-test
+    order (a dict used as an ordered set). The enabled_transitions filter
+    is inlined so each test can be recorded as it is made.
     """
 
     parents: dict[str, str | None] = dict.fromkeys(starts)
     preds: dict[str, list[str]] = {start: [] for start in parents}
     order: list[str] = []
+    tested: dict[tuple[str, str], None] = {}
+    entry = machine.entry
     queue = deque(parents)
     while queue:
         state = queue.popleft()
         order.append(state)
-        for _, target in enabled_transitions(machine, state, env):
+        for wire, target in entry(state).transitions:
+            if wire.direction != OUTPUT:
+                key = (wire.handshake, wire.phase)
+                tested[key] = None
+                if key in env:
+                    continue
             if target not in parents:
                 parents[target] = state
                 preds[target] = []
                 queue.append(target)
             preds[target].append(state)
-    return order, parents, preds
+    return order, parents, preds, tested
 
 
 def _back_closure(preds: dict[str, list[str]], seeds: Iterable[str]) -> set[str]:
@@ -221,17 +231,21 @@ class _EnvAnswers:
     of the failing states, the doomed states, is computed: g holds at a
     state iff it is not doomed, and fg iff it lies in the backward closure
     of the undoomed states. From a graph's only start every state is
-    reached, so there fg is just "some state is not doomed". Build one per
-    query or per environment and drop it after: it is never memoised on the
-    machine.
+    reached, so there fg is just "some state is not doomed". tested holds
+    the input wires the exploration tested against the environment, in
+    first-test order: every environment that answers those wires alike
+    gets the same graph, so the same answers. Build one per query or per
+    environment and drop it after: it is never memoised on the machine.
     """
 
-    __slots__ = ("machine", "root", "order", "parents", "preds", "movers", "_doomed", "_hopeful")
+    __slots__ = (
+        "machine", "root", "order", "parents", "preds", "tested", "movers", "_doomed", "_hopeful"
+    )
 
     def __init__(self, machine: XdiMachine, env: Environment, starts: Sequence[str]) -> None:
         self.machine = machine
         self.root = starts[0] if len(starts) == 1 else None
-        self.order, self.parents, self.preds = _reach(machine, env, *starts)
+        self.order, self.parents, self.preds, self.tested = _reach(machine, env, *starts)
         # A state with an enabled move is some state's predecessor.
         self.movers = {pred for preds in self.preds.values() for pred in preds}
         self._doomed: dict[tuple[str, Mode], set[str]] = {}
@@ -268,6 +282,48 @@ class _EnvAnswers:
             undoomed = [other for other in self.order if other not in doomed]
             self._hopeful[key] = _back_closure(self.preds, undoomed)
         return state in self._hopeful[key]
+
+
+class _EnvClasses:
+    """Environments grouped by their answers to the input wires an
+    exploration from the initial state tests.
+
+    Each answer to "is this wire stable?" fixes which wire the exploration
+    tests next, so two environments that answer the tested wires alike get
+    the same order, parents and preds, hence the same fg answer for every
+    handshake and mode. The trie branches on those answers: an inner node
+    is [wire, live branch, stable branch], and a leaf is the value filed
+    for its class, anything but a list or None. Keep one for a sweep and
+    keep small values in it: a leaf holding an _EnvAnswers would keep every
+    class's graph alive.
+    """
+
+    __slots__ = ("_top",)
+
+    def __init__(self) -> None:
+        self._top: list = [None]  # holds the root at index 0
+
+    def find(self, env: Environment):
+        """The value filed for env's class, or None."""
+
+        node = self._top[0]
+        while type(node) is list:
+            node = node[2 if node[0] in env else 1]
+        return node
+
+    def add(self, env: Environment, tested: Iterable[tuple[str, str]], value) -> None:
+        """File value for env's class; tested is what env's exploration
+        tested, in first-test order."""
+
+        holder, index, depth = self._top, 0, 0
+        while type(holder[index]) is list:
+            holder = holder[index]
+            index, depth = 2 if holder[0] in env else 1, depth + 1
+        # The walk followed the first depth tested wires; branch on the rest.
+        node = value
+        for key in reversed(list(tested)[depth:]):
+            node = [key, None, node] if key in env else [key, node, None]
+        holder[index] = node
 
 
 # --- Bounded walk-enumeration oracle ---------------------------------------
@@ -365,9 +421,20 @@ def oracle_fg_check(
     machine = query.machine
     _check_oracle_size(machine, max_states)
     steps = _oracle_bound(machine, bound)
+    return _oracle_fg(machine, query.handshake, query.mode, query.env, start, steps)
+
+
+def _oracle_fg(
+    machine: XdiMachine,
+    handshake: str,
+    mode: Mode,
+    env: Environment,
+    start: str,
+    bound: int,
+) -> bool:
     return any(
-        machine.memo(_oracle_g, query.handshake, query.mode, query.env, state, steps)
-        for state in machine.memo(_walk_states, query.env, start, steps)
+        machine.memo(_oracle_g, handshake, mode, env, state, bound)
+        for state in machine.memo(_walk_states, env, start, bound)
     )
 
 
@@ -392,22 +459,31 @@ def cross_validate(
     max_states: int = ORACLE_MAX_STATES,
 ) -> tuple[Disagreement, ...]:
     """Compare g/fg against the oracle over every state, handshake, mode,
-    and environment; an empty result means full agreement."""
+    and environment; an empty result means full agreement.
+
+    The queries are validated once for the sweep, not once each: the
+    size limit first, then, as the first query would, the first
+    handshake's labels and the bound. answers.g reads each handshake's
+    labels before its oracle runs, so an ambiguous machine raises at the
+    same handshake as a query would.
+    """
 
     _check_oracle_size(machine, max_states)
     handshakes = sorted(machine.handshakes)
     states = [entry.name for entry in machine.states]
+    if handshakes:
+        compute_block_idle(machine, handshakes[0])
+        steps = _oracle_bound(machine, bound)
     found: list[Disagreement] = []
     for env in reasonable_envs(machine):
         answers = _EnvAnswers(machine, env, states)
         for handshake in handshakes:
             for mode in (BLOCKING, IDLING):
                 for start in states:
-                    query = TemporalQuery(machine, handshake, mode, env, start)
                     g = answers.g(handshake, mode, start)
-                    oracle_g = oracle_g_check(query, bound, max_states)
+                    oracle_g = machine.memo(_oracle_g, handshake, mode, env, start, steps)
                     fg = answers.fg(handshake, mode, start)
-                    oracle_fg = oracle_fg_check(query, bound, max_states)
+                    oracle_fg = _oracle_fg(machine, handshake, mode, env, start, steps)
                     for op, fast, slow in (("g", g, oracle_g), ("fg", fg, oracle_fg)):
                         if fast != slow:
                             found.append(

@@ -245,7 +245,8 @@ def _cmd_check(args) -> int:
             raise CommandError(f"condition {name}: {exc}") from exc
         except labeling.AmbiguousMachineError as exc:
             raise CommandError(str(exc)) from exc
-        payload.append(_verdict_payload(name, mach.name, text, verdict))
+        if args.json:
+            payload.append(_verdict_payload(name, mach.name, text, verdict))
         if verdict.holds_overall:
             lines.append(f"{mach.name}/{name}: holds ({len(verdict.per_env)} environments)")
         else:

@@ -321,20 +321,20 @@ def evaluate(form: Formula, resolve: Callable[[Formula], bool]) -> bool:
             return value
 
 
-def _machine_resolver(machine: XdiMachine, env: Environment) -> Callable[[Formula], bool]:
+def _machine_resolver(
+    machine: XdiMachine, env: Environment, made: list
+) -> Callable[[Formula], bool]:
     """Answer blocked(h) and idle(h) as checker.blocked and checker.idle
-    would, from one exploration under env, made at the first such atom."""
-
-    answers: checker._EnvAnswers | None = None
+    would, from one exploration under env, made at the first such atom and
+    appended to made."""
 
     def resolve(atom: Formula) -> bool:
-        nonlocal answers
         if not isinstance(atom, (BlockedAtom, IdleAtom)):
             raise ValueError(f"free variable {atom.name!r} in a machine condition")
-        if answers is None:
-            answers = checker._EnvAnswers(machine, env, (machine.init_state,))
+        if not made:
+            made.append(checker._EnvAnswers(machine, env, (machine.init_state,)))
         mode = checker.BLOCKING if isinstance(atom, BlockedAtom) else checker.IDLING
-        return answers.fg(atom.handshake, mode, machine.init_state)
+        return made[0].fg(atom.handshake, mode, machine.init_state)
 
     return resolve
 
@@ -381,20 +381,26 @@ def verify_condition(form: Formula, machine: XdiMachine) -> Verdict:
     """Evaluate the condition under every reasonable environment.
 
     Environments are visited smallest first; the verdict preserves that
-    order.
+    order. Only one environment per class (checker._EnvClasses) is
+    explored and evaluated; the rest of its class reuses its (lhs, rhs).
     """
 
     _check_atoms_known(form, machine)
+    iff = isinstance(form, Iff)
+    classes = checker._EnvClasses()
     entries = []
     for env in checker.reasonable_envs(machine):
-        resolve = _machine_resolver(machine, env)
-        if isinstance(form, Iff):
-            lhs = evaluate(form.lhs, resolve)
-            rhs = evaluate(form.rhs, resolve)
-            entries.append(EnvVerdict(env, lhs, rhs, lhs == rhs))
-        else:
-            value = evaluate(form, resolve)
-            entries.append(EnvVerdict(env, value, value, value))
+        sides = classes.find(env)
+        if sides is None:
+            made: list = []
+            resolve = _machine_resolver(machine, env, made)
+            if iff:
+                sides = (evaluate(form.lhs, resolve), evaluate(form.rhs, resolve))
+            else:
+                sides = (evaluate(form, resolve),) * 2
+            classes.add(env, made[0].tested if made else (), sides)
+        lhs, rhs = sides
+        entries.append(EnvVerdict(env, lhs, rhs, lhs == rhs if iff else lhs))
     return Verdict(all(entry.holds for entry in entries), tuple(entries))
 
 

@@ -66,7 +66,7 @@ def reference_fg_check(query) -> CheckResult:
     backward closure of the failing states."""
 
     ctx = _QueryContext(query)
-    order, parents, preds = _reach(ctx.machine, ctx.env, ctx.start)
+    order, parents, preds, _ = _reach(ctx.machine, ctx.env, ctx.start)
     doomed = _back_closure(preds, [state for state in order if not ctx.passes(state)])
     visited = frozenset(order)
     for state in order:

@@ -10,6 +10,7 @@ import pytest
 
 from xdicheck import machine as machine_mod
 from xdicheck.cli import main as cli_main
+from xdicheck.formulas import BlockedAtom, Formula, IdleAtom, Iff
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 MACHINES = REPO / "machines"
@@ -92,6 +93,31 @@ def ring_document():
     """Factory for ring machine documents: ring_document(length, polarity)."""
 
     return _ring_document
+
+
+def wide_document(k: int) -> str:
+    """Requests on inputs i0..i{k-1} in turn, a transient request on output
+    o, its acknowledgement, then the input acknowledgements in the same
+    order: k + 1 input wires, so 2^(k+1) environments."""
+
+    rows = [f"(q{j} {'t' if j == 0 else 'nil'} box (((i{j} R I) q{j + 1})))" for j in range(k)]
+    rows.append(f"(q{k} nil transient (((o R O) h)))")
+    rows.append("(h nil box (((o A I) a0)))")
+    for j in range(k):
+        target = f"a{j + 1}" if j + 1 < k else "q0"
+        rows.append(f"(a{j} nil transient (((i{j} A O) {target})))")
+    return f"(machine wide{k}\n  " + "\n  ".join(rows) + ")\n"
+
+
+def every_atom_iff(machine) -> Formula:
+    """An iff chain over every blocked and idle atom: evaluate resolves all
+    of them under every environment, since no iff operand short-circuits."""
+
+    form = None
+    for handshake in sorted(machine.handshakes):
+        for atom in (BlockedAtom(handshake), IdleAtom(handshake)):
+            form = atom if form is None else Iff(form, atom)
+    return form
 
 
 def _chain_netlist(n: int, broken: bool) -> str:

@@ -73,10 +73,11 @@ def measure(kind: str, size: int, broken: bool) -> dict:
     }
 
 
-def slope(rows: list[dict], key: str) -> float | None:
-    """Least-squares slope of log(seconds) against log(states)."""
+def slope(rows: list[dict], key: str, size: str = "states") -> float | None:
+    """Least-squares slope of log(seconds) against log(states), or against
+    the log of another size column."""
 
-    points = [(math.log(row["states"]), math.log(row[key])) for row in rows if row[key] > 0]
+    points = [(math.log(row[size]), math.log(row[key])) for row in rows if row[key] > 0]
     if len(points) < 2:
         return None
     mean_x = sum(x for x, _ in points) / len(points)

@@ -122,7 +122,7 @@ def per_state_fg_check(query):
     """Reference fg: the first reachable state, in BFS order, where the
     reference g holds."""
 
-    order, parents, _ = checker._reach(query.machine, query.env, query.resolved_start())
+    order, parents, *_ = checker._reach(query.machine, query.env, query.resolved_start())
     for state in order:
         if reference_g_check(replace(query, start=state)).holds:
             return CheckResult(True, frozenset(order), checker._trace_to(parents, state))

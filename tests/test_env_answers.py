@@ -1,7 +1,9 @@
 """The answer table as the one g/fg engine: the table, g_check and
 fg_check against the reference checks of tests/checker_reference.py,
-verify_condition against the per-atom resolver it replaced, and the number
-of explorations each query and each environment costs."""
+verify_condition against a loop without environment classes (with a fresh
+exploration or one query per atom), the classes against fresh explorations
+on every small machine, and the number of explorations each query,
+environment and class costs."""
 
 from dataclasses import replace
 from itertools import combinations
@@ -9,7 +11,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
+import labeling_sweep
 from checker_reference import reference_fg_check, reference_g_check
+from conftest import every_atom_iff, wide_document
 from test_properties import BASE, formula_st
 from xdicheck import checker, formulas, labeling
 from xdicheck.checker import (
@@ -26,30 +30,19 @@ from xdicheck.formulas import (
     TRUE,
     And,
     BlockedAtom,
+    EnvVerdict,
     IdleAtom,
     Iff,
     Or,
     VarAtom,
+    Verdict,
+    evaluate,
     parse_condition,
     verify_condition,
 )
 from xdicheck.labeling import UnknownHandshakeError
 from xdicheck.library import builtin_library
 from xdicheck.machine import parse_document
-
-
-def wide_document(k: int) -> str:
-    """Requests on inputs i0..i{k-1} in turn, a transient request on output
-    o, its acknowledgement, then the input acknowledgements in the same
-    order: k + 1 input wires, so 2^(k+1) environments."""
-
-    rows = [f"(q{j} {'t' if j == 0 else 'nil'} box (((i{j} R I) q{j + 1})))" for j in range(k)]
-    rows.append(f"(q{k} nil transient (((o R O) h)))")
-    rows.append("(h nil box (((o A I) a0)))")
-    for j in range(k):
-        target = f"a{j + 1}" if j + 1 < k else "q0"
-        rows.append(f"(a{j} nil transient (((i{j} A O) {target})))")
-    return f"(machine wide{k}\n  " + "\n  ".join(rows) + ")\n"
 
 
 def wide_conditions(k: int) -> list[str]:
@@ -62,17 +55,6 @@ def wide_conditions(k: int) -> list[str]:
         f"blocked({last}) -> !idle(o)",
     ]
     return texts
-
-
-def every_atom_iff(machine) -> formulas.Formula:
-    """An iff chain over every blocked and idle atom: evaluate resolves all
-    of them under every environment, since no iff operand short-circuits."""
-
-    form = None
-    for handshake in sorted(machine.handshakes):
-        for atom in (BlockedAtom(handshake), IdleAtom(handshake)):
-            form = atom if form is None else Iff(form, atom)
-    return form
 
 
 def _outcome(thunk):
@@ -173,7 +155,13 @@ def test_checks_match_the_references_result_for_result(differential_machines):
                 assert _full_outcome(check, query) == expected, (check.__name__, query)
 
 
-# --- verify_condition against the per-atom resolver ---------------------------
+# --- verify_condition against references without classes ---------------------
+
+
+def fresh_resolver(machine, env):
+    """One exploration of its own per environment, shared with no other."""
+
+    return formulas._machine_resolver(machine, env, [])
 
 
 def per_atom_resolver(machine, env):
@@ -190,16 +178,31 @@ def per_atom_resolver(machine, env):
     return resolve
 
 
-def reference_verdict(form, machine):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formulas, "_machine_resolver", per_atom_resolver)
-        return verify_condition(form, machine)
+def reference_verify_condition(form, machine, resolver=fresh_resolver):
+    """verify_condition as it was before environment classes: every
+    environment evaluated on its own, through a new resolver."""
+
+    formulas._check_atoms_known(form, machine)
+    entries = []
+    for env in reasonable_envs(machine):
+        resolve = resolver(machine, env)
+        if isinstance(form, Iff):
+            lhs = evaluate(form.lhs, resolve)
+            rhs = evaluate(form.rhs, resolve)
+            entries.append(EnvVerdict(env, lhs, rhs, lhs == rhs))
+        else:
+            value = evaluate(form, resolve)
+            entries.append(EnvVerdict(env, value, value, value))
+    return Verdict(all(entry.holds for entry in entries), tuple(entries))
 
 
 def assert_same_verdict(form, machine):
-    """Both resolvers give the same verdict or raise the same error; returns it."""
+    """verify_condition and both references give the same verdict or raise
+    the same error; returns it."""
 
-    expected = _outcome(lambda: reference_verdict(form, machine))
+    expected = _outcome(lambda: reference_verify_condition(form, machine))
+    per_atom = _outcome(lambda: reference_verify_condition(form, machine, per_atom_resolver))
+    assert per_atom == expected, (machine.name, form)
     assert _outcome(lambda: verify_condition(form, machine)) == expected, (machine.name, form)
     return expected
 
@@ -277,11 +280,49 @@ def explorations(monkeypatch):
 
 
 def test_verify_condition_explores_once_per_environment(explorations):
+    """At most once per environment, and once per class: on wide k the live
+    environment and each single stable wire i0..i{k-1}, o.A strand the
+    machine at a different point, and every larger environment falls in
+    the class of its first stable wire along the cycle."""
+
     machine = parse_document(wide_document(4))[0]
     form = every_atom_iff(machine)
     assert len(list(formulas.atoms(form))) == 10
     verify_condition(form, machine)
-    assert explorations == list(reasonable_envs(machine))
+    assert len(explorations) == 6
+    assert len(set(explorations)) == len(explorations)
+    assert set(explorations) <= set(reasonable_envs(machine))
+
+
+def test_environment_classes_are_sound_exhaustively():
+    """Every environment of every small machine: the exploration filed for
+    its class has the order, parents, preds, tested wires and fg answers
+    at the initial state of a fresh exploration under it."""
+
+    alphabet = labeling_sweep.wires("a.R,a.A,b.R,b.A")
+    machines = envs = 0
+    for machine in labeling_sweep.machines(2, alphabet, 2):
+        machines += 1
+        start = machine.init_state
+        classes = checker._EnvClasses()
+        for env in reasonable_envs(machine):
+            envs += 1
+            fresh = checker._EnvAnswers(machine, env, (start,))
+            filed = classes.find(env)
+            if filed is None:
+                classes.add(env, fresh.tested, fresh)
+                filed = classes.find(env)
+            assert filed.order == fresh.order, (machine, env)
+            assert filed.parents == fresh.parents, (machine, env)
+            assert filed.preds == fresh.preds, (machine, env)
+            assert list(filed.tested) == list(fresh.tested), (machine, env)
+            for handshake in sorted(machine.handshakes):
+                for mode in (BLOCKING, IDLING):
+                    got = _outcome(lambda: filed.fg(handshake, mode, start))
+                    assert got == _outcome(lambda: fresh.fg(handshake, mode, start)), (
+                        machine, env, handshake, mode,
+                    )
+    assert (machines, envs) == (3870, 10460)
 
 
 def test_cross_validate_explores_once_per_environment(explorations, join):
