@@ -15,6 +15,13 @@ environment and condition verification one per class of environments
 linear in the reachable states plus edges, and a failing g query explores
 the whole reachable graph.
 
+The bounded walk oracle (oracle_g_check, oracle_fg_check) answers the same
+queries from the definitions, with none of the engine's code: _oracle_sets
+gives the states where g holds and those where fg holds, for one
+environment, handshake, mode and bound. cross_validate compares those two
+sets with the engine's per (environment, handshake, mode) and lists
+disagreements state by state only where a pair of sets differs.
+
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
 readings. Both the graph algorithms and the walk-enumeration oracle
@@ -108,8 +115,13 @@ def _checked_start(query: TemporalQuery) -> str:
 
 
 def reasonable_envs(machine: XdiMachine) -> tuple[Environment, ...]:
-    """All environments, smallest first and lexicographic within a size."""
+    """All environments, smallest first and lexicographic within a size;
+    built once per machine."""
 
+    return machine.memo(_environments)
+
+
+def _environments(machine: XdiMachine) -> tuple[Environment, ...]:
     wires = machine.sorted_input_wires
     return tuple(
         frozenset(subset)
@@ -273,15 +285,20 @@ class _EnvAnswers:
     def g(self, handshake: str, mode: Mode, state: str) -> bool:
         return state not in self.doomed(handshake, mode)
 
-    def fg(self, handshake: str, mode: Mode, state: str) -> bool:
-        doomed = self.doomed(handshake, mode)
-        if state == self.root:
-            return len(doomed) < len(self.order)
+    def hopeful(self, handshake: str, mode: Mode) -> set[str]:
+        """The backward closure of the undoomed states: where fg holds."""
+
         key = (handshake, mode)
         if key not in self._hopeful:
-            undoomed = [other for other in self.order if other not in doomed]
+            doomed = self.doomed(handshake, mode)
+            undoomed = [state for state in self.order if state not in doomed]
             self._hopeful[key] = _back_closure(self.preds, undoomed)
-        return state in self._hopeful[key]
+        return self._hopeful[key]
+
+    def fg(self, handshake: str, mode: Mode, state: str) -> bool:
+        if state == self.root:
+            return len(self.doomed(handshake, mode)) < len(self.order)
+        return state in self.hopeful(handshake, mode)
 
 
 class _EnvClasses:
@@ -333,9 +350,13 @@ class _EnvClasses:
 # test, and an fg query holds iff some such walk ends in a state whose g
 # query holds. Since every prefix of a walk is a walk, the final states of
 # all bounded walks are exactly the states reachable within the bound,
-# which _walk_states collects one breadth-first layer per step. Both
-# helpers run through XdiMachine.memo, so each walk set and each g answer
-# is computed once per machine.
+# which _walk_states collects one breadth-first layer per step.
+# _oracle_sets answers both queries for every start at once. Per
+# environment and bound, _oracle_walks builds every state's walk set and
+# lists the states that may fail a mode test, once per machine through
+# XdiMachine.memo. Per handshake and mode, the g set holds the starts whose
+# walk set misses the failing states, and the fg set the starts whose walk
+# set meets the g set. The oracle reads nothing of the g/fg engine above.
 
 ORACLE_MAX_STATES = 20
 
@@ -377,24 +398,43 @@ def _walk_states(
     return frozenset(reached)
 
 
-def _oracle_g(
-    machine: XdiMachine,
-    handshake: str,
-    mode: Mode,
-    env: Environment,
-    start: str,
-    bound: int,
-) -> bool:
+def _oracle_walks(
+    machine: XdiMachine, env: Environment, bound: int
+) -> tuple[dict[str, frozenset[str]], list[str]]:
+    """Every state's walk set under env, and the states that may fail a
+    mode test: those with an enabled move that are not transient."""
+
+    walks = {entry.name: _walk_states(machine, env, entry.name, bound) for entry in machine.states}
+    candidates = [
+        state
+        for state in walks
+        if not machine.entry(state).is_transient and enabled_transitions(machine, state, env)
+    ]
+    return walks, candidates
+
+
+def _oracle_sets(
+    machine: XdiMachine, handshake: str, mode: Mode, env: Environment, bound: int
+) -> tuple[set[str], set[str]]:
+    """The states where the g query holds, and those where the fg query holds."""
+
+    walks, candidates = machine.memo(_oracle_walks, env, bound)
     labels = compute_block_idle(machine, handshake)
-    for state in machine.memo(_walk_states, env, start, bound):
-        if machine.entry(state).is_transient:
-            continue
-        if labels.mode(state) == mode:
-            continue
-        if not enabled_transitions(machine, state, env):
-            continue
-        return False
-    return True
+    failing = {state for state in candidates if labels.mode(state) != mode}
+    g = {state for state, walk in walks.items() if failing.isdisjoint(walk)}
+    fg = {state for state, walk in walks.items() if not g.isdisjoint(walk)}
+    return g, fg
+
+
+def _oracle_answers(query: TemporalQuery, bound: int | None, max_states: int) -> tuple[bool, bool]:
+    """The oracle's g and fg answers at the query's start."""
+
+    start = _checked_start(query)
+    machine = query.machine
+    _check_oracle_size(machine, max_states)
+    steps = _oracle_bound(machine, bound)
+    g, fg = _oracle_sets(machine, query.handshake, query.mode, query.env, steps)
+    return start in g, start in fg
 
 
 def oracle_g_check(
@@ -404,10 +444,7 @@ def oracle_g_check(
 ) -> bool:
     """Reference implementation of the g query over bounded walks."""
 
-    start = _checked_start(query)
-    _check_oracle_size(query.machine, max_states)
-    steps = _oracle_bound(query.machine, bound)
-    return query.machine.memo(_oracle_g, query.handshake, query.mode, query.env, start, steps)
+    return _oracle_answers(query, bound, max_states)[0]
 
 
 def oracle_fg_check(
@@ -417,25 +454,7 @@ def oracle_fg_check(
 ) -> bool:
     """Reference implementation of the fg query over bounded walks."""
 
-    start = _checked_start(query)
-    machine = query.machine
-    _check_oracle_size(machine, max_states)
-    steps = _oracle_bound(machine, bound)
-    return _oracle_fg(machine, query.handshake, query.mode, query.env, start, steps)
-
-
-def _oracle_fg(
-    machine: XdiMachine,
-    handshake: str,
-    mode: Mode,
-    env: Environment,
-    start: str,
-    bound: int,
-) -> bool:
-    return any(
-        machine.memo(_oracle_g, handshake, mode, env, state, bound)
-        for state in machine.memo(_walk_states, env, start, bound)
-    )
+    return _oracle_answers(query, bound, max_states)[1]
 
 
 # --- Cross validation -------------------------------------------------------
@@ -463,28 +482,37 @@ def cross_validate(
 
     The queries are validated once for the sweep, not once each: the
     size limit first, then, as the first query would, the first
-    handshake's labels and the bound. answers.g reads each handshake's
-    labels before its oracle runs, so an ambiguous machine raises at the
-    same handshake as a query would.
+    handshake's labels, then the bound, whether or not the machine has a
+    handshake. Per environment, handshake and mode, the engine's g set
+    (the undoomed states) and fg set (their backward closure) are compared
+    with the oracle's; only a pair that differs is walked state by state,
+    in declaration order, g before fg. The engine's sets read each
+    handshake's labels before the oracle's, so an ambiguous machine raises
+    at the same handshake as a query would.
     """
 
     _check_oracle_size(machine, max_states)
     handshakes = sorted(machine.handshakes)
-    states = [entry.name for entry in machine.states]
     if handshakes:
         compute_block_idle(machine, handshakes[0])
-        steps = _oracle_bound(machine, bound)
+    steps = _oracle_bound(machine, bound)
+    states = [entry.name for entry in machine.states]
+    every = set(states)
     found: list[Disagreement] = []
     for env in reasonable_envs(machine):
         answers = _EnvAnswers(machine, env, states)
         for handshake in handshakes:
             for mode in (BLOCKING, IDLING):
+                g = every - answers.doomed(handshake, mode)
+                fg = answers.hopeful(handshake, mode)
+                oracle_g, oracle_fg = _oracle_sets(machine, handshake, mode, env, steps)
+                if g == oracle_g and fg == oracle_fg:
+                    continue
                 for start in states:
-                    g = answers.g(handshake, mode, start)
-                    oracle_g = machine.memo(_oracle_g, handshake, mode, env, start, steps)
-                    fg = answers.fg(handshake, mode, start)
-                    oracle_fg = _oracle_fg(machine, handshake, mode, env, start, steps)
-                    for op, fast, slow in (("g", g, oracle_g), ("fg", fg, oracle_fg)):
+                    for op, fast, slow in (
+                        ("g", start in g, start in oracle_g),
+                        ("fg", start in fg, start in oracle_fg),
+                    ):
                         if fast != slow:
                             found.append(
                                 Disagreement(op, handshake, mode, env, start, fast, slow)

@@ -9,9 +9,11 @@ and compute_block_idle with the oracle under every order of every state's
 transitions, so no label and no verdict may depend on declaration order.
 
 The sweep draws transitions from a fixed wire alphabet. Direction is fixed
-per wire (requests are inputs, acknowledges outputs): validation only asks
-that it be consistent, and the parity search reads neither direction nor
-phase nor state kind, so these choices change no label.
+per wire (by default requests are inputs, acknowledges outputs; wires()
+also takes an explicit direction): validation only asks that it be
+consistent, and the parity search reads neither direction nor phase nor
+state kind, so these choices change no label. tests/oracle_sweep.py runs
+cross validation over the same machines, where directions do matter.
 
 The tests run a small slice. Run a larger bound from the repository root:
 
@@ -34,10 +36,14 @@ from xdicheck.machine import BOX, TRANSIENT, StateEntry, Wire, XdiMachine, valid
 
 
 def wires(text: str) -> tuple[Wire, ...]:
-    """Wires from text such as ``a.R,b.A``: requests in, acknowledges out."""
+    """Wires from text such as ``a.R,b.A``: requests in, acknowledges out,
+    unless a third part gives the direction, as in ``b.R.O,b.A.I``."""
 
-    pairs = (item.split(".") for item in text.split(","))
-    return tuple(Wire(name, phase, "I" if phase == "R" else "O") for name, phase in pairs)
+    made = []
+    for item in text.split(","):
+        name, phase, *direction = item.split(".")
+        made.append(Wire(name, phase, direction[0] if direction else "I" if phase == "R" else "O"))
+    return tuple(made)
 
 
 def machines(max_states: int, alphabet: tuple[Wire, ...], max_out: int, kinds=(BOX, TRANSIENT)):

@@ -286,6 +286,21 @@ def test_oracle_check_takes_long_bounds(run_cli, join_path):
     assert "disagreements: 0" in result.out
 
 
+@pytest.mark.parametrize("document", ["join", "(machine lone (s0 t box ()))"])
+def test_oracle_check_rejects_a_negative_bound_on_every_machine(run_cli, join_path, tmp_path, document):
+    """The bound is checked whether or not the machine has a handshake; a
+    one-state machine without transitions used to print queries: 0."""
+
+    path = join_path
+    if document != "join":
+        path = tmp_path / "lone.xdi"
+        path.write_text(document)
+    result = run_cli("oracle-check", str(path), "--bound", "-1")
+    assert result.code == 2
+    assert result.err == "error: oracle bound must be non-negative\n"
+    assert result.out == ""
+
+
 def test_oracle_check_rejects_large_machines(run_cli, machines_dir, tmp_path):
     states = ["(s0 t box (((a R I) s1)))"]
     states += [f"(s{i} nil box (((a R I) s{i + 1})))" for i in range(1, 24)]

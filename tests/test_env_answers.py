@@ -347,11 +347,13 @@ def test_single_queries_explore_once_and_memoise_only_labels(explorations, ask):
         for handshake in sorted(machine.handshakes):
             ask(machine, handshake, env)
     assert explorations == [env for env in envs for _ in machine.handshakes]
-    assert {fn for fn, _ in machine._memo} == {labeling._parity_search}
+    # Labels and the environment tuple, never an answer.
+    assert {fn for fn, _ in machine._memo} == {labeling._parity_search, checker._environments}
 
 
 def test_verify_condition_memoises_only_labels():
     machine = parse_document(wide_document(6))[0]
     verify_condition(every_atom_iff(machine), machine)
     assert machine._memo
-    assert {fn for fn, _ in machine._memo} == {labeling._parity_search}
+    # Labels and the environment tuple, never an answer.
+    assert {fn for fn, _ in machine._memo} == {labeling._parity_search, checker._environments}
