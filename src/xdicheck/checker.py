@@ -31,12 +31,12 @@ apply the same rule, so the two implementations stay comparable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
 from .machine import OUTPUT, Environment, XdiMachine, enabled_transitions, is_environment
+from .record import Record
 
 __all__ = [
     "TemporalQuery",
@@ -54,8 +54,7 @@ __all__ = [
     "IDLING",
 ]
 
-@dataclass(frozen=True)
-class TemporalQuery:
+class TemporalQuery(Record):
     """One check: machine, handshake, mode, environment, start state.
 
     A start of None means the machine's initial state.
@@ -71,8 +70,7 @@ class TemporalQuery:
         return self.machine.init_state if self.start is None else self.start
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome plus evidence.
 
     visited is the reachable state set, except for a failed g check:
@@ -459,8 +457,7 @@ def oracle_fg_check(
 
 # --- Cross validation -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(Record):
     """One query where the graph algorithm and the oracle differ."""
 
     op: str

@@ -13,7 +13,6 @@ variables, and emits the result as SMT-LIB.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
@@ -30,8 +29,9 @@ from .formulas import (
     smt_term,
 )
 from .labeling import compute_block_idle
-from .library import builtin_library, get_primitive
+from .library import PRIMITIVE_NAMES, get_primitive
 from .machine import INPUT, OUTPUT, REQUEST, ACK, XdiMachine
+from .record import Record
 from .sexpr import Form, error_at, expect_list, expect_symbol, located, read_forms
 
 __all__ = [
@@ -76,15 +76,13 @@ class Endpoint(NamedTuple):
         return f"{self.instance}.{self.handshake}"
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Record):
     name: str
     end_a: Endpoint
     end_b: Endpoint
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(Record):
     """Instances, channels, and which external handshakes are stable."""
 
     name: str
@@ -135,7 +133,7 @@ def parse_netlist(text: str) -> Netlist:
 
     with located(text):
         netlist = _netlist_from_forms(read_forms(text))
-    _validate_netlist(netlist, {spec.name for spec in builtin_library()})
+    _validate_netlist(netlist)
     return netlist
 
 
@@ -179,13 +177,13 @@ def _netlist_from_forms(forms: tuple[Form, ...]) -> Netlist:
     return Netlist(name, tuple(instances), tuple(channels), frozenset(stable))
 
 
-def _validate_netlist(netlist: Netlist, known_primitives: set[str]) -> None:
+def _validate_netlist(netlist: Netlist) -> None:
     seen_instances: set[str] = set()
     for instance, primitive in netlist.instances:
         if instance in seen_instances:
             raise NetlistError(f"duplicate instance id {instance!r}")
         seen_instances.add(instance)
-        if primitive not in known_primitives:
+        if primitive not in PRIMITIVE_NAMES:
             raise NetlistError(f"unknown primitive {primitive!r} for instance {instance!r}")
 
     machines = {inst: netlist.machine_of(inst) for inst in seen_instances}
@@ -245,8 +243,7 @@ class Edge(NamedTuple):
     target: ProductState
 
 
-@dataclass(frozen=True)
-class ProductSystem:
+class ProductSystem(Record):
     """Reachable product transition system of a netlist, packed into ints.
 
     Each instance numbers its local states in declaration order, and a
@@ -484,8 +481,7 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
 # --- Deadlock search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeadlockFinding:
+class DeadlockFinding(Record):
     """A reachable product state with at least one stuck instance."""
 
     state: ProductState
@@ -642,14 +638,12 @@ def fullness_invariant(system: ProductSystem) -> Formula | None:
 # --- Deadlock formula --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     label: str
     formula: Formula
 
 
-@dataclass(frozen=True)
-class DeadlockInstance:
+class DeadlockInstance(Record):
     """Boolean deadlock query: variables, labeled constraints, target channel."""
 
     variables: tuple[str, ...]

@@ -10,7 +10,6 @@ the program failed internally.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -62,6 +61,8 @@ def _parse_env_arg(text: str | None, mach: machine.XdiMachine):
 
 def _emit(payload, as_json: bool, lines: Sequence[str]) -> None:
     if as_json:
+        import json  # here, so that a text run does not pay for its import
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -393,91 +394,92 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Subcommand: (help line, handler), in the order the top-level help lists them.
+_COMMANDS = {
+    "validate": ("validate a machine file", _cmd_validate),
+    "labels": ("blocking/idling labels per state", _cmd_labels),
+    "envs": ("list the reasonable environments", _cmd_envs),
+    "query": ("run one temporal query", _cmd_query),
+    "check": ("verify conditions against a machine", _cmd_check),
+    "check-library": ("re-verify the builtin library", _cmd_check_library),
+    "oracle-check": ("cross-validate against the oracle", _cmd_oracle_check),
+    "deadlock": ("search a circuit for deadlocks", _cmd_deadlock),
+}
+
+
+def _add_arguments(command: str, sub: argparse.ArgumentParser) -> None:
+    """One subcommand's arguments, in the order its usage line lists them."""
+
+    if command != "check-library":
+        sub.add_argument("file")
+    if command == "validate":
+        sub.add_argument("--emit-dot", metavar="PATH", help="also write a graphviz rendering")
+    elif command in ("labels", "query"):
+        sub.add_argument("--handshake", required=True)
+    if command == "query":
+        sub.add_argument("--op", choices=("g", "fg", "blocked", "idle"), required=True)
+        sub.add_argument("--mode", choices=(checker.BLOCKING, checker.IDLING))
+        sub.add_argument("--env", help="stable input wires, e.g. a.R,c.A (default: live)")
+        sub.add_argument("--start", help="start state (default: initial state)")
+    elif command == "check":
+        sub.add_argument("--condition", help="condition DSL text (default: file trailer)")
+        sub.add_argument("--name", help="check only the named trailer condition")
+    elif command == "oracle-check":
+        sub.add_argument("--bound", type=int, help="walk bound (default: states + 1)")
+        sub.add_argument(
+            "--max-states",
+            type=_non_negative_int,
+            default=checker.ORACLE_MAX_STATES,
+            help="largest machine the oracle accepts",
+        )
+    elif command == "deadlock":
+        sub.add_argument("--channel", help="derive and solve Dead(channel)")
+        sub.add_argument("--emit-smt", metavar="PATH", help="write the instance as SMT-LIB 2")
+        sub.add_argument(
+            "--max-states",
+            type=_non_negative_int,
+            default=circuit.PRODUCT_LIMIT,
+            help="product exploration bound",
+        )
+    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    sub.add_argument(
+        "--deterministic",
+        action="store_true",
+        help="byte-deterministic output (always on; flag kept for CI recipes)",
+    )
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for argv: when argv starts with a subcommand, only that
+    subcommand's parser is built, under the full list's metavar, so every
+    usage line reads as with the whole tree. -h, no subcommand or an
+    unknown one builds the whole tree, with argparse's default metavar,
+    which the missing-subcommand error names as "command"."""
+
     parser = argparse.ArgumentParser(
         prog="xdicheck",
         description="Verification toolkit for delay-insensitive handshake machines.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub):
-        sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        sub.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="byte-deterministic output (always on; flag kept for CI recipes)",
-        )
-
-    sub = subparsers.add_parser("validate", help="validate a machine file")
-    sub.add_argument("file")
-    sub.add_argument("--emit-dot", metavar="PATH", help="also write a graphviz rendering")
-    common(sub)
-    sub.set_defaults(func=_cmd_validate)
-
-    sub = subparsers.add_parser("labels", help="blocking/idling labels per state")
-    sub.add_argument("file")
-    sub.add_argument("--handshake", required=True)
-    common(sub)
-    sub.set_defaults(func=_cmd_labels)
-
-    sub = subparsers.add_parser("envs", help="list the reasonable environments")
-    sub.add_argument("file")
-    common(sub)
-    sub.set_defaults(func=_cmd_envs)
-
-    sub = subparsers.add_parser("query", help="run one temporal query")
-    sub.add_argument("file")
-    sub.add_argument("--handshake", required=True)
-    sub.add_argument("--op", choices=("g", "fg", "blocked", "idle"), required=True)
-    sub.add_argument("--mode", choices=(checker.BLOCKING, checker.IDLING))
-    sub.add_argument("--env", help="stable input wires, e.g. a.R,c.A (default: live)")
-    sub.add_argument("--start", help="start state (default: initial state)")
-    common(sub)
-    sub.set_defaults(func=_cmd_query)
-
-    sub = subparsers.add_parser("check", help="verify conditions against a machine")
-    sub.add_argument("file")
-    sub.add_argument("--condition", help="condition DSL text (default: file trailer)")
-    sub.add_argument("--name", help="check only the named trailer condition")
-    common(sub)
-    sub.set_defaults(func=_cmd_check)
-
-    sub = subparsers.add_parser("check-library", help="re-verify the builtin library")
-    common(sub)
-    sub.set_defaults(func=_cmd_check_library)
-
-    sub = subparsers.add_parser("oracle-check", help="cross-validate against the oracle")
-    sub.add_argument("file")
-    sub.add_argument("--bound", type=int, help="walk bound (default: states + 1)")
-    sub.add_argument(
-        "--max-states",
-        type=_non_negative_int,
-        default=checker.ORACLE_MAX_STATES,
-        help="largest machine the oracle accepts",
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    subparsers = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if named is None else "{" + ",".join(_COMMANDS) + "}",
     )
-    common(sub)
-    sub.set_defaults(func=_cmd_oracle_check)
-
-    sub = subparsers.add_parser("deadlock", help="search a circuit for deadlocks")
-    sub.add_argument("file")
-    sub.add_argument("--channel", help="derive and solve Dead(channel)")
-    sub.add_argument("--emit-smt", metavar="PATH", help="write the instance as SMT-LIB 2")
-    sub.add_argument(
-        "--max-states",
-        type=_non_negative_int,
-        default=circuit.PRODUCT_LIMIT,
-        help="product exploration bound",
-    )
-    common(sub)
-    sub.set_defaults(func=_cmd_deadlock)
-
+    for command, (help_line, handler) in _COMMANDS.items():
+        if named in (None, command):
+            sub = subparsers.add_parser(command, help=help_line)
+            _add_arguments(command, sub)
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the exit code instead of raising."""
 
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from . import checker
 from .labeling import UnknownHandshakeError
 from .machine import Environment, XdiMachine, format_env
+from .record import Record
 from .sexpr import ParseError, located
 
 __all__ = [
@@ -47,51 +47,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class BlockedAtom:
+class BlockedAtom(Record):
     handshake: str
 
 
-@dataclass(frozen=True)
-class IdleAtom:
+class IdleAtom(Record):
     handshake: str
 
 
-@dataclass(frozen=True)
-class VarAtom:
+class VarAtom(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(Record):
     lhs: "Formula"
     rhs: "Formula"
 
@@ -347,8 +338,7 @@ def _check_atoms_known(form: Formula, machine: XdiMachine) -> None:
             )
 
 
-@dataclass(frozen=True)
-class EnvVerdict:
+class EnvVerdict(Record):
     """Condition outcome under a single environment.
 
     For an iff-rooted condition, lhs and rhs are the two sides' values;
@@ -365,8 +355,7 @@ class EnvVerdict:
         return f"{format_env(self.env)}: lhs={self.lhs} rhs={self.rhs} {flag}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Per-environment outcomes for one condition against one machine."""
 
     holds_overall: bool

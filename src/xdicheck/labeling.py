@@ -13,10 +13,10 @@ short witness paths does.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping
 
 from .machine import XdiMachine
+from .record import Record
 
 __all__ = [
     "Mode",
@@ -52,8 +52,7 @@ class AmbiguousMachineError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(Record):
     """Map from state id to its label; True means blocking."""
 
     handshake: str
@@ -63,8 +62,7 @@ class LabelMap:
         return BLOCKING if self.labels[state] else IDLING
 
 
-@dataclass(frozen=True)
-class ParityConflict:
+class ParityConflict(Record):
     """A state reached with both parities, with one witness path for each."""
 
     state: str
@@ -72,8 +70,7 @@ class ParityConflict:
     blocking_path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(Record):
     """Conflicts found by parity propagation.
 
     Every state reached with both parities, box or transient, is a witness,

@@ -1,7 +1,8 @@
 """Builtin primitive library.
 
 Each primitive ships as a data file holding its machine and the verified
-blocking/idling conditions. The files are parsed on first use; the full
+blocking/idling conditions. Each file is parsed on the first use of its
+primitive, so a netlist loads only the primitives it names; the full
 verification pass (validation, unambiguity, every condition under every
 environment) is exercised by verify_library, which the test suite and
 the check-library subcommand run end to end.
@@ -9,15 +10,15 @@ the check-library subcommand run end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
 from functools import cache
-from importlib import resources
 from typing import Mapping
 
 from .formulas import And, BlockedAtom, Formula, IdleAtom, Iff, Not, VarAtom, Verdict
 from .formulas import parse_condition, verify_condition
 from .labeling import check_unambiguous
 from .machine import XdiMachine, parse_document, validate
+from .record import Record
 
 __all__ = [
     "NamedCondition",
@@ -33,8 +34,7 @@ __all__ = [
 PRIMITIVE_NAMES = ("join", "distributor", "fork", "storage", "source", "sink")
 
 
-@dataclass(frozen=True)
-class NamedCondition:
+class NamedCondition(Record):
     name: str
     formula: Formula
     text: str
@@ -62,8 +62,7 @@ _FORMULA_FACTS = {
 }
 
 
-@dataclass(frozen=True)
-class PrimitiveSpec:
+class PrimitiveSpec(Record):
     """A machine with its verified conditions, and what the deadlock
     formula assumes of each instance: its facts and, when it has a
     full_<instance> variable, the fullness of each settled state."""
@@ -72,12 +71,25 @@ class PrimitiveSpec:
     machine: XdiMachine
     conditions: tuple[NamedCondition, ...]
     facts: tuple[NamedCondition, ...]
-    fullness: Mapping[str, bool] = field(hash=False)  # a dict: left out of the hash
+    fullness: Mapping[str, bool]
+
+    def __hash__(self) -> int:  # fullness is a dict: left out of the hash
+        return hash((self.name, self.machine, self.conditions, self.facts))
 
 
-def _load_primitive(name: str) -> PrimitiveSpec:
-    data = resources.files("xdicheck").joinpath("library_data", f"{name}.xdi")
-    machine, raw_conditions = parse_document(data.read_text(encoding="utf-8"))
+# The data files sit beside this module and are opened by path: importing
+# importlib.resources takes longer than parsing all six of them.
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "library_data")
+
+
+@cache
+def get_primitive(name: str) -> PrimitiveSpec:
+    """The shipped primitive of that name, its file parsed on first use."""
+
+    if name not in PRIMITIVE_NAMES:
+        raise KeyError(f"no builtin primitive named {name!r}")
+    with open(os.path.join(_DATA, f"{name}.xdi"), encoding="utf-8") as handle:
+        machine, raw_conditions = parse_document(handle.read())
     conditions = tuple(
         NamedCondition(cond_name, parse_condition(text), text)
         for cond_name, text in raw_conditions
@@ -86,22 +98,13 @@ def _load_primitive(name: str) -> PrimitiveSpec:
     return PrimitiveSpec(machine.name, machine, conditions, facts, _FULLNESS.get(name, {}))
 
 
-@cache
 def builtin_library() -> tuple[PrimitiveSpec, ...]:
     """All shipped primitives, in stable order."""
 
-    return tuple(_load_primitive(name) for name in PRIMITIVE_NAMES)
+    return tuple(map(get_primitive, PRIMITIVE_NAMES))
 
 
-def get_primitive(name: str) -> PrimitiveSpec:
-    for spec in builtin_library():
-        if spec.name == name:
-            return spec
-    raise KeyError(f"no builtin primitive named {name!r}")
-
-
-@dataclass(frozen=True)
-class LibraryEntryReport:
+class LibraryEntryReport(Record):
     """Verification outcome for one primitive."""
 
     primitive: str

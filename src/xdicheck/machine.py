@@ -10,10 +10,10 @@ labelled with a stable wire is disabled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
+from .record import Record
 from .sexpr import Form, ParseError, error_at, expect_list, expect_symbol, located, read_forms
 from .sexpr import spelling, string_value
 
@@ -43,13 +43,20 @@ BOX = "box"
 TRANSIENT = "transient"
 
 
-@dataclass(frozen=True, order=True)
-class Wire:
-    """A transition label: handshake id, phase R|A, direction I|O."""
+@total_ordering
+class Wire(Record):
+    """A transition label: handshake id, phase R|A, direction I|O.
+
+    Wires order as the tuples of their fields."""
 
     handshake: str
     phase: str
     direction: str
+
+    def __lt__(self, other):
+        if other.__class__ is Wire:
+            return self._values() < other._values()
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"({self.handshake} {self.phase} {self.direction})"
@@ -70,8 +77,7 @@ class StateEntry(NamedTuple):
         return self.kind == TRANSIENT
 
 
-@dataclass(frozen=True)
-class XdiMachine:
+class XdiMachine(Record):
     """A named machine with its ordered state entries."""
 
     name: str
@@ -140,8 +146,7 @@ class XdiMachine:
         return None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Validation outcome: an empty violation list means the machine is valid."""
 
     violations: tuple[str, ...]

@@ -53,14 +53,20 @@ def measure(kind: str, size: int) -> dict:
         states = len(machine.states)
         first_s, best_s = _timed(lambda: parse_document(text))
     else:
-        from xdicheck.library import builtin_library
+        from xdicheck import library
+
+        # The parsed files are cached per primitive by get_primitive, or,
+        # in checkouts before the lazy library, as one tuple by
+        # builtin_library.
+        lazy = hasattr(library.get_primitive, "cache_clear")
+        clear = (library.get_primitive if lazy else library.builtin_library).cache_clear
 
         def load():
-            builtin_library.cache_clear()
-            return builtin_library()
+            clear()
+            return library.builtin_library()
 
         states = sum(len(spec.machine.states) for spec in load())
-        builtin_library.cache_clear()
+        clear()
         first_s, best_s = _timed(load)
     # ru_maxrss is in KiB on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -12,7 +12,6 @@ tests compare readers and node access, not rules.
 import re
 
 from xdicheck.circuit import Channel, Endpoint, Netlist, NetlistError, _validate_netlist
-from xdicheck.library import builtin_library
 from xdicheck.machine import ACK, BOX, INPUT, OUTPUT, REQUEST, TRANSIENT
 from xdicheck.machine import StateEntry, Wire, XdiMachine
 from xdicheck.sexpr import ParseError
@@ -270,7 +269,6 @@ def parse_netlist(text):
         raise forms[0].error("expected (circuit name entries...)")
     name = expect_symbol(items[1], "circuit name")
 
-    known_primitives = {spec.name for spec in builtin_library()}
     instances = []
     channels = []
     stable = []
@@ -301,5 +299,5 @@ def parse_netlist(text):
             raise node.error(f"unknown circuit entry {head!r}")
 
     netlist = Netlist(name, tuple(instances), tuple(channels), frozenset(stable))
-    _validate_netlist(netlist, known_primitives)
+    _validate_netlist(netlist)
     return netlist

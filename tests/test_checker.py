@@ -1,7 +1,5 @@
 """Temporal checks, environment enumeration, and the trace oracle."""
 
-from dataclasses import replace
-
 import pytest
 
 from checker_reference import reference_g_check
@@ -124,7 +122,7 @@ def per_state_fg_check(query):
 
     order, parents, *_ = checker._reach(query.machine, query.env, query.resolved_start())
     for state in order:
-        if reference_g_check(replace(query, start=state)).holds:
+        if reference_g_check(query._replace(start=state)).holds:
             return CheckResult(True, frozenset(order), checker._trace_to(parents, state))
     return CheckResult(False, frozenset(order), None)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xdicheck import formulas
+from xdicheck import cli, formulas
 
 
 @pytest.fixture()
@@ -611,3 +611,44 @@ def test_deterministic_flag_is_accepted_everywhere(run_cli, join_path):
 def test_unknown_subcommand(run_cli):
     result = run_cli("frobnicate")
     assert result.code == 2
+
+
+PARSER_CASES = [
+    *[(command, "--help") for command in cli._COMMANDS],
+    ("--help",),
+    (),
+    ("frobnicate", "x"),
+    ("labels", "{join}"),
+    ("validate",),
+    ("validate", "{join}", "--bogus", "extra"),
+    ("--json", "validate", "{join}"),
+    ("deadlock", "{pipeline}", "--max-states", "-1"),
+    ("oracle-check", "{join}", "--max-states", "-1"),
+    ("query", "{join}", "--handshake", "a", "--op", "gf"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_a_subcommand_parser_prints_what_the_whole_tree_prints(run_cli, machines_dir, monkeypatch, argv):
+    argv = [
+        arg.format(join=machines_dir / "join.xdi", pipeline=machines_dir / "pipeline.net")
+        for arg in argv
+    ]
+    lazy = run_cli(*argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): build(()))  # every subcommand
+    whole = run_cli(*argv)
+    assert (lazy.code, lazy.out, lazy.err) == (whole.code, whole.out, whole.err)
+    assert lazy.code == (0 if "--help" in argv else 2)
+
+
+def test_the_parser_builds_only_the_named_subcommand():
+    def built(argv):
+        parser = cli._build_parser(argv)
+        return list(parser._subparsers._group_actions[0].choices)
+
+    assert built(["deadlock", "x"]) == ["deadlock"]
+    assert built(["check", "deadlock"]) == ["check"]
+    every = list(cli._COMMANDS)
+    for argv in ([], ["-h"], ["frobnicate"], ["--json", "validate"]):
+        assert built(argv) == every

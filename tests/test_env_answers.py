@@ -5,7 +5,6 @@ exploration or one query per atom), the classes against fresh explorations
 on every small machine, and the number of explorations each query,
 environment and class costs."""
 
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -121,7 +120,7 @@ def every_query(machine):
     bad = dict(handshake="zz", mode="stuck", env=frozenset({("zz", "R")}), start="ghost")
     for size in range(1, len(bad) + 1):
         for parts in combinations(bad, size):
-            yield replace(good, **{part: bad[part] for part in parts})
+            yield good._replace(**{part: bad[part] for part in parts})
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ corpus files with a few tokens or forms replaced, forms cut short, or
 more forms after them. They feed the s-expression reader, the machine,
 netlist and condition parsers, and the validate, check and deadlock
 subcommands. Each parser may only raise its own error types, and each
-command exits 0, 1 or 2 without reporting an internal error.
+command exits 0, 1 or 2 without reporting an internal error. No command
+message prints a class repr where it should name a value; corpus files
+with names replaced reach the messages about what a name refers to.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import re
 from hypothesis import given, settings, strategies as st
 
 from test_properties import BASE
+from xdicheck import checker, circuit, formulas, labeling, library, machine, sexpr
 from xdicheck.circuit import NetlistError, parse_netlist
 from xdicheck.cli import main as cli_main
 from xdicheck.formulas import parse_condition
@@ -111,6 +114,21 @@ def mutants(draw):
     return "".join(pieces)
 
 
+@st.composite
+def renamed(draw):
+    """A corpus file with one to three names replaced by words: these
+    keep the file readable and reach the checks on what names refer to,
+    whose messages name instances, handshakes, endpoints and wires."""
+
+    text = re.sub(r";.*", "", draw(st.sampled_from(CORPUS)))
+    pieces = _PIECE.findall(text)
+    names = [index for index, piece in enumerate(pieces) if piece[0].isalnum()]
+    words = [word for word in WORDS if word.isalnum()]
+    for _ in range(draw(st.integers(1, 3))):
+        pieces[draw(st.sampled_from(names))] = draw(st.sampled_from(words))
+    return "".join(pieces)
+
+
 # Mutants reach the most checks, so they get twice the share of the others.
 FILES = st.one_of(
     soups(SEXPR_TOKENS),
@@ -120,6 +138,22 @@ FILES = st.one_of(
     st.tuples(st.sampled_from(CORPUS), FORMS).map("".join),
 )
 FUZZ = settings(BASE, max_examples=300)
+
+# "Name(" for every class the package defines: an error message that
+# formats a value object instead of its spelling shows up as its repr.
+CLASS_REPR = re.compile(
+    r"\b(?:%s)\("
+    % "|".join(
+        sorted(
+            {
+                name
+                for module in (checker, circuit, formulas, labeling, library, machine, sexpr)
+                for name, value in vars(module).items()
+                if isinstance(value, type) and value.__module__ == module.__name__
+            }
+        )
+    )
+)
 
 
 def _parse_or_reject(parse, text, errors):
@@ -172,3 +206,25 @@ def test_commands_exit_cleanly_on_fuzzed_files(tmp_path_factory, text):
             code = cli_main(list(argv))
         assert code in (0, 1, 2), argv
         assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+        assert not CLASS_REPR.search(err.getvalue()), (argv, err.getvalue())
+
+
+@settings(BASE, max_examples=100)
+@given(renamed())
+def test_error_messages_print_no_class_repr(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_text(text, encoding="utf-8")
+    for argv in (
+        ("validate", str(path)),
+        ("check", str(path), "--condition", "blocked(a) -> idle(b)"),
+        ("labels", str(path), "--handshake", "a"),
+        ("query", str(path), "--handshake", "a", "--op", "g", "--mode", "blocking", "--start", "s1"),
+        ("oracle-check", str(path), "--max-states", "8"),
+        ("deadlock", str(path), "--max-states", "5000", "--channel", "a"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(list(argv))
+        assert code in (0, 1, 2), argv
+        assert not CLASS_REPR.search(err.getvalue()), (argv, err.getvalue())
+        assert not CLASS_REPR.search(out.getvalue()), (argv, out.getvalue())

@@ -35,6 +35,20 @@ def test_get_primitive_by_name():
         get_primitive("mixer")
 
 
+def test_a_netlist_loads_only_the_primitives_it_names(machines_dir):
+    from xdicheck.circuit import compose, parse_netlist
+
+    get_primitive.cache_clear()
+    compose(parse_netlist((machines_dir / "single_join.net").read_text()))
+    assert get_primitive.cache_info().currsize == 1
+    with pytest.raises(KeyError):
+        get_primitive("mixer")
+    assert get_primitive.cache_info().currsize == 1
+    assert tuple(spec.name for spec in builtin_library()) == PRIMITIVE_NAMES
+    assert builtin_library() == builtin_library()
+    assert all(a is b for a, b in zip(builtin_library(), map(get_primitive, PRIMITIVE_NAMES)))
+
+
 def test_every_primitive_validates():
     for spec in builtin_library():
         report = validate(spec.machine)
