@@ -9,11 +9,12 @@ the program failed internally.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from . import checker, circuit, formulas, labeling, library, machine
+from .record import Record
 from .sexpr import ParseError
 
 __all__ = ["main", "entrypoint"]
@@ -381,72 +382,188 @@ def _cmd_deadlock(args) -> int:
     return 1 if finding else 0
 
 
-# --- Parser ------------------------------------------------------------------
+# --- Arguments ---------------------------------------------------------------
 
 
 def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+        message = f"must be an integer, got {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = f"must be non-negative, got {value}"
+    import argparse  # here, so that a valid call does not pay for its import
+
+    raise argparse.ArgumentTypeError(message)
 
 
-# Subcommand: (help line, handler), in the order the top-level help lists them.
+class _Option(Record):
+    """One long option of a subcommand, as add_argument is given it."""
+
+    flag: str
+    help: str | None = None
+    takes_value: bool = True  # False: a flag, True when given, else False
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    default: object = None
+    metavar: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(Record):
+    """A subcommand: its help line, handler, whether it takes a file and
+    its own options, in the order its usage line lists them."""
+
+    help: str
+    handler: Callable
+    options: tuple[_Option, ...] = ()
+    file: bool = True
+
+
+# Every subcommand's last options.
+_SHARED = (
+    _Option("--json", "emit JSON instead of text", takes_value=False),
+    _Option(
+        "--deterministic",
+        "byte-deterministic output (always on; flag kept for CI recipes)",
+        takes_value=False,
+    ),
+)
+_HANDSHAKE = _Option("--handshake", required=True)
+
+# The argument table, in the order the top-level help lists the subcommands.
 _COMMANDS = {
-    "validate": ("validate a machine file", _cmd_validate),
-    "labels": ("blocking/idling labels per state", _cmd_labels),
-    "envs": ("list the reasonable environments", _cmd_envs),
-    "query": ("run one temporal query", _cmd_query),
-    "check": ("verify conditions against a machine", _cmd_check),
-    "check-library": ("re-verify the builtin library", _cmd_check_library),
-    "oracle-check": ("cross-validate against the oracle", _cmd_oracle_check),
-    "deadlock": ("search a circuit for deadlocks", _cmd_deadlock),
+    "validate": _Command(
+        "validate a machine file",
+        _cmd_validate,
+        (_Option("--emit-dot", "also write a graphviz rendering", metavar="PATH"),),
+    ),
+    "labels": _Command("blocking/idling labels per state", _cmd_labels, (_HANDSHAKE,)),
+    "envs": _Command("list the reasonable environments", _cmd_envs),
+    "query": _Command(
+        "run one temporal query",
+        _cmd_query,
+        (
+            _HANDSHAKE,
+            _Option("--op", choices=("g", "fg", "blocked", "idle"), required=True),
+            _Option("--mode", choices=(checker.BLOCKING, checker.IDLING)),
+            _Option("--env", "stable input wires, e.g. a.R,c.A (default: live)"),
+            _Option("--start", "start state (default: initial state)"),
+        ),
+    ),
+    "check": _Command(
+        "verify conditions against a machine",
+        _cmd_check,
+        (
+            _Option("--condition", "condition DSL text (default: file trailer)"),
+            _Option("--name", "check only the named trailer condition"),
+        ),
+    ),
+    "check-library": _Command("re-verify the builtin library", _cmd_check_library, file=False),
+    "oracle-check": _Command(
+        "cross-validate against the oracle",
+        _cmd_oracle_check,
+        (
+            _Option("--bound", "walk bound (default: states + 1)", type=int),
+            _Option(
+                "--max-states",
+                "largest machine the oracle accepts",
+                type=_non_negative_int,
+                default=checker.ORACLE_MAX_STATES,
+            ),
+        ),
+    ),
+    "deadlock": _Command(
+        "search a circuit for deadlocks",
+        _cmd_deadlock,
+        (
+            _Option("--channel", "derive and solve Dead(channel)"),
+            _Option("--emit-smt", "write the instance as SMT-LIB 2", metavar="PATH"),
+            _Option(
+                "--max-states",
+                "product exploration bound",
+                type=_non_negative_int,
+                default=circuit.PRODUCT_LIMIT,
+            ),
+        ),
+    ),
 }
 
 
-def _add_arguments(command: str, sub: argparse.ArgumentParser) -> None:
-    """One subcommand's arguments, in the order its usage line lists them."""
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What parse_args returns for argv, read from the table without
+    argparse, when argv is exactly a call it lists: a subcommand, then its
+    file and its long options spelled out in full, each as --opt VALUE or
+    --opt=VALUE, or as --flag, in any order; no value starts with "-",
+    every value converts and is among the choices, and every required
+    option is given. None for anything else, which argparse then parses:
+    help, abbreviations, "--" and every usage error stay its own."""
 
-    if command != "check-library":
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options + _SHARED}
+    values = {
+        option.dest: option.default if option.takes_value else False
+        for option in options.values()
+    }
+    files = []
+    missing = {option.flag for option in options.values() if option.required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        flag, equals, text = token.partition("=")
+        option = options.get(flag)
+        if option is None or (equals and not option.takes_value):
+            return None
+        if not option.takes_value:
+            values[option.dest] = True
+            continue
+        if not equals:
+            text = next(tokens, "-")  # a missing value is declined as a dash
+        if text.startswith("-"):
+            return None
+        try:
+            value = option.type(text) if option.type else text
+        except Exception:  # argparse converts it again and reports why it fails
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+        missing.discard(flag)
+    if missing or len(files) != int(command.file):
+        return None
+    if command.file:
+        values["file"] = files[0]
+    return SimpleNamespace(command=argv[0], func=command.handler, **values)
+
+
+def _add_arguments(command: _Command, sub: argparse.ArgumentParser) -> None:
+    """One subcommand's arguments from the table."""
+
+    if command.file:
         sub.add_argument("file")
-    if command == "validate":
-        sub.add_argument("--emit-dot", metavar="PATH", help="also write a graphviz rendering")
-    elif command in ("labels", "query"):
-        sub.add_argument("--handshake", required=True)
-    if command == "query":
-        sub.add_argument("--op", choices=("g", "fg", "blocked", "idle"), required=True)
-        sub.add_argument("--mode", choices=(checker.BLOCKING, checker.IDLING))
-        sub.add_argument("--env", help="stable input wires, e.g. a.R,c.A (default: live)")
-        sub.add_argument("--start", help="start state (default: initial state)")
-    elif command == "check":
-        sub.add_argument("--condition", help="condition DSL text (default: file trailer)")
-        sub.add_argument("--name", help="check only the named trailer condition")
-    elif command == "oracle-check":
-        sub.add_argument("--bound", type=int, help="walk bound (default: states + 1)")
-        sub.add_argument(
-            "--max-states",
-            type=_non_negative_int,
-            default=checker.ORACLE_MAX_STATES,
-            help="largest machine the oracle accepts",
-        )
-    elif command == "deadlock":
-        sub.add_argument("--channel", help="derive and solve Dead(channel)")
-        sub.add_argument("--emit-smt", metavar="PATH", help="write the instance as SMT-LIB 2")
-        sub.add_argument(
-            "--max-states",
-            type=_non_negative_int,
-            default=circuit.PRODUCT_LIMIT,
-            help="product exploration bound",
-        )
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="byte-deterministic output (always on; flag kept for CI recipes)",
-    )
+    for option in command.options + _SHARED:
+        if option.takes_value:
+            sub.add_argument(
+                option.flag,
+                type=option.type,
+                choices=option.choices,
+                required=option.required,
+                default=option.default,
+                metavar=option.metavar,
+                help=option.help,
+            )
+        else:
+            sub.add_argument(option.flag, action="store_true", help=option.help)
 
 
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
@@ -455,6 +572,8 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     usage line reads as with the whole tree. -h, no subcommand or an
     unknown one builds the whole tree, with argparse's default metavar,
     which the missing-subcommand error names as "command"."""
+
+    import argparse  # here, so that a call _read_argv reads does not pay for it
 
     parser = argparse.ArgumentParser(
         prog="xdicheck",
@@ -466,11 +585,11 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         required=True,
         metavar=None if named is None else "{" + ",".join(_COMMANDS) + "}",
     )
-    for command, (help_line, handler) in _COMMANDS.items():
+    for command, spec in _COMMANDS.items():
         if named in (None, command):
-            sub = subparsers.add_parser(command, help=help_line)
-            _add_arguments(command, sub)
-            sub.set_defaults(func=handler)
+            sub = subparsers.add_parser(command, help=spec.help)
+            _add_arguments(spec, sub)
+            sub.set_defaults(func=spec.handler)
     return parser
 
 
@@ -479,11 +598,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except CommandError as exc:

@@ -1,9 +1,16 @@
 """Command line behavior: output lines, JSON payloads, and exit codes."""
 
+import importlib.util
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
+from test_readme import REPO, _quick_start
 from xdicheck import cli, formulas
 
 
@@ -652,3 +659,94 @@ def test_the_parser_builds_only_the_named_subcommand():
     every = list(cli._COMMANDS)
     for argv in ([], ["-h"], ["frobnicate"], ["--json", "validate"]):
         assert built(argv) == every
+
+
+def _table_calls():
+    """Valid calls generated from the argument table: every subcommand with
+    its required options and a random pick of the others, in shuffled
+    order, spelled --opt VALUE or --opt=VALUE, some given twice."""
+
+    rng = random.Random(20)
+    calls = []
+    for command, spec in cli._COMMANDS.items():
+        options = spec.options + cli._SHARED
+        for joined in (False, True):
+            for _ in range(4):
+                picked = [option for option in options if option.required or rng.random() < 0.6]
+                picked += rng.sample(picked, min(2, len(picked)))
+                words = []
+                for option in picked:
+                    if not option.takes_value:
+                        words.append([option.flag])
+                        continue
+                    if option.choices:
+                        value = rng.choice(option.choices)
+                    elif option.type:
+                        value = str(rng.randrange(100))
+                    else:
+                        value = rng.choice(["a", "a.R,c.A", "", "s 2", "x=y"])
+                    words.append([f"{option.flag}={value}"] if joined else [option.flag, value])
+                if spec.file:
+                    words.append([rng.choice(["join.xdi", "", "dir/a b.net"])])
+                rng.shuffle(words)
+                calls.append([command] + [word for group in words for word in group])
+    return calls
+
+
+def _bench_calls(monkeypatch):
+    """The argv of every job the benchmark's workloads can draw."""
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    return {job.argv for name in workloads.WORKLOADS for job in workloads.catalog(name)}
+
+
+DECLINED = [
+    ("labels", "{join}", "--handshake", "a", "--json=1"),
+    ("labels", "{join}", "--hand", "a"),
+    ("labels", "--handshake", "a", "--", "{join}"),
+    ("oracle-check", "{join}", "--bound", "-1"),
+    ("oracle-check", "{join}", "--max-states", "-1"),
+    ("query", "{join}", "--handshake", "a", "--op", "blocked", "--env", "-x"),
+    ("query", "{join}", "--handshake", "a", "--op", "fgg"),
+    ("validate", "{join}", "{join}"),
+    ("query", "{join}", "--op", "blocked"),
+    ("labels", "{join}", "--handshake"),
+    ("check-library", "{join}"),
+    ("labels", "{join}", "--handshake", "a", "-h"),
+    *PARSER_CASES,
+]
+
+
+def test_the_table_reads_a_valid_call_as_argparse_does(monkeypatch):
+    parser = cli._build_parser(())
+    calls = _table_calls() + [argv for argv, _ in _quick_start()] + sorted(_bench_calls(monkeypatch))
+    assert len(calls) > 100
+    for argv in calls:
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == vars(parser.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_the_table_leaves_everything_else_to_argparse(machines_dir, argv):
+    argv = [arg.format(join=machines_dir / "join.xdi", pipeline=machines_dir / "pipeline.net") for arg in argv]
+    assert cli._read_argv(argv) is None
+
+
+def test_a_valid_call_imports_no_argparse(machines_dir):
+    code = (
+        "import sys\n"
+        "unwanted = {'argparse', 'gettext', 'locale'}\n"
+        "from xdicheck import cli\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+        f"cli.main(['labels', {str(machines_dir / 'join.xdi')!r}, '--handshake', 'a'])\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert "blocking: s1 s3 s4 s5 s7 s8 s9" in lines

@@ -47,8 +47,9 @@ def _reference(cls):
 
 def test_the_package_has_its_records():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 31
     assert {"Wire", "XdiMachine", "TemporalQuery", "And", "Or", "PrimitiveSpec", "ProductSystem"} <= names
+    assert {"_Command", "_Option"} <= names  # the CLI's argument table
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -13,7 +13,7 @@ KEYS = {
     "product": [
         "kind", "size", "broken", "states", "edges", "deadlock", "compose_s", "analyze_s", "peak_rss_mb"
     ],
-    "parse": ["kind", "size", "states", "first_s", "best_s", "peak_rss_mb"],
+    "parse": ["kind", "size", "states", "cold_s", "first_s", "best_s", "peak_rss_mb"],
     "condition": ["kind", "size", "envs", "explorations", "holds", "first_s", "best_s", "peak_rss_mb"],
     "oracle": [
         "kind", "size", "states", "envs", "queries", "disagreements", "first_s", "best_s", "peak_rss_mb"
