@@ -308,9 +308,9 @@ class _EnvClasses:
     the same order, parents and preds, hence the same fg answer for every
     handshake and mode. The trie branches on those answers: an inner node
     is [wire, live branch, stable branch], and a leaf is the value filed
-    for its class, anything but a list or None. Keep one for a sweep and
-    keep small values in it: a leaf holding an _EnvAnswers would keep every
-    class's graph alive.
+    for its class, anything but a list or None. Keep small values in it:
+    a verdict keeps its trie, and a leaf holding an _EnvAnswers would keep
+    every class's graph alive.
     """
 
     __slots__ = ("_top",)

@@ -250,7 +250,7 @@ def _cmd_check(args) -> int:
         if args.json:
             payload.append(_verdict_payload(name, mach.name, text, verdict))
         if verdict.holds_overall:
-            lines.append(f"{mach.name}/{name}: holds ({len(verdict.per_env)} environments)")
+            lines.append(f"{mach.name}/{name}: holds ({verdict.environments} environments)")
         else:
             failures += 1
             lines.append(f"{mach.name}/{name}: FAILS")
@@ -273,7 +273,7 @@ def _cmd_check_library(args) -> int:
                 {
                     "name": name,
                     "holds_overall": verdict.holds_overall,
-                    "environments": len(verdict.per_env),
+                    "environments": verdict.environments,
                 }
                 for name, verdict in report.verdicts
             ],
@@ -286,7 +286,7 @@ def _cmd_check_library(args) -> int:
         for name, verdict in report.verdicts:
             status = "holds" if verdict.holds_overall else "FAILS"
             lines.append(
-                f"{report.primitive}/{name}: {status} ({len(verdict.per_env)} environments)"
+                f"{report.primitive}/{name}: {status} ({verdict.environments} environments)"
             )
     lines.append(f"primitives checked: {len(reports)}, failing: {bad}")
     _emit(payload, args.json, lines)

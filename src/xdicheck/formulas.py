@@ -356,41 +356,88 @@ class EnvVerdict(Record):
 
 
 class Verdict(Record):
-    """Per-environment outcomes for one condition against one machine."""
+    """Per-environment outcomes for one condition against one machine.
+
+    environments counts the environments. A verdict from verify_condition
+    holds one outcome per class of environments and builds per_env, in
+    reasonable_envs order, only when it is first read.
+    """
 
     holds_overall: bool
     per_env: tuple[EnvVerdict, ...]
 
     @property
+    def environments(self) -> int:
+        filed = self.__dict__.get("_filed")
+        if filed is None:
+            return len(self.per_env)
+        return 2 ** len(filed[0].sorted_input_wires)
+
+    @property
     def failing_envs(self) -> tuple[EnvVerdict, ...]:
         return tuple(entry for entry in self.per_env if not entry.holds)
+
+    def __getattr__(self, name: str):
+        # Only an attribute never set gets here: the per_env of a verdict
+        # from verify_condition, built from its classes and then kept.
+        filed = self.__dict__.get("_filed")
+        if name != "per_env" or filed is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        machine, classes = filed
+        per_env = tuple(
+            EnvVerdict(env, *classes.find(env)) for env in checker.reasonable_envs(machine)
+        )
+        object.__setattr__(self, "per_env", per_env)
+        return per_env
 
 
 def verify_condition(form: Formula, machine: XdiMachine) -> Verdict:
     """Evaluate the condition under every reasonable environment.
 
-    Environments are visited smallest first; the verdict preserves that
-    order. Only one environment per class (checker._EnvClasses) is
-    explored and evaluated; the rest of its class reuses its (lhs, rhs).
+    Each class of environments (checker._EnvClasses) is explored and
+    evaluated once, at its smallest environment: the wires its exploration
+    answers stable. The walk starts at the empty environment. Every wire
+    an exploration tests past the wires that fix its class opens a child
+    class, with that wire stable and the wires tested before it answered
+    as in the parent; the child's smallest environment is one wire larger.
+    Taking the classes size by size, each size in wire order, visits them
+    in reasonable_envs order: the environments a loop over every
+    environment explores, in the same order, so an error is that of the
+    first environment whose evaluation raises. Each class's (lhs, rhs,
+    holds) is filed in the trie; the verdict reads it only to build
+    per_env.
     """
 
     _check_atoms_known(form, machine)
     iff = isinstance(form, Iff)
+    wires = machine.sorted_input_wires
+    rank = {wire: position for position, wire in enumerate(wires)}
     classes = checker._EnvClasses()
-    entries = []
-    for env in checker.reasonable_envs(machine):
-        sides = classes.find(env)
-        if sides is None:
+    holds_overall = True
+    # A class of this size: its smallest environment, as positions in
+    # wires, and how many of its exploration's tested wires fix it.
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while level:
+        larger = []
+        for positions, fixed in sorted(level):
+            env = frozenset(wires[position] for position in positions)
             made: list = []
             resolve = _machine_resolver(machine, env, made)
             if iff:
-                sides = (evaluate(form.lhs, resolve), evaluate(form.rhs, resolve))
+                lhs, rhs = evaluate(form.lhs, resolve), evaluate(form.rhs, resolve)
             else:
-                sides = (evaluate(form, resolve),) * 2
-            classes.add(env, made[0].tested if made else (), sides)
-        lhs, rhs = sides
-        entries.append(EnvVerdict(env, lhs, rhs, lhs == rhs if iff else lhs))
-    return Verdict(all(entry.holds for entry in entries), tuple(entries))
+                lhs = rhs = evaluate(form, resolve)
+            holds = lhs == rhs if iff else lhs
+            holds_overall = holds_overall and holds
+            tested = list(made[0].tested) if made else []
+            classes.add(env, tested, (lhs, rhs, holds))
+            for depth in range(fixed, len(tested)):
+                larger.append((tuple(sorted((*positions, rank[tested[depth]]))), depth + 1))
+        level = larger
+    verdict = Verdict.__new__(Verdict)
+    object.__setattr__(verdict, "holds_overall", holds_overall)
+    object.__setattr__(verdict, "_filed", (machine, classes))
+    return verdict
 
 
 # --- SMT-LIB rendering -------------------------------------------------------

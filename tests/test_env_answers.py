@@ -260,6 +260,67 @@ def test_errors_match_without_an_initial_state():
     assert isinstance(assert_same_verdict(TRUE, machine), formulas.Verdict)
 
 
+def test_the_error_is_the_first_environments_in_environment_order(explorations):
+    """From the live environment the exploration tests b.R before a.R, yet
+    a.R sorts first. Under {b.R} the machine cycles through a alone, so b
+    is idle and the condition reaches y; under {a.R}, earlier in
+    environment order, it ends stranded with b requested and reaches x. A
+    walk taking the classes in test order would meet y first; the error
+    must be x's, as in a loop over every environment."""
+
+    machine = parse_document(
+        """(machine forked
+          (q0 t box (((b R I) p1) ((a R I) p2)))
+          (p1 nil box (((a R I) p3)))
+          (p2 nil transient (((a A O) q0)))
+          (p3 nil transient (((a A O) p4)))
+          (p4 nil transient (((b A O) q0))))"""
+    )[0]
+    live = checker._EnvAnswers(machine, frozenset(), (machine.init_state,))
+    assert list(live.tested) == [("b", "R"), ("a", "R")]
+    assert reasonable_envs(machine)[1:3] == (frozenset({("a", "R")}), frozenset({("b", "R")}))
+    form = Or(And(BlockedAtom("b"), VarAtom("x")), And(IdleAtom("b"), VarAtom("y")))
+    assert evaluate(form, fresh_resolver(machine, frozenset())) is False
+    with pytest.raises(ValueError, match="'y'"):
+        evaluate(form, fresh_resolver(machine, frozenset({("b", "R")})))
+    explorations.clear()
+    assert _outcome(lambda: verify_condition(form, machine)) == (
+        ValueError, "free variable 'x' in a machine condition"
+    )
+    # The classes are taken in environment order, up to the first that raises.
+    assert explorations == [frozenset(), frozenset({("a", "R")})]
+    assert_same_verdict(form, machine)
+
+
+def test_verdicts_match_exhaustively():
+    """Every machine of at most 2 states over a.R, a.A, b.R and b.A, as in
+    the class soundness test below: the iff chain over every atom, and
+    conditions whose & and | cut atoms short, each way round, give the
+    reference's verdict, every environment's outcome, or its error. Most
+    of these machines are ambiguous, so many classes raise, and a cut
+    condition may raise in some classes and not in others."""
+
+    alphabet = labeling_sweep.wires("a.R,a.A,b.R,b.A")
+    machines, outcomes = 0, {"verdicts": 0, "errors": 0}
+    for machine in labeling_sweep.machines(2, alphabet, 2):
+        machines += 1
+        handshakes = sorted(machine.handshakes)
+        forms = [every_atom_iff(machine)] if handshakes else [TRUE]
+        for p, q in zip(handshakes, reversed(handshakes)):
+            forms.append(Or(And(BlockedAtom(p), IdleAtom(q)), And(IdleAtom(p), BlockedAtom(q))))
+        for form in forms:
+            expected = _outcome(lambda: reference_verify_condition(form, machine))
+            got = _outcome(lambda: verify_condition(form, machine))
+            if isinstance(got, Verdict):
+                outcomes["verdicts"] += 1
+                assert got.environments == expected.environments == len(got.per_env), (machine, form)
+            else:
+                outcomes["errors"] += 1
+            assert got == expected, (machine, form)
+    assert machines == 3870
+    assert outcomes == {"verdicts": 218, "errors": 10760}
+
+
 # --- Cost and memory guards ----------------------------------------------------
 
 
@@ -351,8 +412,12 @@ def test_single_queries_explore_once_and_memoise_only_labels(explorations, ask):
 
 
 def test_verify_condition_memoises_only_labels():
+    """A verdict builds the environment tuple only when per_env is read."""
+
     machine = parse_document(wide_document(6))[0]
-    verify_condition(every_atom_iff(machine), machine)
-    assert machine._memo
-    # Labels and the environment tuple, never an answer.
+    verdict = verify_condition(every_atom_iff(machine), machine)
+    assert verdict.environments == 128
+    # Labels only: neither an answer nor the environment tuple.
+    assert {fn for fn, _ in machine._memo} == {labeling._parity_search}
+    assert len(verdict.per_env) == 128
     assert {fn for fn, _ in machine._memo} == {labeling._parity_search, checker._environments}
