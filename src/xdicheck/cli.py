@@ -32,6 +32,19 @@ def _read_file(path: str) -> str:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path; a CommandError naming the path if that fails.
+
+    The caller renders the text first, so a failure to render it leaves
+    no empty file behind."""
+
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _load(path: str, parse):
     """What parse reads from the file; a CommandError naming the file if it fails."""
 
@@ -76,10 +89,8 @@ def _emit(payload, as_json: bool, lines: Sequence[str]) -> None:
 def _cmd_validate(args) -> int:
     mach, _ = _load_document(args.file, validated=False)
     report = machine.validate(mach)
-    if args.emit_dot:
-        dot = _to_dot(mach)  # before open, so a failure leaves no empty file
-        with open(args.emit_dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+    if args.emit_dot is not None:
+        _write_file(args.emit_dot, _to_dot(mach))
     payload = {"file": args.file, "ok": report.ok, "violations": list(report.violations)}
     lines = [f"machine: {mach.name}", f"ok: {'yes' if report.ok else 'no'}"]
     lines.extend(f"violation: {violation}" for violation in report.violations)
@@ -333,7 +344,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_deadlock(args) -> int:
     netlist = _load(args.file, circuit.parse_netlist)
-    if args.emit_smt and args.channel is None:
+    if args.emit_smt is not None and args.channel is None:
         raise CommandError("--emit-smt requires --channel")
     channels = {channel.name for channel in netlist.channels}
     if args.channel is not None and args.channel not in channels:
@@ -375,9 +386,8 @@ def _cmd_deadlock(args) -> int:
         if model:
             assigned = [name for name in instance.variables if model[name]]
             lines.append(f"model: {' '.join(assigned) if assigned else '(all false)'}")
-        if args.emit_smt:
-            with open(args.emit_smt, "w", encoding="utf-8") as handle:
-                handle.write(circuit.emit_smt(instance))
+        if args.emit_smt is not None:
+            _write_file(args.emit_smt, circuit.emit_smt(instance))
     _emit(payload, args.json, lines)
     return 1 if finding else 0
 

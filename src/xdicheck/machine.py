@@ -9,6 +9,7 @@ labelled with a stable wire is disabled.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import cached_property, total_ordering
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
@@ -247,24 +248,91 @@ def _conditions_from_form(items: tuple[Form, ...]) -> tuple[tuple[str, str], ...
     return tuple(conditions.items())
 
 
-def parse_document(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
-    """Parse a machine file plus its optional named-condition trailer."""
+def _conditions_after(forms: Sequence[Form]) -> tuple[tuple[str, str], ...]:
+    """The conditions of the forms after the machine: none, or one (conditions ...)."""
+
+    conditions = None
+    for node in forms:
+        items = expect_list(node, "trailing form")
+        head = expect_symbol(items[0], "form keyword") if items else ""
+        if head != "conditions":
+            raise error_at(node, f"unexpected form {head!r} after machine")
+        if conditions is not None:
+            raise error_at(node, "duplicate (conditions ...) form")
+        conditions = _conditions_from_form(items)
+    return conditions or ()
+
+
+# The pattern reader's grammar: ASCII whitespace, with ; comments only
+# between forms. A comment is pinned to the end of its line, so that it
+# cannot stop early and let its rest be read as forms. re.ASCII keeps a
+# name to [A-Za-z_][A-Za-z0-9_]* and the (?i:) keywords to ASCII case, as
+# lower() and upper() read them on ASCII text.
+_GAP = r"(?:\s|;[^\n]*(?![^\n]))*"
+_NAME = r"[A-Za-z_]\w*"
+_TRANSITION_TEXT = rf"\(\s*\(\s*({_NAME}\s+(?i:[ra])\s+(?i:[io]))\s*\)\s*({_NAME})\s*\)"
+_HEAD = re.compile(rf"{_GAP}\(\s*machine\s+({_NAME})", re.ASCII)
+_ENTRY = re.compile(
+    rf"{_GAP}\(\s*({_NAME})\s+(?i:(t)|nil)\s+(?i:(box)|transient)\s*"
+    rf"\(((?:\s*{_TRANSITION_TEXT})*)\s*\)\s*\)",
+    re.ASCII,
+)
+_TRANSITION = re.compile(_TRANSITION_TEXT, re.ASCII)
+_CLOSE = re.compile(rf"{_GAP}\)", re.ASCII)
+
+
+class _Wires(dict):
+    """Wires by the text of their three items, each built on first use."""
+
+    def __missing__(self, key: str) -> Wire:
+        handshake, phase, direction = key.split()
+        wire = self[key] = Wire(handshake, phase.upper(), direction.upper())
+        return wire
+
+
+def _read_by_pattern(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]] | None:
+    """The document, read with one match per state entry; None when the
+    text is not of the plain shape the patterns take, or is not valid.
+
+    What it returns is what the token reader returns, so parse_document
+    falls back to that reader, which places every error, on None."""
+
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    entry_at, transitions_in = _ENTRY.match, _TRANSITION.findall
+    wires = _Wires()
+    states = []
+    end = head.end()
+    while entry := entry_at(text, end):
+        name, init, box, listed = entry.group(1, 2, 3, 4)
+        transitions = tuple([(wires[key], target) for key, target in transitions_in(listed)])
+        states.append(StateEntry(name, init is not None, BOX if box else TRANSIENT, transitions))
+        end = entry.end()
+    close = _CLOSE.match(text, end)
+    if close is None or not states or len({state.name for state in states}) < len(states):
+        return None
+    try:
+        conditions = _conditions_after(read_forms(text[close.end():]))
+    except ParseError:
+        return None
+    return XdiMachine(head[1], tuple(states)), conditions
+
+
+def _read_by_tokens(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
+    """The document, read from its forms; a ParseError placed at its token."""
 
     with located(text):
         forms = read_forms(text)
         if not forms:
             raise ParseError("empty input, expected a (machine ...) form")
-        machine = _machine_from_form(forms[0])
-        conditions = None
-        for node in forms[1:]:
-            items = expect_list(node, "trailing form")
-            head = expect_symbol(items[0], "form keyword") if items else ""
-            if head != "conditions":
-                raise error_at(node, f"unexpected form {head!r} after machine")
-            if conditions is not None:
-                raise error_at(node, "duplicate (conditions ...) form")
-            conditions = _conditions_from_form(items)
-    return machine, conditions or ()
+        return _machine_from_form(forms[0]), _conditions_after(forms[1:])
+
+
+def parse_document(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]]:
+    """Parse a machine file plus its optional named-condition trailer."""
+
+    return _read_by_pattern(text) or _read_by_tokens(text)
 
 
 def validate(machine: XdiMachine) -> ValidationReport:

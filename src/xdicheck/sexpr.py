@@ -3,7 +3,11 @@
 The machine and netlist file formats are parenthesized forms built from
 symbols and double-quoted strings, with ``;`` line comments. The reader
 splits the text into tokens with one regular expression and builds the
-forms from that token list with one stack.
+forms from that token list with one stack. A machine file reaches this
+reader only when the pattern reader in machine.py declines it: that
+reader takes a plain machine file one regex match per state entry and
+leaves every error, and the spellings its patterns do not take, to this
+one.
 
 A form is a pair: a list is ``(children, token)``, with ``children`` a
 tuple of forms, and a leaf is ``(text, token)``, with ``text`` the

@@ -28,8 +28,26 @@ def test_validate_ok(run_cli, join_path):
 
 def test_validate_missing_file(run_cli):
     result = run_cli("validate", "/nonexistent/path.xdi")
-    assert result.code == 2
-    assert result.err.startswith("error:")
+    assert (result.code, result.out) == (2, "")
+    assert result.err == "error: cannot read /nonexistent/path.xdi: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (("validate", "machines/join.xdi"), "--emit-dot"),
+        (("deadlock", "machines/pipeline_broken.net", "--channel", "a"), "--emit-smt"),
+    ],
+    ids=["validate-dot", "deadlock-smt"],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "empty"])
+def test_a_file_that_cannot_be_written_is_named(run_cli, tmp_path, command, flag, where):
+    name, path, *rest = command
+    out = str(tmp_path / "no_such_dir" / "out") if where == "missing-dir" else ""
+    result = run_cli(name, str(REPO / path), *rest, flag, out)
+    assert (result.code, result.out) == (2, "")
+    assert result.err == f"error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "no_such_dir").exists()
 
 
 def test_validate_reports_violations(run_cli, tmp_path):
