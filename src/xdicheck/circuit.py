@@ -12,9 +12,7 @@ variables, and emits the result as SMT-LIB.
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple
 
 from .formulas import (
@@ -249,12 +247,13 @@ class ProductSystem(Record):
     Each instance numbers its local states in declaration order, and a
     product state is the mixed-radix code sum(number[i] * weights[i]).
     States are identified by breadth-first discovery order: codes[s] is
-    the code of state s, and state 0 is init. The edges of s are
-    offsets[s]:offsets[s + 1] of the flat columns targets (state ids) and
-    edge_labels (ids into labels). A label always moves the same
-    instances, so its mover set is one bitmask, label_movers[label], with
-    bit i for order[i]. parent[s] and parent_label[s] give the
-    breadth-first tree; both are -1 at state 0.
+    the code of state s, and state 0 is init. Mover sets are bitmasks with
+    bit i for order[i]. compose records what the deadlock search reads:
+    moving[s], the OR of the mover masks of the edges of s, and
+    predecessors[s], the source of every edge into s, once per edge.
+    parent[s] and parent_label[s] (an id into labels) give the
+    breadth-first tree; both are -1 at state 0. plan holds the compiled
+    move tables (see _compile) that the edges are re-derived from.
 
     states, adjacency and parents are the tuple-form views: product
     states as tuples of local state names, edges as Edge. Each is built on
@@ -269,12 +268,11 @@ class ProductSystem(Record):
     weights: tuple[int, ...]
     codes: list[int]
     labels: tuple[str, ...]
-    label_movers: tuple[int, ...]
-    offsets: array
-    targets: array
-    edge_labels: array
-    parent: array
-    parent_label: array
+    plan: tuple
+    moving: list[int]
+    predecessors: list[list[int]]
+    parent: list[int]
+    parent_label: list[int]
 
     def decode(self, code: int) -> ProductState:
         """The product state with the given code, as local state names."""
@@ -290,19 +288,23 @@ class ProductSystem(Record):
 
     @cached_property
     def adjacency(self) -> dict[ProductState, tuple[Edge, ...]]:
-        states, offsets, targets, edge_labels = (
-            self.states, self.offsets, self.targets, self.edge_labels
-        )
-        movers = [
-            frozenset(name for idx, name in enumerate(self.order) if mask >> idx & 1)
-            for mask in self.label_movers
-        ]
+        state_of = dict(zip(self.codes, self.states))
+        movers = {
+            mask: frozenset(name for idx, name in enumerate(self.order) if mask >> idx & 1)
+            for _, _, by_state in self.plan
+            for moves in by_state
+            for _, mask, *_ in moves
+        }
         return {
-            state: tuple(
-                Edge(self.labels[edge_labels[e]], movers[edge_labels[e]], states[targets[e]])
-                for e in range(offsets[s], offsets[s + 1])
+            state_of[code]: tuple(
+                Edge(self.labels[label], movers[mask], state_of[code + delta])
+                for weight, radix, by_state in self.plan
+                for label, mask, partner_weight, partner_radix, deltas in by_state[
+                    code // weight % radix
+                ]
+                for delta in deltas[code // partner_weight % partner_radix]
             )
-            for s, state in enumerate(states)
+            for code in self.codes
         }
 
     @cached_property
@@ -349,16 +351,17 @@ def _compile(
     order: tuple[str, ...],
     machines: tuple[XdiMachine, ...],
     weights: tuple[int, ...],
-) -> tuple[tuple, tuple[str, ...], tuple[int, ...]]:
-    """Per instance, (weight, radix, moves by local state number); the
-    label names; and each label's mover bitmask.
+) -> tuple[tuple, tuple[str, ...]]:
+    """Per instance, (weight, radix, moves by local state number); and the
+    label names.
 
-    A move is (label id, partner weight, partner radix, deltas by the
-    partner's local state number): adding a delta to a product state's
-    code gives a successor's. A move on a channel fires once per input
-    transition of the partner on the same handshake and phase, in
-    declaration order, and not at all where the partner has none. A move
-    on an external wire involves no partner: weight and radix 1, one delta.
+    A move is (label id, mover bitmask, partner weight, partner radix,
+    deltas by the partner's local state number): adding a delta to a
+    product state's code gives a successor's. A move on a channel fires
+    once per input transition of the partner on the same handshake and
+    phase, in declaration order, and not at all where the partner has
+    none. A move on an external wire involves no partner: weight and
+    radix 1, one delta.
     """
 
     index_of = {instance: idx for idx, instance in enumerate(order)}
@@ -380,14 +383,6 @@ def _compile(
         inputs.append(tables)
 
     label_ids: dict[str, int] = {}
-    label_movers: list[int] = []
-
-    def label_id(name: str, movers: int) -> int:
-        if name not in label_ids:
-            label_ids[name] = len(label_movers)
-            label_movers.append(movers)
-        return label_ids[name]
-
     plan = []
     for idx, (instance, machine) in enumerate(zip(order, machines)):
         weight = weights[idx]
@@ -406,17 +401,18 @@ def _compile(
                         tuple(own + (arrival - there) * weights[jdx] for arrival in table.get(key, ()))
                         for there, table in enumerate(inputs[jdx])
                     )
-                    label = label_id(f"{channel.name}.{wire.phase}", 1 << idx | 1 << jdx)
-                    moves.append((label, weights[jdx], len(deltas), deltas))
+                    label = label_ids.setdefault(f"{channel.name}.{wire.phase}", len(label_ids))
+                    moves.append((label, 1 << idx | 1 << jdx, weights[jdx], len(deltas), deltas))
                 # External wires move alone: outputs always, inputs unless
                 # marked stable. Connected inputs are driven by the partner.
                 elif channel is None and (
                     wire.direction == OUTPUT or point not in netlist.stable
                 ):
-                    moves.append((label_id(f"{point}.{wire.phase}", 1 << idx), 1, 1, ((own,),)))
+                    label = label_ids.setdefault(f"{point}.{wire.phase}", len(label_ids))
+                    moves.append((label, 1 << idx, 1, 1, ((own,),)))
             by_state.append(tuple(moves))
         plan.append((weight, len(by_state), tuple(by_state)))
-    return tuple(plan), tuple(label_ids), tuple(label_movers)
+    return tuple(plan), tuple(label_ids)
 
 
 def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
@@ -428,8 +424,11 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     order, then transition order, then the partner's transition order.
     Each instance is compiled into move tables once, so a successor is
     the state's code plus a precomputed delta, and the cost is linear in
-    product states plus edges. A state costs one code, one dict entry
-    while composing, and three array slots; an edge two array slots.
+    product states plus edges. Each edge is touched once: it ORs its mover
+    mask into moving[state] and appends its source to its target's
+    predecessor list. A state costs one dict entry while composing, a slot
+    in each of five lists and its predecessor list; an edge one slot in
+    that list.
     """
 
     order = tuple(instance for instance, _ in netlist.instances)
@@ -440,7 +439,7 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
         places.append(weight)
         weight *= len(machine.states)
     weights = tuple(places)
-    plan, labels, label_movers = _compile(netlist, order, machines, weights)
+    plan, labels = _compile(netlist, order, machines, weights)
     init: ProductState = tuple(machine.init_state for machine in machines)
     too_many = f"product of {netlist.name} exceeds {max_states} states"
     if max_states < 1:
@@ -449,16 +448,17 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     start = _encode(machines, weights, init)
     ids = {start: 0}
     codes = [start]
-    offsets = array("q", [0])
-    targets = array("q")
-    edge_labels = array("q")
-    parent = array("q", [-1])
-    parent_label = array("q", [-1])
+    moving: list[int] = []
+    predecessors: list[list[int]] = [[]]
+    parent = [-1]
+    parent_label = [-1]
     # The code list doubles as the breadth-first queue.
     for state, code in enumerate(codes):
+        mask = 0
         for weight, radix, moves in plan:
-            for label, partner_weight, partner_radix, deltas in moves[code // weight % radix]:
+            for label, movers, partner_weight, partner_radix, deltas in moves[code // weight % radix]:
                 for delta in deltas[code // partner_weight % partner_radix]:
+                    mask |= movers
                     successor = code + delta
                     target = ids.get(successor)
                     if target is None:
@@ -467,14 +467,15 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
                             raise ExplorationLimitError(too_many)
                         ids[successor] = target
                         codes.append(successor)
+                        predecessors.append([state])
                         parent.append(state)
                         parent_label.append(label)
-                    targets.append(target)
-                    edge_labels.append(label)
-        offsets.append(len(targets))
+                    else:
+                        predecessors[target].append(state)
+        moving.append(mask)
     return ProductSystem(
-        netlist, order, machines, init, weights, codes, labels, label_movers,
-        offsets, targets, edge_labels, parent, parent_label,
+        netlist, order, machines, init, weights, codes, labels, plan,
+        moving, predecessors, parent, parent_label,
     )
 
 
@@ -511,27 +512,18 @@ def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
     handshake: it is parked where the protocol still owes progress.
 
     One backward pass decides "can still move" for every instance at
-    once: can[s] is the least fixpoint of movers(s) | OR can[t] over the
-    successors t of s, as a bitmask over instances. It runs over a
-    predecessor index built from the edge columns. A state enters the
-    worklist only when its mask grows and is never in it twice, so the
-    pass costs at most instances x (states + edges). Only the witness
-    state is decoded.
+    once: can[s] is the least fixpoint of moving[s] | OR can[t] over the
+    successors t of s, as a bitmask over instances. It starts from a copy
+    of moving and runs over the predecessor lists compose recorded, so it
+    reads no edge itself. A state enters the worklist only when its mask
+    grows and is never in it twice, so the pass costs at most instances x
+    (states + edges). Only the witness state is decoded.
     """
 
     if not system.order:
         return None
-    codes, offsets, movers = system.codes, system.offsets, system.label_movers
-    predecessors: list[list[int]] = [[] for _ in codes]
-    can: list[int] = []
-    edges = zip(system.targets, system.edge_labels)
-    for s in range(len(codes)):
-        mask = 0
-        for target, label in islice(edges, offsets[s + 1] - offsets[s]):
-            mask |= movers[label]
-            predecessors[target].append(s)
-        can.append(mask)
-
+    codes, predecessors = system.codes, system.predecessors
+    can = list(system.moving)
     worklist = [s for s, mask in enumerate(can) if mask]
     queued = bytearray(map(bool, can))
     while worklist:
@@ -603,18 +595,29 @@ def fullness_invariant(system: ProductSystem) -> Formula | None:
     indices = tuple(idx for idx, table in enumerate(fullness) if table)
     if not indices:
         return None
-    # One column of local state numbers per instance with a fullness map;
-    # only the distinct rows are decoded.
-    columns = [
-        [code // system.weights[idx] % len(system.machines[idx].states) for code in system.codes]
-        for idx in indices
+    # A product state's profile is one int: per instance with a fullness
+    # map, its bit when full, the first instance's the most significant so
+    # that the ints sort as the bool tuples do, or -2^count where its local
+    # state has no fullness, which leaves the sum negative. Only the
+    # distinct profiles are kept.
+    count = len(indices)
+    digits = []
+    for pos, idx in enumerate(indices):
+        bit, table = 1 << (count - 1 - pos), fullness[idx]
+        values = tuple(
+            -(1 << count) if table.get(entry.name) is None else bit * table[entry.name]
+            for entry in system.machines[idx].states
+        )
+        digits.append((system.weights[idx], len(values), values))
+    keys = {
+        sum([values[code // weight % radix] for weight, radix, values in digits])
+        for code in system.codes
+    }
+    profiles = [
+        tuple(bool(key >> (count - 1 - pos) & 1) for pos in range(count))
+        for key in sorted(keys)
+        if key >= 0
     ]
-    tables = [
-        tuple(fullness[idx].get(entry.name) for entry in system.machines[idx].states)
-        for idx in indices
-    ]
-    projected = (tuple(table[n] for table, n in zip(tables, row)) for row in set(zip(*columns)))
-    profiles = sorted({profile for profile in projected if None not in profile})
     if not profiles or len(profiles) == 2 ** len(indices):
         return None
     names = [f"full_{system.order[idx]}" for idx in indices]

@@ -97,8 +97,9 @@ def measure_product(kind: str, size: str, broken: str) -> dict:
         runs.append((compose_s, analyze_s, peak_rss_mb()))
     compose_s, analyze_s, peak = map(min, zip(*runs))  # the peak only grows: the first
     row = _row(
-        kind, size, broken=broken == "1", states=len(system.codes), edges=len(system.targets),
-        deadlock=finding is not None, compose_s=compose_s, analyze_s=analyze_s,
+        kind, size, broken=broken == "1", states=len(system.codes),
+        edges=sum(map(len, system.predecessors)), deadlock=finding is not None,
+        compose_s=compose_s, analyze_s=analyze_s,
     )
     return {**row, "peak_rss_mb": peak}
 

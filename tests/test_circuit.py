@@ -478,17 +478,39 @@ DIFFERENTIAL_CASES = (
 )
 
 
-@pytest.mark.parametrize(
-    "kind, arg, broken", DIFFERENTIAL_CASES, ids=[str(case) for case in DIFFERENTIAL_CASES]
-)
-def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_document):
+def differential_netlist(kind, arg, broken, machines_dir, circuit_document):
     if kind == "file":
         text = (machines_dir / arg).read_text()
     elif kind == "inline":
         text = EXTERNAL_INPUT.format(arg)
     else:
         text = circuit_document(kind, arg, broken)
-    netlist = parse_netlist(text)
+    return parse_netlist(text)
+
+
+def assert_search_fields_match(system, expected):
+    """moving and predecessors, which analyze_deadlock reads, hold what the
+    reference adjacency implies: per state, the OR of its edges' mover
+    bits, and the source of every edge into it, as a multiset."""
+
+    index = {state: s for s, state in enumerate(expected.states)}
+    bits = {instance: 1 << idx for idx, instance in enumerate(expected.order)}
+    moving = [0] * len(expected.states)
+    predecessors = [[] for _ in expected.states]
+    for s, state in enumerate(expected.states):
+        for edge in expected.adjacency[state]:
+            for instance in edge.movers:
+                moving[s] |= bits[instance]
+            predecessors[index[edge.target]].append(s)
+    assert system.moving == moving
+    assert list(map(sorted, system.predecessors)) == list(map(sorted, predecessors))
+
+
+@pytest.mark.parametrize(
+    "kind, arg, broken", DIFFERENTIAL_CASES, ids=[str(case) for case in DIFFERENTIAL_CASES]
+)
+def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_document):
+    netlist = differential_netlist(kind, arg, broken, machines_dir, circuit_document)
     system = compose(netlist)
     expected = reference_compose(netlist)
     assert system.order == expected.order
@@ -573,6 +595,43 @@ def test_engine_matches_reference_on_random_netlists(netlist, max_states):
     reference = reference_analyze_deadlock(expected)
     assert finding == reference
     assert fullness_invariant(system) == reference_fullness_invariant(expected)
+
+
+TUPLE_VIEWS = {"states", "adjacency", "parents"}
+
+
+@pytest.mark.parametrize(
+    "kind, arg, broken", DIFFERENTIAL_CASES, ids=[str(case) for case in DIFFERENTIAL_CASES]
+)
+def test_search_reads_the_packed_fields_only(
+    kind, arg, broken, machines_dir, circuit_document
+):
+    """compose records moving and predecessors as the reference implies.
+    The deadlock search and the formula of every channel answer from them
+    and the codes without building a tuple view, and decode and path_to
+    agree with the reference for every state."""
+
+    netlist = differential_netlist(kind, arg, broken, machines_dir, circuit_document)
+    system = compose(netlist)
+    analyze_deadlock(system)
+    for channel in netlist.channels:
+        derive_deadlock_formula(netlist, channel.name, system)
+    expected = reference_compose(netlist)
+    assert_search_fields_match(system, expected)
+    assert [system.decode(code) for code in system.codes] == list(expected.states)
+    assert [system.path_to(state) for state in expected.states] == [
+        expected.path_to(state) for state in expected.states
+    ]
+    assert not TUPLE_VIEWS & vars(system).keys()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(netlist=random_netlists())
+def test_search_fields_match_reference_on_random_netlists(netlist):
+    system = compose(netlist)
+    analyze_deadlock(system)
+    assert not TUPLE_VIEWS & vars(system).keys()
+    assert_search_fields_match(system, reference_compose(netlist))
 
 
 def test_external_inputs_fire_unless_stable():
