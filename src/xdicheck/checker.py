@@ -10,10 +10,10 @@ Every answer comes from _EnvAnswers, the one g/fg engine: one exploration
 of the enabled graph, then one backward closure of the failing states per
 (handshake, mode). g_check and fg_check build one from their start and read
 their trace and witness from it; cross validation builds one per
-environment and condition verification one per class of environments
-(_EnvClasses), and each shares it among its queries. A query costs time
-linear in the reachable states plus edges, and a failing g query explores
-the whole reachable graph.
+environment and _env_classes, the walk behind formulas.verify_condition,
+one per class of environments, and each shares it among its queries. A
+query costs time linear in the reachable states plus edges, and a failing
+g query explores the whole reachable graph.
 
 The bounded walk oracle (oracle_g_check, oracle_fg_check) answers the same
 queries from the definitions, with none of the engine's code: _oracle_sets
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
 from .machine import OUTPUT, Environment, XdiMachine, enabled_transitions, is_environment
@@ -299,46 +299,60 @@ class _EnvAnswers:
         return state in self.hopeful(handshake, mode)
 
 
-class _EnvClasses:
-    """Environments grouped by their answers to the input wires an
-    exploration from the initial state tests.
+def _env_classes(machine: XdiMachine, outcome: Callable[[Callable[[str, Mode], bool]], object]):
+    """Call outcome once per class of environments; return the trie
+    that files its values, which _find_class reads.
 
-    Each answer to "is this wire stable?" fixes which wire the exploration
-    tests next, so two environments that answer the tested wires alike get
-    the same order, parents and preds, hence the same fg answer for every
-    handshake and mode. The trie branches on those answers: an inner node
-    is [wire, live branch, stable branch], and a leaf is the value filed
-    for its class, anything but a list or None. Keep small values in it:
-    a verdict keeps its trie, and a leaf holding an _EnvAnswers would keep
-    every class's graph alive.
+    The environments that answer alike the input wires an exploration from
+    the initial state tests get the same graph, hence the same fg answers:
+    a class. outcome gets answer(handshake, mode), the fg answer at the
+    initial state of the class's smallest environment; its first call
+    explores. Taking the classes size by size, each size in wire order, is
+    reasonable_envs order, so an error outcome raises is the first
+    environment's. An inner node is [wire, live branch, stable branch]; a
+    leaf is a class's value, anything but a list. The wires tested past
+    those that fix a class are live in its smallest environment: each one's
+    node hangs in the live branch of the one before (the first in the
+    class's slot), and its stable branch is the slot of a child class.
+    Keep values small: a verdict keeps its trie.
     """
 
-    __slots__ = ("_top",)
+    wires = machine.sorted_input_wires
+    rank = {wire: position for position, wire in enumerate(wires)}
+    top: list = [None]
+    # A class of this size by its smallest environment, as positions in
+    # wires: how many of its exploration's tested wires fix it, and its slot.
+    level: dict[tuple[int, ...], tuple[int, list, int]] = {(): (0, top, 0)}
+    while level:
+        larger = {}
+        for positions in sorted(level):
+            fixed, holder, index = level[positions]
+            env = frozenset(wires[position] for position in positions)
+            made: list[_EnvAnswers] = []
 
-    def __init__(self) -> None:
-        self._top: list = [None]  # holds the root at index 0
+            def answer(handshake: str, mode: Mode) -> bool:
+                start = machine.init_state
+                if not made:
+                    made.append(_EnvAnswers(machine, env, (start,)))
+                return made[0].fg(handshake, mode, start)
 
-    def find(self, env: Environment):
-        """The value filed for env's class, or None."""
+            value = outcome(answer)
+            tested = list(made[0].tested) if made else []
+            for depth in range(fixed, len(tested)):
+                holder[index] = node = [tested[depth], None, None]
+                larger[tuple(sorted((*positions, rank[tested[depth]])))] = (depth + 1, node, 2)
+                holder, index = node, 1
+            holder[index] = value
+        level = larger
+    return top[0]
 
-        node = self._top[0]
-        while type(node) is list:
-            node = node[2 if node[0] in env else 1]
-        return node
 
-    def add(self, env: Environment, tested: Iterable[tuple[str, str]], value) -> None:
-        """File value for env's class; tested is what env's exploration
-        tested, in first-test order."""
+def _find_class(trie, env: Environment):
+    """The value filed for env's class in a trie from _env_classes."""
 
-        holder, index, depth = self._top, 0, 0
-        while type(holder[index]) is list:
-            holder = holder[index]
-            index, depth = 2 if holder[0] in env else 1, depth + 1
-        # The walk followed the first depth tested wires; branch on the rest.
-        node = value
-        for key in reversed(list(tested)[depth:]):
-            node = [key, None, node] if key in env else [key, node, None]
-        holder[index] = node
+    while type(trie) is list:
+        trie = trie[2 if trie[0] in env else 1]
+    return trie
 
 
 # --- Bounded walk-enumeration oracle ---------------------------------------

@@ -255,10 +255,10 @@ class ProductSystem(Record):
     breadth-first tree; both are -1 at state 0. plan holds the compiled
     move tables (see _compile) that the edges are re-derived from.
 
-    states, adjacency and parents are the tuple-form views: product
-    states as tuples of local state names, edges as Edge. Each is built on
-    first access and then kept; analyze_deadlock, fullness_invariant and
-    the CLI never build them.
+    states and adjacency are the tuple-form views: product states as
+    tuples of local state names, edges as Edge. Each is built on first
+    access and then kept; analyze_deadlock, fullness_invariant and the CLI
+    never build them.
     """
 
     netlist: Netlist
@@ -306,14 +306,6 @@ class ProductSystem(Record):
             )
             for code in self.codes
         }
-
-    @cached_property
-    def parents(self) -> dict[ProductState, tuple[ProductState, str] | None]:
-        states = self.states
-        table: dict[ProductState, tuple[ProductState, str] | None] = {states[0]: None}
-        for s in range(1, len(states)):
-            table[states[s]] = (states[self.parent[s]], self.labels[self.parent_label[s]])
-        return table
 
     def path_to(self, state: ProductState) -> tuple[str, ...]:
         """Event labels along the breadth-first path from the initial state.

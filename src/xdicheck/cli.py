@@ -576,12 +576,8 @@ def _add_arguments(command: _Command, sub: argparse.ArgumentParser) -> None:
             sub.add_argument(option.flag, action="store_true", help=option.help)
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for argv: when argv starts with a subcommand, only that
-    subcommand's parser is built, under the full list's metavar, so every
-    usage line reads as with the whole tree. -h, no subcommand or an
-    unknown one builds the whole tree, with argparse's default metavar,
-    which the missing-subcommand error names as "command"."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree; main reaches it only for help and usage errors."""
 
     import argparse  # here, so that a call _read_argv reads does not pay for it
 
@@ -589,17 +585,11 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         prog="xdicheck",
         description="Verification toolkit for delay-insensitive handshake machines.",
     )
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    subparsers = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if named is None else "{" + ",".join(_COMMANDS) + "}",
-    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
     for command, spec in _COMMANDS.items():
-        if named in (None, command):
-            sub = subparsers.add_parser(command, help=spec.help)
-            _add_arguments(spec, sub)
-            sub.set_defaults(func=spec.handler)
+        sub = subparsers.add_parser(command, help=spec.help)
+        _add_arguments(spec, sub)
+        sub.set_defaults(func=spec.handler)
     return parser
 
 
@@ -611,7 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _read_argv(argv)
     if args is None:
         try:
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

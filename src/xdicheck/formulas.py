@@ -16,7 +16,7 @@ from collections import deque
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from . import checker
-from .labeling import UnknownHandshakeError
+from .labeling import BLOCKING, IDLING, Mode, UnknownHandshakeError
 from .machine import Environment, XdiMachine, format_env
 from .record import Record
 from .sexpr import ParseError, located
@@ -312,24 +312,6 @@ def evaluate(form: Formula, resolve: Callable[[Formula], bool]) -> bool:
             return value
 
 
-def _machine_resolver(
-    machine: XdiMachine, env: Environment, made: list
-) -> Callable[[Formula], bool]:
-    """Answer blocked(h) and idle(h) as checker.blocked and checker.idle
-    would, from one exploration under env, made at the first such atom and
-    appended to made."""
-
-    def resolve(atom: Formula) -> bool:
-        if not isinstance(atom, (BlockedAtom, IdleAtom)):
-            raise ValueError(f"free variable {atom.name!r} in a machine condition")
-        if not made:
-            made.append(checker._EnvAnswers(machine, env, (machine.init_state,)))
-        mode = checker.BLOCKING if isinstance(atom, BlockedAtom) else checker.IDLING
-        return made[0].fg(atom.handshake, mode, machine.init_state)
-
-    return resolve
-
-
 def _check_atoms_known(form: Formula, machine: XdiMachine) -> None:
     for name in sorted(condition_handshakes(form)):
         if name not in machine.handshakes:
@@ -359,8 +341,9 @@ class Verdict(Record):
     """Per-environment outcomes for one condition against one machine.
 
     environments counts the environments. A verdict from verify_condition
-    holds one outcome per class of environments and builds per_env, in
-    reasonable_envs order, only when it is first read.
+    keeps the trie of checker._env_classes, one outcome per class of
+    environments, and builds per_env from it, in reasonable_envs order,
+    only when it is first read.
     """
 
     holds_overall: bool
@@ -383,9 +366,10 @@ class Verdict(Record):
         filed = self.__dict__.get("_filed")
         if name != "per_env" or filed is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        machine, classes = filed
+        machine, trie = filed
         per_env = tuple(
-            EnvVerdict(env, *classes.find(env)) for env in checker.reasonable_envs(machine)
+            EnvVerdict(env, *checker._find_class(trie, env))
+            for env in checker.reasonable_envs(machine)
         )
         object.__setattr__(self, "per_env", per_env)
         return per_env
@@ -394,49 +378,38 @@ class Verdict(Record):
 def verify_condition(form: Formula, machine: XdiMachine) -> Verdict:
     """Evaluate the condition under every reasonable environment.
 
-    Each class of environments (checker._EnvClasses) is explored and
-    evaluated once, at its smallest environment: the wires its exploration
-    answers stable. The walk starts at the empty environment. Every wire
-    an exploration tests past the wires that fix its class opens a child
-    class, with that wire stable and the wires tested before it answered
-    as in the parent; the child's smallest environment is one wire larger.
-    Taking the classes size by size, each size in wire order, visits them
-    in reasonable_envs order: the environments a loop over every
-    environment explores, in the same order, so an error is that of the
-    first environment whose evaluation raises. Each class's (lhs, rhs,
-    holds) is filed in the trie; the verdict reads it only to build
-    per_env.
+    blocked(h) and idle(h) are answered as checker.blocked and
+    checker.idle would. The condition is evaluated once per class of
+    environments that checker._env_classes walks, the environments whose
+    explorations answer alike, and an error is that of the first
+    environment, in reasonable_envs order, whose evaluation raises. Each
+    class's (lhs, rhs, holds) is filed in the walk's trie; the verdict
+    reads it only to build per_env.
     """
 
     _check_atoms_known(form, machine)
-    iff = isinstance(form, Iff)
-    wires = machine.sorted_input_wires
-    rank = {wire: position for position, wire in enumerate(wires)}
-    classes = checker._EnvClasses()
     holds_overall = True
-    # A class of this size: its smallest environment, as positions in
-    # wires, and how many of its exploration's tested wires fix it.
-    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    while level:
-        larger = []
-        for positions, fixed in sorted(level):
-            env = frozenset(wires[position] for position in positions)
-            made: list = []
-            resolve = _machine_resolver(machine, env, made)
-            if iff:
-                lhs, rhs = evaluate(form.lhs, resolve), evaluate(form.rhs, resolve)
-            else:
-                lhs = rhs = evaluate(form, resolve)
-            holds = lhs == rhs if iff else lhs
-            holds_overall = holds_overall and holds
-            tested = list(made[0].tested) if made else []
-            classes.add(env, tested, (lhs, rhs, holds))
-            for depth in range(fixed, len(tested)):
-                larger.append((tuple(sorted((*positions, rank[tested[depth]]))), depth + 1))
-        level = larger
+
+    def outcome(answer: Callable[[str, Mode], bool]) -> tuple[bool, bool, bool]:
+        nonlocal holds_overall
+
+        def resolve(atom: Formula) -> bool:
+            if not isinstance(atom, (BlockedAtom, IdleAtom)):
+                raise ValueError(f"free variable {atom.name!r} in a machine condition")
+            return answer(atom.handshake, BLOCKING if isinstance(atom, BlockedAtom) else IDLING)
+
+        if isinstance(form, Iff):
+            lhs, rhs = evaluate(form.lhs, resolve), evaluate(form.rhs, resolve)
+            holds = lhs == rhs
+        else:
+            lhs = rhs = holds = evaluate(form, resolve)
+        holds_overall = holds_overall and holds
+        return lhs, rhs, holds
+
+    trie = checker._env_classes(machine, outcome)
     verdict = Verdict.__new__(Verdict)
     object.__setattr__(verdict, "holds_overall", holds_overall)
-    object.__setattr__(verdict, "_filed", (machine, classes))
+    object.__setattr__(verdict, "_filed", (machine, trie))
     return verdict
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .record import Record
 from .sexpr import Form, ParseError, error_at, expect_list, expect_symbol, located, read_forms
-from .sexpr import spelling, string_value
+from .sexpr import string_value
 
 __all__ = [
     "Wire",
@@ -170,18 +170,13 @@ def _expect_identifier(node: Form, what: str) -> str:
     return text
 
 
-def _parse_wire(node: Form, wires: dict[tuple[str, ...], Wire]) -> Wire:
-    """The node's wire, built once per spelling: wires maps the texts of
-    the three items to the Wire they name. A list among the items gives
-    no spelling and fails the checks below, so None is never stored."""
+def _parse_wire(node: Form) -> Wire:
+    """The node's wire, a new Wire per transition: the token reader runs
+    only where the pattern reader, which shares one per spelling, declines."""
 
     items = expect_list(node, "wire (handshake R|A I|O)")
     if len(items) != 3:
         raise error_at(node, "wire must have exactly three elements")
-    key = spelling(items)
-    wire = wires.get(key)
-    if wire is not None:
-        return wire
     handshake = _expect_identifier(items[0], "handshake")
     phase = expect_symbol(items[1], "phase").upper()
     if phase not in (REQUEST, ACK):
@@ -189,11 +184,10 @@ def _parse_wire(node: Form, wires: dict[tuple[str, ...], Wire]) -> Wire:
     direction = expect_symbol(items[2], "direction").upper()
     if direction not in (INPUT, OUTPUT):
         raise error_at(items[2], f"direction must be I or O, got {direction!r}")
-    wire = wires[key] = Wire(handshake, phase, direction)
-    return wire
+    return Wire(handshake, phase, direction)
 
 
-def _parse_state(node: Form, wires: dict[tuple[str, ...], Wire]) -> StateEntry:
+def _parse_state(node: Form) -> StateEntry:
     items = expect_list(node, "state entry")
     if len(items) != 4:
         raise error_at(node, "state entry must be (id init kind (transitions...))")
@@ -209,7 +203,7 @@ def _parse_state(node: Form, wires: dict[tuple[str, ...], Wire]) -> StateEntry:
         pair = expect_list(transition_node, "transition (wire target)")
         if len(pair) != 2:
             raise error_at(transition_node, "transition must be ((h R|A I|O) target)")
-        wire = _parse_wire(pair[0], wires)
+        wire = _parse_wire(pair[0])
         target = _expect_identifier(pair[1], "target state id")
         transitions.append((wire, target))
     return StateEntry(name, init_token == "t", kind, tuple(transitions))
@@ -222,8 +216,7 @@ def _machine_from_form(node: Form) -> XdiMachine:
     if len(items) < 2:
         raise error_at(node, "machine form needs a name")
     name = _expect_identifier(items[1], "machine name")
-    wires: dict[tuple[str, ...], Wire] = {}
-    states = tuple(_parse_state(child, wires) for child in items[2:])
+    states = tuple(_parse_state(child) for child in items[2:])
     if not states:
         raise error_at(node, "machine declares no states")
     seen: set[str] = set()

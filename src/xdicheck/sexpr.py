@@ -7,7 +7,9 @@ forms from that token list with one stack. A machine file reaches this
 reader only when the pattern reader in machine.py declines it: that
 reader takes a plain machine file one regex match per state entry and
 leaves every error, and the spellings its patterns do not take, to this
-one.
+one. So a machine file is read here to place an error, or when it has a
+comment inside an entry, non-ASCII whitespace or a non-ASCII letter;
+every machine file of the benchmark's workloads is read by the patterns.
 
 A form is a pair: a list is ``(children, token)``, with ``children`` a
 tuple of forms, and a leaf is ``(text, token)``, with ``text`` the
@@ -24,7 +26,6 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from itertools import islice
-from operator import itemgetter
 from typing import Iterator, Union
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "expect_symbol",
     "located",
     "read_forms",
-    "spelling",
     "string_value",
 ]
 
@@ -46,7 +46,6 @@ Form = tuple[Union[str, tuple], int]
 # regex \s and str.isspace agree on every code point.
 _TOKEN = re.compile(r'[()]|"(?:[^"\\\n]|\\["\\])*"|"|;[^\n]*|[^\s()";]+')
 _ESCAPE = re.compile(r'\\(["\\])')
-_TEXT = itemgetter(0)
 
 
 class ParseError(ValueError):
@@ -172,10 +171,3 @@ def string_value(node: Form) -> str | None:
     if type(text) is not str or text[0] != '"':
         return None
     return _ESCAPE.sub(r"\1", text[1:-1])
-
-
-def spelling(nodes: tuple[Form, ...]) -> tuple[str, ...] | None:
-    """The nodes' texts as written, a hashable key; None when one is a list."""
-
-    texts = tuple(map(_TEXT, nodes))
-    return None if tuple in map(type, texts) else texts

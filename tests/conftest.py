@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +16,17 @@ from xdicheck.formulas import BlockedAtom, Formula, IdleAtom, Iff
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 MACHINES = REPO / "machines"
+
+
+def bench_jobs(monkeypatch) -> list:
+    """Every job the benchmark's workloads can draw, from bench/workloads.py
+    loaded without touching bench/."""
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    return [job for name in workloads.WORKLOADS for job in workloads.catalog(name)]
 
 
 @pytest.fixture(scope="session")

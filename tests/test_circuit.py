@@ -488,6 +488,18 @@ def differential_netlist(kind, arg, broken, machines_dir, circuit_document):
     return parse_netlist(text)
 
 
+def parent_links(system):
+    """The breadth-first tree in the reference's form, read from parent,
+    parent_label and decode: each state's parent and the label of the
+    edge from it, None at the initial state."""
+
+    states = [system.decode(code) for code in system.codes]
+    links = {states[0]: None}
+    for s in range(1, len(states)):
+        links[states[s]] = (states[system.parent[s]], system.labels[system.parent_label[s]])
+    return links
+
+
 def assert_search_fields_match(system, expected):
     """moving and predecessors, which analyze_deadlock reads, hold what the
     reference adjacency implies: per state, the OR of its edges' mover
@@ -518,7 +530,7 @@ def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_docum
     assert system.init == expected.init
     assert system.states == expected.states
     assert system.adjacency == expected.adjacency
-    assert system.parents == expected.parents
+    assert parent_links(system) == expected.parents
     finding = analyze_deadlock(system)
     reference = reference_analyze_deadlock(expected)
     assert (finding is None) == (reference is None)
@@ -585,7 +597,7 @@ def test_engine_matches_reference_on_random_netlists(netlist, max_states):
     assert system.init == expected.init
     assert system.states == expected.states
     assert system.adjacency == expected.adjacency
-    assert system.parents == expected.parents
+    assert parent_links(system) == expected.parents
     assert [system.path_to(state) for state in expected.states] == [
         expected.path_to(state) for state in expected.states
     ]
@@ -597,7 +609,7 @@ def test_engine_matches_reference_on_random_netlists(netlist, max_states):
     assert fullness_invariant(system) == reference_fullness_invariant(expected)
 
 
-TUPLE_VIEWS = {"states", "adjacency", "parents"}
+TUPLE_VIEWS = {"states", "adjacency"}
 
 
 @pytest.mark.parametrize(

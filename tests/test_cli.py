@@ -1,6 +1,5 @@
 """Command line behavior: output lines, JSON payloads, and exit codes."""
 
-import importlib.util
 import json
 import os
 import pathlib
@@ -10,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import bench_jobs
 from test_readme import REPO, _quick_start
 from xdicheck import cli, formulas
 
@@ -654,29 +654,12 @@ PARSER_CASES = [
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_a_subcommand_parser_prints_what_the_whole_tree_prints(run_cli, machines_dir, monkeypatch, argv):
+def test_the_parser_exits_0_on_help_and_2_on_a_usage_error(run_cli, machines_dir, argv):
     argv = [
         arg.format(join=machines_dir / "join.xdi", pipeline=machines_dir / "pipeline.net")
         for arg in argv
     ]
-    lazy = run_cli(*argv)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): build(()))  # every subcommand
-    whole = run_cli(*argv)
-    assert (lazy.code, lazy.out, lazy.err) == (whole.code, whole.out, whole.err)
-    assert lazy.code == (0 if "--help" in argv else 2)
-
-
-def test_the_parser_builds_only_the_named_subcommand():
-    def built(argv):
-        parser = cli._build_parser(argv)
-        return list(parser._subparsers._group_actions[0].choices)
-
-    assert built(["deadlock", "x"]) == ["deadlock"]
-    assert built(["check", "deadlock"]) == ["check"]
-    every = list(cli._COMMANDS)
-    for argv in ([], ["-h"], ["frobnicate"], ["--json", "validate"]):
-        assert built(argv) == every
+    assert run_cli(*argv).code == (0 if "--help" in argv else 2)
 
 
 def _table_calls():
@@ -711,16 +694,6 @@ def _table_calls():
     return calls
 
 
-def _bench_calls(monkeypatch):
-    """The argv of every job the benchmark's workloads can draw."""
-
-    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
-    spec.loader.exec_module(workloads)
-    return {job.argv for name in workloads.WORKLOADS for job in workloads.catalog(name)}
-
-
 DECLINED = [
     ("labels", "{join}", "--handshake", "a", "--json=1"),
     ("labels", "{join}", "--hand", "a"),
@@ -739,8 +712,9 @@ DECLINED = [
 
 
 def test_the_table_reads_a_valid_call_as_argparse_does(monkeypatch):
-    parser = cli._build_parser(())
-    calls = _table_calls() + [argv for argv, _ in _quick_start()] + sorted(_bench_calls(monkeypatch))
+    parser = cli._build_parser()
+    bench = sorted({job.argv for job in bench_jobs(monkeypatch)})
+    calls = _table_calls() + [argv for argv, _ in _quick_start()] + bench
     assert len(calls) > 100
     for argv in calls:
         read = cli._read_argv(argv)

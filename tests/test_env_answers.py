@@ -158,9 +158,20 @@ def test_checks_match_the_references_result_for_result(differential_machines):
 
 
 def fresh_resolver(machine, env):
-    """One exploration of its own per environment, shared with no other."""
+    """One exploration of its own per environment, shared with no other,
+    made at the first blocked or idle atom."""
 
-    return formulas._machine_resolver(machine, env, [])
+    made = []
+
+    def resolve(atom):
+        if not isinstance(atom, (BlockedAtom, IdleAtom)):
+            raise ValueError(f"free variable {atom.name!r} in a machine condition")
+        if not made:
+            made.append(checker._EnvAnswers(machine, env, (machine.init_state,)))
+        mode = BLOCKING if isinstance(atom, BlockedAtom) else IDLING
+        return made[0].fg(atom.handshake, mode, machine.init_state)
+
+    return resolve
 
 
 def per_atom_resolver(machine, env):
@@ -355,34 +366,51 @@ def test_verify_condition_explores_once_per_environment(explorations):
 
 
 def test_environment_classes_are_sound_exhaustively():
-    """Every environment of every small machine: the exploration filed for
-    its class has the order, parents, preds, tested wires and fg answers
-    at the initial state of a fresh exploration under it."""
+    """Every environment of every small machine: the fg answers at the
+    initial state that the walk files for its class, for every handshake
+    and mode, are those of a fresh exploration under it."""
 
     alphabet = labeling_sweep.wires("a.R,a.A,b.R,b.A")
     machines = envs = 0
     for machine in labeling_sweep.machines(2, alphabet, 2):
         machines += 1
         start = machine.init_state
-        classes = checker._EnvClasses()
+        asks = [(handshake, mode) for handshake in sorted(machine.handshakes) for mode in (BLOCKING, IDLING)]
+        trie = checker._env_classes(
+            machine, lambda answer: tuple(_outcome(lambda: answer(*ask)) for ask in asks)
+        )
         for env in reasonable_envs(machine):
             envs += 1
             fresh = checker._EnvAnswers(machine, env, (start,))
-            filed = classes.find(env)
-            if filed is None:
-                classes.add(env, fresh.tested, fresh)
-                filed = classes.find(env)
-            assert filed.order == fresh.order, (machine, env)
-            assert filed.parents == fresh.parents, (machine, env)
-            assert filed.preds == fresh.preds, (machine, env)
-            assert list(filed.tested) == list(fresh.tested), (machine, env)
-            for handshake in sorted(machine.handshakes):
-                for mode in (BLOCKING, IDLING):
-                    got = _outcome(lambda: filed.fg(handshake, mode, start))
-                    assert got == _outcome(lambda: fresh.fg(handshake, mode, start)), (
-                        machine, env, handshake, mode,
-                    )
+            expected = tuple(_outcome(lambda: fresh.fg(*ask, start)) for ask in asks)
+            assert checker._find_class(trie, env) == expected, (machine, env)
     assert (machines, envs) == (3870, 10460)
+
+
+def test_the_walk_meets_each_class_at_its_first_environment(explorations):
+    """Numbering outcome's calls, a loop over every environment meets the
+    classes' numbers in counting order, each first at the environment the
+    walk explored for it: the walk takes the classes in reasonable_envs
+    order, each at its smallest environment."""
+
+    alphabet = labeling_sweep.wires("a.R,a.A,b.R,b.A")
+    for machine in labeling_sweep.machines(2, alphabet, 2):
+        explorations.clear()
+        handshake = min(machine.handshakes, default=None)
+        calls = []
+
+        def outcome(answer):
+            if handshake is not None:
+                _outcome(lambda: answer(handshake, BLOCKING))
+            calls.append(len(calls))
+            return calls[-1]
+
+        trie = checker._env_classes(machine, outcome)
+        first = {}
+        for env in reasonable_envs(machine):
+            first.setdefault(checker._find_class(trie, env), env)
+        assert list(first) == calls, machine
+        assert list(first.values()) == (explorations if handshake else [frozenset()]), machine
 
 
 def test_cross_validate_explores_once_per_environment(explorations, join):

@@ -9,14 +9,15 @@ rejects. The inputs are hand cases for the spellings the patterns decline
 and for two faults a looser pattern had, and a seeded mutation fuzz over
 the shipped, library and ring documents. Every one of those documents
 must be read by the pattern reader, so that a pattern which declines
-everything fails here rather than only in the benchmark.
+everything fails here rather than only in the benchmark, and so must
+every machine file the benchmark's workloads write.
 """
 
 import random
 
 import pytest
 
-from conftest import _ring_document, wide_document
+from conftest import _ring_document, bench_jobs, wide_document
 from test_reader_differential import FILES_ON_DISK
 from xdicheck.machine import _read_by_pattern, _read_by_tokens
 from xdicheck.sexpr import ParseError
@@ -49,6 +50,14 @@ def _assert_agrees(text):
 @pytest.mark.parametrize("index", range(len(DOCUMENTS)))
 def test_every_shipped_ring_and_wide_document_is_read_by_the_patterns(index):
     assert _assert_agrees(DOCUMENTS[index]) is not None
+
+
+def test_every_benchmark_machine_file_is_read_by_the_patterns(monkeypatch):
+    files = (file for job in bench_jobs(monkeypatch) for file in job.files)
+    texts = dict.fromkeys(text for name, text in files if name.endswith(".xdi"))
+    assert len(texts) > 50
+    for text in texts:
+        assert _assert_agrees(text) is not None, text
 
 
 _TWO = "(machine m (s0 t box (((a R I) s1))) (s1 nil box (((a A O) s0))))"

@@ -9,7 +9,6 @@ from xdicheck.sexpr import (
     expect_symbol,
     located,
     read_forms,
-    spelling,
     string_value,
 )
 
@@ -109,10 +108,3 @@ def test_located_passes_other_errors_through():
     assert (info.value.message, info.value.line, info.value.column) == ("no node", 3, 4)
     with pytest.raises(KeyError), located("(a)"):
         raise KeyError("x")
-
-
-def test_spelling_keys_leaves_by_their_text():
-    first, second, mixed = read_forms('(a R "I") (a R "I") (a (R) I)')
-    assert spelling(expect_list(first, "a list")) == ("a", "R", '"I"')
-    assert spelling(expect_list(first, "a list")) == spelling(expect_list(second, "a list"))
-    assert spelling(expect_list(mixed, "a list")) is None
