@@ -253,7 +253,8 @@ class ProductSystem(Record):
     predecessors[s], the source of every edge into s, once per edge.
     parent[s] and parent_label[s] (an id into labels) give the
     breadth-first tree; both are -1 at state 0. plan holds the compiled
-    move tables (see _compile) that the edges are re-derived from.
+    move tables (see _compile), one per instance, that the edges are
+    re-derived from; the block tables compose reads are not kept.
 
     states and adjacency are the tuple-form views: product states as
     tuples of local state names, edges as Edge. Each is built on first
@@ -407,6 +408,35 @@ def _compile(
     return tuple(plan), tuple(label_ids)
 
 
+# Consecutive instances share one move table while their joint radix
+# stays within this.
+_BLOCK_SPAN = 1296
+
+
+def _block_moves(first: int, span: int, members: list, digit: int) -> list:
+    """A block's moves at its joint digit: its members' moves, in instance
+    order. Where the digit fixes the partner's local state, as for a
+    partner inside the block, or there is no partner (partner radix 1;
+    instance 0 has weight 1 too), the move carries its deltas resolved,
+    with partner weight 0, and is dropped if they are empty. Any other
+    move is the plan's tuple."""
+
+    found = []
+    for weight, radix, by_state in members:
+        for move in by_state[digit // (weight // first) % radix]:
+            label, movers, partner_weight, partner_radix, deltas = move
+            if partner_radix == 1:
+                resolved = deltas[0]
+            elif first <= partner_weight and partner_weight * partner_radix <= first * span:
+                resolved = deltas[digit // (partner_weight // first) % partner_radix]
+            else:
+                found.append(move)
+                continue
+            if resolved:
+                found.append((label, movers, 0, 0, resolved))
+    return found
+
+
 def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     """Explore the reachable product set breadth first.
 
@@ -416,11 +446,15 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     order, then transition order, then the partner's transition order.
     Each instance is compiled into move tables once, so a successor is
     the state's code plus a precomputed delta, and the cost is linear in
-    product states plus edges. Each edge is touched once: it ORs its mover
-    mask into moving[state] and appends its source to its target's
-    predecessor list. A state costs one dict entry while composing, a slot
-    in each of five lists and its predecessor list; an edge one slot in
-    that list.
+    product states plus edges. Moves are looked up once per block, a run
+    of consecutive instances whose joint radix stays within _BLOCK_SPAN:
+    its table, by the block's joint digit, is filled on first use with
+    the instances' moves in instance order (see _block_moves), so the
+    edge order is the same as instance by instance. Each edge is touched
+    once: it ORs its mover mask into moving[state] and appends its source
+    to its target's predecessor list. A state costs one dict entry while
+    composing, a slot in each of five lists and its predecessor list; an
+    edge one slot in that list; a block at most _BLOCK_SPAN entries.
     """
 
     order = tuple(instance for instance, _ in netlist.instances)
@@ -437,6 +471,19 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     if max_states < 1:
         raise ExplorationLimitError(too_many)
 
+    # The blocks: runs of consecutive instances whose joint radix stays
+    # within _BLOCK_SPAN, each the weight of its first instance, its joint
+    # radix, a move table by joint digit filled on first use, and its
+    # instances' plan entries.
+    blocks = []
+    for member in plan:
+        if blocks and blocks[-1][1] * member[1] <= _BLOCK_SPAN:
+            blocks[-1][1] *= member[1]
+            blocks[-1][2].append(member)
+        else:
+            blocks.append([member[0], member[1], [member]])
+    blocks = [(first, span, [None] * span, members) for first, span, members in blocks]
+
     start = _encode(machines, weights, init)
     ids = {start: 0}
     codes = [start]
@@ -447,9 +494,15 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     # The code list doubles as the breadth-first queue.
     for state, code in enumerate(codes):
         mask = 0
-        for weight, radix, moves in plan:
-            for label, movers, partner_weight, partner_radix, deltas in moves[code // weight % radix]:
-                for delta in deltas[code // partner_weight % partner_radix]:
+        for first, span, table, members in blocks:
+            digit = code // first % span
+            entry = table[digit]
+            if entry is None:
+                entry = table[digit] = _block_moves(first, span, members, digit)
+            for label, movers, partner_weight, partner_radix, deltas in entry:
+                if partner_weight:
+                    deltas = deltas[code // partner_weight % partner_radix]
+                for delta in deltas:
                     mask |= movers
                     successor = code + delta
                     target = ids.get(successor)

@@ -156,16 +156,20 @@ def _chain_netlist(n: int, broken: bool) -> str:
     return f"(circuit {name}\n  " + "\n  ".join(instances + channels + extra) + ")\n"
 
 
-def _tree_netlist(depth: int, broken: bool) -> str:
-    """source -> balanced fork tree -> one storage per leaf -> join tree ->
-    sink. Broken: the last leaf storage is missing, leaving its fork output
-    external and live and its join input external and stable."""
+def _tree_netlist(depth: int, broken: bool, per_leaf: int = 1) -> str:
+    """source -> balanced fork tree -> a run of per_leaf storages per leaf
+    -> join tree -> sink. Broken: the last leaf's storages are missing,
+    leaving its fork output external and live and its join input external
+    and stable."""
 
     leaves = 2**depth
-    stores = [f"st{i}" for i in range(leaves - (1 if broken else 0))]
+    runs = [
+        [f"st{i}" if per_leaf == 1 else f"st{i}_{k}" for k in range(per_leaf)]
+        for i in range(leaves - (1 if broken else 0))
+    ]
     instances = ["(instance src source)"]
     instances += [f"(instance f{i} fork)" for i in range(1, leaves)]
-    instances += [f"(instance {s} storage)" for s in stores]
+    instances += [f"(instance {s} storage)" for run in runs for s in run]
     instances += [f"(instance j{i} join)" for i in range(1, leaves)]
     instances.append("(instance snk sink)")
     links = [("src out", "f1 in")]
@@ -175,14 +179,16 @@ def _tree_netlist(depth: int, broken: bool) -> str:
             if child < leaves:
                 links.append((f"f{i} out{side}", f"f{child} in"))
                 links.append((f"j{child} out", f"j{i} in{side}"))
-            elif child - leaves < len(stores):
-                store = stores[child - leaves]
-                links.append((f"f{i} out{side}", f"{store} in"))
-                links.append((f"{store} out", f"j{i} in{side}"))
+            elif child - leaves < len(runs):
+                run = runs[child - leaves]
+                links.append((f"f{i} out{side}", f"{run[0]} in"))
+                links += [(f"{a} out", f"{b} in") for a, b in zip(run, run[1:])]
+                links.append((f"{run[-1]} out", f"j{i} in{side}"))
     links.append(("j1 out", "snk in"))
     channels = [f"(channel c{i} ({a}) ({b}))" for i, (a, b) in enumerate(links)]
     extra = [f"(stable (j{leaves - 1} in1))"] if broken else []
-    name = f"tree{depth}{'_broken' if broken else ''}"
+    shape = f"{depth}x{per_leaf}" if per_leaf != 1 else f"{depth}"
+    name = f"tree{shape}{'_broken' if broken else ''}"
     return f"(circuit {name}\n  " + "\n  ".join(instances + channels + extra) + ")\n"
 
 

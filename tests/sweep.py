@@ -77,8 +77,9 @@ def slope(rows: list[dict], key: str, size: str) -> float | None:
 
 def measure_product(kind: str, size: str, broken: str) -> dict:
     """Compose, then search for a deadlock, the storage chain of SIZE
-    storages or the fork/join tree of depth SIZE (conftest.py's netlists),
-    broken if BROKEN is 1: product states and edges, and the seconds of
+    storages, the fork/join tree of depth SIZE or, as tree2, the depth-2
+    tree with SIZE storages per leaf (conftest.py's netlists), broken if
+    BROKEN is 1: product states and edges, and the seconds of
     each phase, the best of three fresh composes and the searches on them
     (nine at tree depth 1, whose phases take well under a millisecond),
     with one product alive at a time. The peak RSS is the first compose
@@ -87,8 +88,11 @@ def measure_product(kind: str, size: str, broken: str) -> dict:
 
     from xdicheck.circuit import analyze_deadlock, compose, parse_netlist
 
-    build = _chain_netlist if kind == "chain" else _tree_netlist
-    netlist = parse_netlist(build(int(size), broken == "1"))
+    if kind == "tree2":
+        text = _tree_netlist(2, broken == "1", int(size))
+    else:
+        text = (_chain_netlist if kind == "chain" else _tree_netlist)(int(size), broken == "1")
+    netlist = parse_netlist(text)
     runs = []
     for _ in range(9 if (kind, size) == ("tree", "1") else 3):
         system = None  # freed, untimed, before the next compose
@@ -204,7 +208,7 @@ FAMILIES = {
     "product": Family(
         measure_product,
         (_group("chain", range(6, 12), "0"), _group("chain", range(6, 12), "1"))
-        + (_group("tree", (1, 2), "0"), _group("tree", (1, 2), "1")),
+        + (_group("tree", (1, 2), "0"), _group("tree", (1, 2), "1"), _group("tree2", (1, 2), "0")),
         "states",
         ("compose_s", "analyze_s"),
     ),

@@ -468,13 +468,31 @@ EXTERNAL_INPUT = (
 )
 
 
+# Instance 0 (st0) is the partner of src's request inside the first block
+# of moves (see compose), and the join's second input is external, live or
+# stable, in the second.
+BLOCK_EDGES = (
+    "(circuit block_edges (instance st0 storage) (instance src source)"
+    " (instance st1 storage) (instance st2 storage) (instance j join) (instance snk sink)"
+    " (channel a (src out) (st0 in)) (channel b (st0 out) (st1 in))"
+    " (channel c (st1 out) (st2 in)) (channel d (st2 out) (j in0))"
+    " (channel e (j out) (snk in)){}"
+)
+
+
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 SHIPPED_NETS = sorted(path.name for path in MACHINES.glob("*.net"))
+# Chain 7 spans three blocks in either declaration order ("reversed").
+BLOCK_CASES = [
+    ("chain", 7, False, 3), ("chain", 7, True, 3), ("reversed", 7, False, 3), ("reversed", 7, True, 3),
+    ("blocks", ")", None, 2), ("blocks", " (stable (j in1)))", None, 2),
+]
 DIFFERENTIAL_CASES = (
     [("file", name, None) for name in SHIPPED_NETS]
     + [("chain", n, broken) for broken in (False, True) for n in range(1, 7)]
     + [("tree", depth, broken) for broken in (False, True) for depth in (1, 2)]
     + [("inline", ")", None), ("inline", " (stable (j in1)))", None)]
+    + [case[:3] for case in BLOCK_CASES]
 )
 
 
@@ -483,9 +501,30 @@ def differential_netlist(kind, arg, broken, machines_dir, circuit_document):
         text = (machines_dir / arg).read_text()
     elif kind == "inline":
         text = EXTERNAL_INPUT.format(arg)
+    elif kind == "blocks":
+        text = BLOCK_EDGES.format(arg)
+    elif kind == "reversed":
+        netlist = parse_netlist(circuit_document("chain", arg, broken))
+        return netlist._replace(instances=netlist.instances[::-1])
     else:
         text = circuit_document(kind, arg, broken)
     return parse_netlist(text)
+
+
+@pytest.mark.parametrize("kind, arg, broken, blocks", BLOCK_CASES, ids=map(str, BLOCK_CASES))
+def test_block_cases_span_blocks(kind, arg, broken, blocks, machines_dir, circuit_document):
+    """The differential cases for compose's block move tables cross block
+    boundaries: count the runs of consecutive instances whose joint radix
+    stays within circuit._BLOCK_SPAN."""
+
+    netlist = differential_netlist(kind, arg, broken, machines_dir, circuit_document)
+    count, span = 0, circuit._BLOCK_SPAN + 1
+    for instance, _ in netlist.instances:
+        radix = len(netlist.machine_of(instance).states)
+        span *= radix
+        if span > circuit._BLOCK_SPAN:
+            count, span = count + 1, radix
+    assert count == blocks
 
 
 def parent_links(system):

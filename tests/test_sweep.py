@@ -26,6 +26,7 @@ KEYS = {
     [
         ("product", ("chain", "6", "0"), {"states": 1458, "edges": 5184, "deadlock": False}),
         ("product", ("tree", "1", "1"), {"states": 22, "edges": 32, "deadlock": True}),
+        ("product", ("tree2", "1", "0"), {"states": 2604, "edges": 9882, "deadlock": False}),
         ("parse", ("ring", "400"), {"states": 402}),
         ("parse", ("library", "6"), {"states": 43}),
         ("condition", ("wide", "6"), {"envs": 128, "explorations": 8, "holds": True}),
