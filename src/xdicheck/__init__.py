@@ -53,7 +53,6 @@ from .machine import (
     XdiMachine,
     format_env,
     is_environment,
-    is_trace,
     parse_document,
     parse_env,
     validate,
@@ -104,7 +103,6 @@ __all__ = [
     "ValidationReport",
     "parse_document",
     "validate",
-    "is_trace",
     "is_environment",
     "parse_env",
     "format_env",

@@ -28,7 +28,7 @@ from .formulas import (
 )
 from .labeling import compute_block_idle
 from .library import PRIMITIVE_NAMES, get_primitive
-from .machine import INPUT, OUTPUT, REQUEST, ACK, XdiMachine
+from .machine import INPUT, OUTPUT, REQUEST, ACK, XdiMachine, _is_identifier
 from .record import Record
 from .sexpr import Form, error_at, expect_list, expect_symbol, located, read_forms
 
@@ -49,7 +49,6 @@ __all__ = [
     "compose",
     "find_deadlock",
     "analyze_deadlock",
-    "settled_states",
     "fullness_invariant",
     "derive_deadlock_formula",
     "emit_smt",
@@ -178,6 +177,8 @@ def _netlist_from_forms(forms: tuple[Form, ...]) -> Netlist:
 def _validate_netlist(netlist: Netlist) -> None:
     seen_instances: set[str] = set()
     for instance, primitive in netlist.instances:
+        if not _is_identifier(instance):
+            raise NetlistError(f"instance id {instance!r} is not an identifier")
         if instance in seen_instances:
             raise NetlistError(f"duplicate instance id {instance!r}")
         seen_instances.add(instance)
@@ -198,6 +199,8 @@ def _validate_netlist(netlist: Netlist) -> None:
     channel_names: set[str] = set()
     for channel in netlist.channels:
         where = f"channel {channel.name}"
+        if not _is_identifier(channel.name):
+            raise NetlistError(f"channel id {channel.name!r} is not an identifier")
         if channel.name in channel_names:
             raise NetlistError(f"duplicate channel id {channel.name!r}")
         channel_names.add(channel.name)
@@ -228,6 +231,11 @@ def _validate_netlist(netlist: Netlist) -> None:
         check_endpoint(point, "stable annotation")
         if point in used:
             raise NetlistError(f"stable annotation on connected endpoint {point}")
+    # A channel's variables must not be an external endpoint's.
+    for point in netlist.external_endpoints:
+        base = _variable_base(netlist, point)
+        if base in channel_names:
+            raise NetlistError(f"channel id {base!r} is the variable name of external endpoint {point}")
 
 
 # --- Product composition -----------------------------------------------------
@@ -247,10 +255,10 @@ class ProductSystem(Record):
     Each instance numbers its local states in declaration order, and a
     product state is the mixed-radix code sum(number[i] * weights[i]).
     States are identified by breadth-first discovery order: codes[s] is
-    the code of state s, and state 0 is init. Mover sets are bitmasks with
-    bit i for order[i]. compose records what the deadlock search reads:
-    moving[s], the OR of the mover masks of the edges of s, and
-    predecessors[s], the source of every edge into s, once per edge.
+    the code of state s, and state 0 is the initial state. Mover sets are
+    bitmasks with bit i for order[i]. compose records what the deadlock
+    search reads: moving[s], the OR of the mover masks of the edges of s,
+    and predecessors[s], the source of every edge into s, once per edge.
     parent[s] and parent_label[s] (an id into labels) give the
     breadth-first tree; both are -1 at state 0. plan holds the compiled
     move tables (see _compile), one per instance, that the edges are
@@ -265,7 +273,6 @@ class ProductSystem(Record):
     netlist: Netlist
     order: tuple[str, ...]
     machines: tuple[XdiMachine, ...]
-    init: ProductState
     weights: tuple[int, ...]
     codes: list[int]
     labels: tuple[str, ...]
@@ -308,35 +315,12 @@ class ProductSystem(Record):
             for code in self.codes
         }
 
-    def path_to(self, state: ProductState) -> tuple[str, ...]:
-        """Event labels along the breadth-first path from the initial state.
-
-        The state is found by a scan of codes; raises KeyError if it is
-        not reachable.
-        """
-
-        try:
-            return self._path(self.codes.index(_encode(self.machines, self.weights, state)))
-        except ValueError:
-            raise KeyError(state) from None
-
     def _path(self, s: int) -> tuple[str, ...]:
         labels: list[str] = []
         while s > 0:
             labels.append(self.labels[self.parent_label[s]])
             s = self.parent[s]
         return tuple(reversed(labels))
-
-
-def _encode(
-    machines: tuple[XdiMachine, ...], weights: tuple[int, ...], state: ProductState
-) -> int:
-    """The code of a product state; ValueError if it names no local state."""
-
-    return sum(
-        [entry.name for entry in machine.states].index(local) * weight
-        for machine, weight, local in zip(machines, weights, state, strict=True)
-    )
 
 
 def _compile(
@@ -460,13 +444,13 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     order = tuple(instance for instance, _ in netlist.instances)
     machines = tuple(netlist.machine_of(instance) for instance in order)
     places: list[int] = []
-    weight = 1
+    weight, start = 1, 0
     for machine in machines:
         places.append(weight)
+        start += [entry.init for entry in machine.states].index(True) * weight
         weight *= len(machine.states)
     weights = tuple(places)
     plan, labels = _compile(netlist, order, machines, weights)
-    init: ProductState = tuple(machine.init_state for machine in machines)
     too_many = f"product of {netlist.name} exceeds {max_states} states"
     if max_states < 1:
         raise ExplorationLimitError(too_many)
@@ -484,7 +468,6 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
             blocks.append([member[0], member[1], [member]])
     blocks = [(first, span, [None] * span, members) for first, span, members in blocks]
 
-    start = _encode(machines, weights, init)
     ids = {start: 0}
     codes = [start]
     moving: list[int] = []
@@ -519,7 +502,7 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
                         predecessors[target].append(state)
         moving.append(mask)
     return ProductSystem(
-        netlist, order, machines, init, weights, codes, labels, plan,
+        netlist, order, machines, weights, codes, labels, plan,
         moving, predecessors, parent, parent_label,
     )
 
@@ -618,12 +601,6 @@ def find_deadlock(
 
 
 # --- Fullness projection -----------------------------------------------------
-
-
-def settled_states(machine: XdiMachine) -> frozenset[str]:
-    """States where every handshake of the machine is at idling parity."""
-
-    return frozenset(entry.name for entry in machine.states) - _blocking_states(machine)
 
 
 def fullness_invariant(system: ProductSystem) -> Formula | None:

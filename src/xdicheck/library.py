@@ -24,7 +24,6 @@ __all__ = [
     "NamedCondition",
     "PrimitiveSpec",
     "PRIMITIVE_NAMES",
-    "STORAGE_FULLNESS",
     "builtin_library",
     "get_primitive",
     "LibraryEntryReport",
@@ -43,8 +42,7 @@ class NamedCondition(Record):
 # Fullness of the storage machine in its settled states (all handshakes
 # at even parity). Only settled states need a fullness value: the
 # deadlock-formula projection samples the product space there.
-STORAGE_FULLNESS: Mapping[str, bool] = {"s0": False, "s2": True}
-_FULLNESS = {"storage": STORAGE_FULLNESS}
+_FULLNESS = {"storage": {"s0": False, "s2": True}}
 
 # What the deadlock formula assumes of storage, source and sink in place
 # of their shipped conditions; VarAtom("full") stands for the instance's

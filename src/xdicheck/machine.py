@@ -28,7 +28,6 @@ __all__ = [
     "validate",
     "is_environment",
     "enabled_transitions",
-    "is_trace",
     "parse_env",
     "format_env",
 ]
@@ -389,23 +388,6 @@ def enabled_transitions(
         (wire, target)
         for wire, target in machine.entry(state).transitions
         if wire.direction == OUTPUT or (wire.handshake, wire.phase) not in env
-    )
-
-
-def is_trace(
-    machine: XdiMachine, states: Sequence[str], env: Environment
-) -> bool:
-    """True iff each state is the target of an enabled transition out of the
-    one before it; a single declared state qualifies."""
-
-    if not states:
-        return False
-    for name in states:
-        if name not in machine.state_map:
-            return False
-    return all(
-        after in {target for _, target in enabled_transitions(machine, before, env)}
-        for before, after in zip(states, states[1:])
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus paths, parsed machines, and a CLI runner."""
+"""Shared fixtures and helpers: corpus paths, parsed machines, a CLI runner,
+and the trace and settled-state oracles."""
 
 from __future__ import annotations
 
@@ -12,21 +13,48 @@ import pytest
 
 from xdicheck import machine as machine_mod
 from xdicheck.cli import main as cli_main
+from xdicheck.circuit import _blocking_states
 from xdicheck.formulas import BlockedAtom, Formula, IdleAtom, Iff
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 MACHINES = REPO / "machines"
 
 
-def bench_jobs(monkeypatch) -> list:
-    """Every job the benchmark's workloads can draw, from bench/workloads.py
+def bench_catalogs(monkeypatch) -> dict[str, list]:
+    """Per benchmark workload, every job it can draw, from bench/workloads.py
     loaded without touching bench/."""
 
     spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
     spec.loader.exec_module(workloads)
-    return [job for name in workloads.WORKLOADS for job in workloads.catalog(name)]
+    return {name: workloads.catalog(name) for name in workloads.WORKLOADS}
+
+
+def bench_jobs(monkeypatch) -> list:
+    """Every job the benchmark's workloads can draw."""
+
+    return [job for jobs in bench_catalogs(monkeypatch).values() for job in jobs]
+
+
+def is_trace(machine, states, env) -> bool:
+    """True iff each state is the target of an enabled transition out of the
+    one before it; a single declared state qualifies. The oracle the trace
+    properties hold enabled_transitions to."""
+
+    if not states or any(name not in machine.state_map for name in states):
+        return False
+    return all(
+        after in {target for _, target in machine_mod.enabled_transitions(machine, before, env)}
+        for before, after in zip(states, states[1:])
+    )
+
+
+def settled_states(machine) -> frozenset[str]:
+    """States where every handshake of the machine is at idling parity:
+    the states a fullness map must cover."""
+
+    return frozenset(entry.name for entry in machine.states) - _blocking_states(machine)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,9 @@ import subprocess
 import time
 from contextlib import contextmanager
 
+from conftest import is_trace, settled_states
 from xdicheck import checker, circuit, formulas, labeling, machine
-from xdicheck.library import STORAGE_FULLNESS, builtin_library
+from xdicheck.library import builtin_library, get_primitive
 
 
 @contextmanager
@@ -102,10 +103,10 @@ def test_criterion_7_circuit_deadlock(machines_dir):
             i for i, (_, prim) in enumerate(clean.instances) if prim == "storage"
         ]
         settled = {
-            i: circuit.settled_states(system.machines[i]) for i in storage_slots
+            i: settled_states(system.machines[i]) for i in storage_slots
         }
         profiles = {
-            tuple(STORAGE_FULLNESS[state[i]] for i in storage_slots)
+            tuple(get_primitive("storage").fullness[state[i]] for i in storage_slots)
             for state in system.states
             if all(state[i] in settled[i] for i in storage_slots)
         }
@@ -219,6 +220,6 @@ def test_criterion_9_property_suites():
                 if not nexts:
                     break
                 trace.append(rng.choice(nexts))
-            assert machine.is_trace(spec.machine, trace, env)
+            assert is_trace(spec.machine, trace, env)
             for cut in range(1, len(trace) + 1):
-                assert machine.is_trace(spec.machine, trace[:cut], env)
+                assert is_trace(spec.machine, trace[:cut], env)

@@ -23,8 +23,8 @@ from xdicheck.circuit import (
     find_deadlock,
     fullness_invariant,
     parse_netlist,
-    settled_states,
 )
+from conftest import bench_jobs, settled_states
 from dsl_reference import to_dsl
 from solver_reference import satisfying_models
 from test_formulas import recursive_smt_term
@@ -40,7 +40,7 @@ from xdicheck.formulas import (
     map_atoms,
     smt_term,
 )
-from xdicheck.library import STORAGE_FULLNESS, builtin_library, get_primitive
+from xdicheck.library import builtin_library, get_primitive
 from xdicheck.labeling import compute_block_idle
 from xdicheck.machine import INPUT, OUTPUT, REQUEST
 
@@ -117,10 +117,39 @@ def test_broken_netlist_externals(broken):
             " (channel c (st out) (st2 in)) (channel c (st2 out) (st in)))",
             "duplicate channel",
         ),
+        ("(circuit x (instance a-b join))", "instance id 'a-b' is not an identifier"),
+        (
+            "(circuit x (instance st storage) (instance k sink) (channel a|b (st out) (k in)))",
+            r"channel id 'a\|b' is not an identifier",
+        ),
+        # st1_in would be both this channel's variable base and the one of
+        # st1's unconnected in port: blk_st1_in would be declared twice.
+        (
+            "(circuit x (instance st0 storage) (instance st1 storage) (instance k sink)"
+            " (channel st1_in (st0 out) (k in)))",
+            "channel id 'st1_in' is the variable name of external endpoint st1.in",
+        ),
     ],
 )
 def test_netlist_validation_failures(text, fragment):
     with pytest.raises(NetlistError, match=fragment):
+        parse_netlist(text)
+
+
+def test_a_channel_may_take_the_name_of_a_connected_endpoint():
+    netlist = parse_netlist(
+        "(circuit x (instance st storage) (instance k sink) (channel st_out (st out) (k in)))"
+    )
+    instance = derive_deadlock_formula(netlist, "st_out")
+    assert len(set(instance.variables)) == len(instance.variables)
+
+
+def test_every_shipped_and_benchmark_netlist_keeps_the_name_rules(machines_dir, monkeypatch):
+    files = (file for job in bench_jobs(monkeypatch) for file in job.files)
+    texts = dict.fromkeys(text for name, text in files if name.endswith(".net"))
+    texts.update(dict.fromkeys(path.read_text() for path in machines_dir.glob("*.net")))
+    assert len(texts) > 50
+    for text in texts:
         parse_netlist(text)
 
 
@@ -185,9 +214,9 @@ def test_compose_respects_state_limit(pipeline):
 
 def test_product_paths_replay_as_edges(pipeline):
     system = compose(pipeline)
+    paths = product_paths(system)
     for state in system.states[:12]:
-        path = system.path_to(state)
-        assert len(path) <= len(system.states)
+        assert len(paths[state]) <= len(system.states)
 
 
 def test_pipeline_has_no_deadlock(pipeline):
@@ -212,8 +241,6 @@ def test_broken_deadlock_witness(broken):
 
 
 def test_settled_states_of_storage():
-    from xdicheck.library import get_primitive
-
     assert settled_states(get_primitive("storage").machine) == frozenset({"s0", "s2"})
 
 
@@ -539,6 +566,13 @@ def parent_links(system):
     return links
 
 
+def product_paths(system):
+    """Each reachable product state's event labels along the breadth-first
+    path from the initial state, read from decode and the parent links."""
+
+    return {system.decode(code): system._path(s) for s, code in enumerate(system.codes)}
+
+
 def assert_search_fields_match(system, expected):
     """moving and predecessors, which analyze_deadlock reads, hold what the
     reference adjacency implies: per state, the OR of its edges' mover
@@ -566,10 +600,14 @@ def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_docum
     expected = reference_compose(netlist)
     assert system.order == expected.order
     assert system.machines == expected.machines
-    assert system.init == expected.init
+    assert system.decode(system.codes[0]) == expected.init
     assert system.states == expected.states
     assert system.adjacency == expected.adjacency
     assert parent_links(system) == expected.parents
+    paths = product_paths(system)
+    assert [paths[state] for state in expected.states] == [
+        expected.path_to(state) for state in expected.states
+    ]
     finding = analyze_deadlock(system)
     reference = reference_analyze_deadlock(expected)
     assert (finding is None) == (reference is None)
@@ -633,11 +671,12 @@ def test_engine_matches_reference_on_random_netlists(netlist, max_states):
     system = compose(netlist, max_states)
     assert system.order == expected.order
     assert system.machines == expected.machines
-    assert system.init == expected.init
+    assert system.decode(system.codes[0]) == expected.init
     assert system.states == expected.states
     assert system.adjacency == expected.adjacency
     assert parent_links(system) == expected.parents
-    assert [system.path_to(state) for state in expected.states] == [
+    paths = product_paths(system)
+    assert [paths[state] for state in expected.states] == [
         expected.path_to(state) for state in expected.states
     ]
     with pytest.raises(ExplorationLimitError):
@@ -659,7 +698,7 @@ def test_search_reads_the_packed_fields_only(
 ):
     """compose records moving and predecessors as the reference implies.
     The deadlock search and the formula of every channel answer from them
-    and the codes without building a tuple view, and decode and path_to
+    and the codes without building a tuple view, and decode and the paths
     agree with the reference for every state."""
 
     netlist = differential_netlist(kind, arg, broken, machines_dir, circuit_document)
@@ -670,7 +709,8 @@ def test_search_reads_the_packed_fields_only(
     expected = reference_compose(netlist)
     assert_search_fields_match(system, expected)
     assert [system.decode(code) for code in system.codes] == list(expected.states)
-    assert [system.path_to(state) for state in expected.states] == [
+    paths = product_paths(system)
+    assert [paths[state] for state in expected.states] == [
         expected.path_to(state) for state in expected.states
     ]
     assert not TUPLE_VIEWS & vars(system).keys()
@@ -774,7 +814,7 @@ def reference_fullness_invariant(system):
     settled = {idx: settled_states(system.machines[idx]) for idx in indices}
     profiles = sorted(
         {
-            tuple(STORAGE_FULLNESS[state[idx]] for idx in indices)
+            tuple(get_primitive("storage").fullness[state[idx]] for idx in indices)
             for state in system.states
             if all(state[idx] in settled[idx] for idx in indices)
         }

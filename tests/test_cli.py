@@ -583,6 +583,26 @@ def test_deadlock_never_builds_the_tuple_views(
     assert not {"states", "adjacency", "parents"} & vars(systems[0]).keys()
 
 
+@pytest.mark.parametrize(
+    "channel, text",
+    [
+        ("st1_in", "(channel st1_in (st0 out) (k in))"),
+        ("a|b", "(channel a|b (st0 out) (k in))"),
+    ],
+)
+def test_deadlock_rejects_a_channel_name_the_formula_cannot_use(run_cli, tmp_path, channel, text):
+    net = tmp_path / "names.net"
+    net.write_text(
+        f"(circuit names (instance st0 storage) (instance st1 storage) (instance k sink) {text})"
+    )
+    smt = tmp_path / "names.smt2"
+    result = run_cli("deadlock", str(net), "--channel", channel, "--emit-smt", str(smt))
+    assert result.code == 2
+    assert result.out == ""
+    assert repr(channel) in result.err
+    assert not smt.exists()
+
+
 def test_deadlock_emit_smt_requires_channel(run_cli, machines_dir, tmp_path):
     result = run_cli(
         "deadlock", str(machines_dir / "pipeline.net"),

@@ -2,12 +2,12 @@
 
 import pytest
 
+from conftest import settled_states
 from dsl_reference import to_dsl
 from xdicheck import labeling, library
 from xdicheck.checker import reasonable_envs
 from xdicheck.library import (
     PRIMITIVE_NAMES,
-    STORAGE_FULLNESS,
     builtin_library,
     get_primitive,
     verify_library,
@@ -107,12 +107,10 @@ def test_distributor_interface_names():
 
 
 def test_storage_fullness_covers_the_settled_states():
-    from xdicheck.circuit import settled_states
-
-    storage = get_primitive("storage").machine
-    settled = settled_states(storage)
-    assert settled == frozenset(STORAGE_FULLNESS)
-    assert STORAGE_FULLNESS == {"s0": False, "s2": True}
+    storage = get_primitive("storage")
+    settled = settled_states(storage.machine)
+    assert settled == frozenset(storage.fullness)
+    assert storage.fullness == {"s0": False, "s2": True}
 
 
 def test_facts_are_the_conditions_unless_the_library_states_others():
@@ -148,7 +146,6 @@ def _parities(machine, handshake):
 
 
 def test_fact_invariants():
-    from xdicheck.circuit import settled_states
     from xdicheck.formulas import VarAtom, atoms
 
     for spec in builtin_library():

