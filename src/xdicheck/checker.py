@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
-from .machine import OUTPUT, Environment, XdiMachine, enabled_transitions, is_environment
+from .machine import OUTPUT, TRANSIENT, Environment, XdiMachine, enabled_transitions, is_environment
 from .record import Record
 
 __all__ = [
@@ -142,22 +142,27 @@ def _reach(machine: XdiMachine, env: Environment, *starts: str):
     preds: dict[str, list[str]] = {start: [] for start in parents}
     order: list[str] = []
     tested: dict[tuple[str, str], None] = {}
-    entry = machine.entry
+    entries = machine.state_map
     queue = deque(parents)
-    while queue:
-        state = queue.popleft()
-        order.append(state)
-        for wire, target in entry(state).transitions:
-            if wire.direction != OUTPUT:
-                key = (wire.handshake, wire.phase)
-                tested[key] = None
-                if key in env:
-                    continue
-            if target not in parents:
-                parents[target] = state
-                preds[target] = []
-                queue.append(target)
-            preds[target].append(state)
+    try:
+        while queue:
+            state = queue.popleft()
+            order.append(state)
+            for wire, target in entries[state].transitions:
+                if wire.direction != OUTPUT:
+                    key = (wire.handshake, wire.phase)
+                    tested[key] = None
+                    if key in env:
+                        continue
+                if target in parents:
+                    preds[target].append(state)
+                else:
+                    parents[target] = state
+                    preds[target] = [state]
+                    queue.append(target)
+    except KeyError:
+        machine.entry(state)  # raises entry()'s ValueError for an undeclared state
+        raise
     return order, parents, preds, tested
 
 
@@ -166,8 +171,8 @@ def _back_closure(preds: dict[str, list[str]], seeds: Iterable[str]) -> set[str]
 
     closure = set(seeds)
     pending = list(closure)
-    while pending:
-        for pred in preds[pending.pop()]:
+    for state in pending:  # pending grows as the loop runs
+        for pred in preds[state]:
             if pred not in closure:
                 closure.add(pred)
                 pending.append(pred)
@@ -264,14 +269,13 @@ class _EnvAnswers:
     def failing(self, handshake: str, mode: Mode) -> list[str]:
         """The failing states, in discovery order."""
 
-        labels = compute_block_idle(self.machine, handshake)
-        entry = self.machine.entry
+        blocking = compute_block_idle(self.machine, handshake).labels
+        entries, movers = self.machine.state_map, self.movers
+        other = mode != BLOCKING  # the label (True: blocking) of the other mode
         return [
             state
             for state in self.order
-            if state in self.movers
-            and labels.mode(state) != mode
-            and not entry(state).is_transient
+            if state in movers and blocking[state] == other and entries[state].kind != TRANSIENT
         ]
 
     def doomed(self, handshake: str, mode: Mode) -> set[str]:

@@ -113,31 +113,44 @@ def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
 
 
 def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport, LabelMap]:
-    """Propagate (state, parity) pairs breadth first from the initial state."""
+    """Propagate (state, parity) pairs breadth first from the initial state.
 
-    start = (machine.init_state, False)
-    parents: dict[tuple[str, bool], tuple[str, bool] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        state, parity = queue.popleft()
-        for wire, target in machine.entry(state).transitions:
-            next_pair = (target, parity ^ (wire.handshake == handshake))
-            if next_pair not in parents:
-                parents[next_pair] = (state, parity)
-                queue.append(next_pair)
+    parents[parity] maps each state reached with that parity to the
+    (state, parity) pair it was first reached from; the two queues hold
+    the pairs' states and parities in step."""
 
-    def path_to(pair: tuple[str, bool]) -> tuple[str, ...]:
+    entries = machine.state_map
+    start = machine.init_state
+    parents: tuple[dict, dict] = ({start: None}, {})
+    states, parities = deque([start]), deque([False])
+    try:
+        while states:
+            state, parity = states.popleft(), parities.popleft()
+            for wire, target in entries[state].transitions:
+                next_parity = parity ^ (wire.handshake == handshake)
+                reached = parents[next_parity]
+                if target not in reached:
+                    reached[target] = (state, parity)
+                    states.append(target)
+                    parities.append(next_parity)
+    except KeyError:
+        machine.entry(state)  # raises entry()'s ValueError for an undeclared state
+        raise
+
+    def path_to(state: str, parity: bool) -> tuple[str, ...]:
         trail = []
-        cursor: tuple[str, bool] | None = pair
+        cursor: tuple[str, bool] | None = (state, parity)
         while cursor is not None:
             trail.append(cursor[0])
-            cursor = parents[cursor]
+            cursor = parents[cursor[1]][cursor[0]]
         return tuple(reversed(trail))
 
+    idling, blocking = parents
+    both = idling.keys() & blocking.keys()
     witnesses = tuple(
-        ParityConflict(entry.name, path_to((entry.name, False)), path_to((entry.name, True)))
+        ParityConflict(entry.name, path_to(entry.name, False), path_to(entry.name, True))
         for entry in machine.states
-        if (entry.name, False) in parents and (entry.name, True) in parents
+        if entry.name in both
     )
-    labels = {entry.name: (entry.name, True) in parents for entry in machine.states}
+    labels = {name: name in blocking for name in entries}
     return AmbiguityReport(bool(witnesses), witnesses), LabelMap(handshake, labels)

@@ -113,9 +113,14 @@ class XdiMachine(Record):
 
     @cached_property
     def wires(self) -> frozenset[Wire]:
-        return frozenset(
-            wire for entry in self.states for wire, _ in entry.transitions
-        )
+        # Keyed by the fields first, so that a Wire is hashed once per
+        # distinct wire, not once per transition.
+        distinct = {
+            (wire.handshake, wire.phase, wire.direction): wire
+            for entry in self.states
+            for wire, _ in entry.transitions
+        }
+        return frozenset(distinct.values())
 
     @cached_property
     def handshakes(self) -> frozenset[str]:
@@ -292,14 +297,16 @@ def _read_by_pattern(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]
     head = _HEAD.match(text)
     if head is None:
         return None
-    entry_at, transitions_in = _ENTRY.match, _TRANSITION.findall
+    entry_at, transitions_in, new_entry = _ENTRY.match, _TRANSITION.findall, tuple.__new__
     wires = _Wires()
     states = []
     end = head.end()
     while entry := entry_at(text, end):
         name, init, box, listed = entry.group(1, 2, 3, 4)
         transitions = tuple([(wires[key], target) for key, target in transitions_in(listed)])
-        states.append(StateEntry(name, init is not None, BOX if box else TRANSIENT, transitions))
+        # tuple.__new__ skips the namedtuple's generated Python __new__.
+        kind = BOX if box else TRANSIENT
+        states.append(new_entry(StateEntry, (name, init is not None, kind, transitions)))
         end = entry.end()
     close = _CLOSE.match(text, end)
     if close is None or not states or len({state.name for state in states}) < len(states):
@@ -337,10 +344,10 @@ def validate(machine: XdiMachine) -> ValidationReport:
     elif len(initials) > 1:
         violations.append("multiple initial states: " + " ".join(initials))
     names = [entry.name for entry in machine.states]
-    dupes = sorted(name for name, count in Counter(names).items() if count > 1)
-    if dupes:
-        violations.append("duplicate state ids: " + " ".join(dupes))
     declared = set(names)
+    if len(declared) < len(names):
+        dupes = sorted(name for name, count in Counter(names).items() if count > 1)
+        violations.append("duplicate state ids: " + " ".join(dupes))
     directions: dict[tuple[str, str], str] = {}
     for entry in machine.states:
         for wire, target in entry.transitions:
@@ -355,7 +362,7 @@ def validate(machine: XdiMachine) -> ValidationReport:
                     f"direction conflict on ({wire.handshake},{wire.phase}):"
                     f" both {prior} and {wire.direction}"
                 )
-    if initials and len(initials) == 1 and not dupes:
+    if initials and len(initials) == 1 and len(declared) == len(names):
         reached = {initials[0]}
         frontier = [initials[0]]
         while frontier:

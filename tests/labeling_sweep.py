@@ -6,7 +6,9 @@ follows every walk of at most 2·|states| steps from the initial state,
 which is enough to reach every reachable (state, parity) pair, since there
 are only 2·|states| of them. check_machine() compares check_unambiguous
 and compute_block_idle with the oracle under every order of every state's
-transitions, so no label and no verdict may depend on declaration order.
+transitions, so no label and no verdict may depend on declaration order,
+and compares labeling._parity_search with reference_parity_search
+(tests/labeling_reference.py), report and labels, under each of them.
 
 The sweep draws transitions from a fixed wire alphabet. Direction is fixed
 per wire (by default requests are inputs, acknowledges outputs; wires()
@@ -31,7 +33,13 @@ import argparse
 import sys
 from itertools import combinations, permutations, product
 
-from xdicheck.labeling import AmbiguousMachineError, check_unambiguous, compute_block_idle
+from labeling_reference import reference_parity_search
+from xdicheck.labeling import (
+    AmbiguousMachineError,
+    _parity_search,
+    check_unambiguous,
+    compute_block_idle,
+)
 from xdicheck.machine import BOX, TRANSIENT, StateEntry, Wire, XdiMachine, validate
 
 
@@ -153,9 +161,26 @@ def _path_parities(machine: XdiMachine, handshake: str, path) -> set[bool]:
     return parities
 
 
+def _check_search(machine: XdiMachine, handshake: str) -> None:
+    """Assert the search returns what the reference search returns: the
+    report, witness by witness with both paths, and the labels in order."""
+
+    report, labels = _parity_search(machine, handshake)
+    expected_report, expected_labels = reference_parity_search(machine, handshake)
+    assert report.ambiguous == expected_report.ambiguous, (machine, handshake)
+    assert len(report.witnesses) == len(expected_report.witnesses), (machine, handshake)
+    for found, expected in zip(report.witnesses, expected_report.witnesses):
+        assert found.state == expected.state, (machine, handshake, found)
+        assert found.idling_path == expected.idling_path, (machine, handshake, found)
+        assert found.blocking_path == expected.blocking_path, (machine, handshake, found)
+    assert labels.handshake == expected_labels.handshake == handshake
+    assert list(labels.labels.items()) == list(expected_labels.labels.items()), (machine, handshake)
+
+
 def check_machine(machine: XdiMachine) -> int:
-    """Assert the labeling matches the oracle for every handshake and every
-    transition order; return the number of handshakes checked."""
+    """Assert the labeling matches the oracle and the reference search for
+    every handshake and every transition order; return the number of
+    handshakes checked."""
 
     assert validate(machine).ok, machine
     handshakes = sorted(machine.handshakes)
@@ -168,6 +193,7 @@ def check_machine(machine: XdiMachine) -> int:
         ]
         labels = {entry.name: (entry.name, True) in oracle for entry in machine.states}
         for variant in reorderings(machine):
+            _check_search(variant, handshake)
             report = check_unambiguous(variant, handshake)
             assert report.ambiguous == bool(both), (variant, handshake)
             assert [w.state for w in report.witnesses] == both, (variant, handshake)

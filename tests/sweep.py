@@ -7,7 +7,8 @@ peak RSS is its own. The script prints a row per point and, per group, the
 least-squares slope of each timed column against the size column on
 log/log axes. The families, described at their measure functions, are
 product (compose and analyze_deadlock), parse (parse_document and
-builtin_library), condition (verify_condition) and oracle (cross_validate).
+builtin_library), query (the layers of one query command), condition
+(verify_condition) and oracle (cross_validate).
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep.py FAMILY [--out sweep.json]
@@ -141,6 +142,67 @@ def measure_parse(kind: str, size: str) -> dict:
     return _row(kind, size, states=states, cold_s=cold_s, first_s=first_s, best_s=best_s)
 
 
+def measure_query(kind: str, size: str) -> dict:
+    """The layers of `query --op P` on the ring machine of SIZE ring states
+    with polarity P, idle for ring and blocked for blocked (the branch
+    handshake x, live): validate on a freshly read machine, labels on a
+    validated one (compute_block_idle, so the wires and the parity search),
+    explore + doomed on a labeled one (one _EnvAnswers and its doomed set,
+    as fg_check builds them) and the whole CLI call on the file, output
+    captured. Each is the best of nine calls, every call on a machine of
+    its own, read untimed; the fg result is an untimed call's."""
+
+    import contextlib
+    import io
+    import tempfile
+
+    from xdicheck import cli
+    from xdicheck.checker import BLOCKING, IDLING, TemporalQuery, _EnvAnswers, fg_check
+    from xdicheck.labeling import compute_block_idle
+    from xdicheck.machine import parse_document, validate
+
+    polarity = "idle" if kind == "ring" else "blocked"
+    mode = IDLING if kind == "ring" else BLOCKING
+    text = _ring_document(int(size), polarity)
+
+    def read():
+        return parse_document(text)[0]
+
+    def validated():
+        machine = read()
+        assert validate(machine).ok
+        return machine
+
+    def labeled():
+        machine = validated()
+        compute_block_idle(machine, "x")
+        return machine
+
+    def explore(machine):
+        return _EnvAnswers(machine, frozenset(), (machine.init_state,)).doomed("x", mode)
+
+    _, _, validate_s = timed(validate, 9, read)
+    _, _, labels_s = timed(lambda machine: compute_block_idle(machine, "x"), 9, validated)
+    _, _, explore_s = timed(explore, 9, labeled)
+    result = fg_check(TemporalQuery(labeled(), "x", mode, frozenset()))
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/ring.xdi"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+        def query():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["query", path, "--handshake", "x", "--op", polarity]) == 0
+            return out.getvalue()
+
+        printed, _, query_s = timed(query, 9)
+    assert printed.startswith("holds: yes\n"), printed
+    return _row(
+        kind, size, states=len(read().states), visited=len(result.visited), holds=result.holds,
+        validate_s=validate_s, labels_s=labels_s, explore_s=explore_s, query_s=query_s,
+    )
+
+
 def measure_condition(kind: str, size: str) -> dict:
     """Verify every_atom_iff(wide SIZE), the iff chain that resolves every
     blocked and idle atom, over the 2^(SIZE+1) environments: the
@@ -217,6 +279,12 @@ FAMILIES = {
         (_group("ring", (400, 800, 1600, 3200)), _group("library", (6,))),
         "states",
         ("cold_s", *FIRST_BEST),
+    ),
+    "query": Family(
+        measure_query,
+        (_group("ring", (400, 800, 1600, 3200)), _group("blocked", (400, 800, 1600, 3200))),
+        "states",
+        ("validate_s", "labels_s", "explore_s", "query_s"),
     ),
     "condition": Family(measure_condition, (_group("wide", (6, 8, 10, 12, 14)),), "envs", FIRST_BEST),
     "oracle": Family(measure_oracle, (_group("wide", range(3, 9)),), "envs", FIRST_BEST),

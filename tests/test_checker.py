@@ -207,3 +207,12 @@ def test_check_result_witness_property():
     assert ok.witness == "s2"
     bad = CheckResult(False, frozenset(), ("s0",))
     assert bad.witness is None
+
+
+def test_an_undeclared_target_raises_the_error_entry_raises():
+    # Only an unvalidated machine can name a state it does not declare.
+    machine = parse_document("(machine u (s0 t box (((a R I) s1))) (s1 nil box (((a A O) s9))))")[0]
+    with pytest.raises(ValueError, match="^machine u has no state 's9'$"):
+        fg_check(TemporalQuery(machine, "a", IDLING, LIVE))
+    with pytest.raises(ValueError, match="^machine u has no state 's9'$"):
+        checker._reach(machine, LIVE, "s0")

@@ -176,6 +176,72 @@ def test_parse_env_rejects_non_input_wires(join):
         parse_env("a.A", join)
 
 
+def test_validate_names_each_duplicate_id_once_in_order():
+    # Both readers reject a repeated id, so the machine is built by hand.
+    def state(name, init, *moves, kind="box"):
+        return m.StateEntry(name, init, kind, tuple((Wire(*wire), target) for *wire, target in moves))
+
+    machine = m.XdiMachine(
+        "dupes",
+        (
+            state("b", True, ("a", "R", "I", "a")),
+            state("a", False, ("a", "R", "O", "z")),
+            state("b", False),
+            state("c", True, ("a", "R", "O", "b")),
+            state("a", False, kind="transient"),
+            state("a", False),
+        ),
+    )
+    assert validate(machine).violations == (
+        "multiple initial states: b c",
+        "duplicate state ids: a b",
+        "state a has transition to undeclared state z",
+        "direction conflict on (a,R): both I and O",
+        "direction conflict on (a,R): both I and O",
+    )
+    twice = m.XdiMachine("twice", (state("s0", True, ("a", "R", "I", "s1")), state("s1", False)) * 2)
+    assert validate(twice).violations == ("multiple initial states: s0 s0", "duplicate state ids: s0 s1")
+    # With one initial state, a repeated id still skips the reachability
+    # check, so the unreachable s2 is not reported.
+    lone = m.XdiMachine("lone", (state("s0", True), state("s1", False), state("s1", False), state("s2", False)))
+    assert validate(lone).violations == ("duplicate state ids: s1",)
+
+
+WIRE_CLASH = """(machine clash
+  (s0 t box (((a R I) s1) ((b R I) s1)))
+  (s1 nil box ({comment}((a R O) s0) ((a R I) s0) ((b A O) s0))))
+"""
+
+
+def _every_transition_wire(machine):
+    return frozenset(wire for entry in machine.states for wire, _ in entry.transitions)
+
+
+@pytest.mark.parametrize("comment, by_pattern", [("", True), ("; read by tokens\n    ", False)])
+def test_wires_are_the_wires_of_every_transition(comment, by_pattern):
+    text = WIRE_CLASH.format(comment=comment)
+    assert (m._read_by_pattern(text) is not None) == by_pattern
+    machine = parse_document(text)[0]
+    assert machine.wires == _every_transition_wire(machine)
+    assert machine.wires == {Wire("a", "R", "I"), Wire("a", "R", "O"), Wire("b", "R", "I"), Wire("b", "A", "O")}
+    assert machine.input_wires == {("a", "R"), ("b", "R")}
+
+
+def test_wires_keep_one_of_equal_wires_and_both_directions():
+    first, second = Wire("a", "R", "I"), Wire("a", "R", "I")
+    assert first == second and first is not second
+    machine = m.XdiMachine(
+        "equal",
+        (
+            m.StateEntry("s0", True, "box", ((first, "s1"), (Wire("a", "R", "O"), "s0"))),
+            m.StateEntry("s1", False, "box", ((second, "s0"), (Wire("b", "A", "O"), "s1"))),
+        ),
+    )
+    assert machine.wires == _every_transition_wire(machine)
+    assert sorted(machine.wires) == [Wire("a", "R", "I"), Wire("a", "R", "O"), Wire("b", "A", "O")]
+    assert machine.input_wires == {("a", "R")}
+
+
 def test_wire_str():
     assert str(Wire("a", "R", "I")) == "(a R I)"
     assert str(Wire("c", "A", "O")) == "(c A O)"

@@ -14,6 +14,10 @@ KEYS = {
         "kind", "size", "broken", "states", "edges", "deadlock", "compose_s", "analyze_s", "peak_rss_mb"
     ],
     "parse": ["kind", "size", "states", "cold_s", "first_s", "best_s", "peak_rss_mb"],
+    "query": [
+        "kind", "size", "states", "visited", "holds", "validate_s", "labels_s", "explore_s", "query_s",
+        "peak_rss_mb",
+    ],
     "condition": ["kind", "size", "envs", "explorations", "holds", "first_s", "best_s", "peak_rss_mb"],
     "oracle": [
         "kind", "size", "states", "envs", "queries", "disagreements", "first_s", "best_s", "peak_rss_mb"
@@ -29,6 +33,7 @@ KEYS = {
         ("product", ("tree2", "1", "0"), {"states": 2604, "edges": 9882, "deadlock": False}),
         ("parse", ("ring", "400"), {"states": 402}),
         ("parse", ("library", "6"), {"states": 43}),
+        ("query", ("ring", "400"), {"states": 402, "visited": 402, "holds": True}),
         ("condition", ("wide", "6"), {"envs": 128, "explorations": 8, "holds": True}),
         ("oracle", ("wide", "3"), {"states": 8, "envs": 16, "queries": 2048, "disagreements": 0}),
     ],
