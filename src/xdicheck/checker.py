@@ -106,10 +106,7 @@ def _checked_start(query: TemporalQuery) -> str:
     if not is_environment(machine, query.env):
         raise ValueError(f"not an environment of {machine.name}")
     compute_block_idle(machine, query.handshake)
-    start = query.resolved_start()
-    if start not in machine.state_map:
-        raise ValueError(f"machine {machine.name} has no state {start!r}")
-    return start
+    return machine.entry(query.resolved_start()).name
 
 
 def reasonable_envs(machine: XdiMachine) -> tuple[Environment, ...]:
@@ -199,7 +196,7 @@ def g_check(query: TemporalQuery) -> CheckResult:
     start = _checked_start(query)
     answers = _EnvAnswers(query.machine, query.env, (start,))
     order, parents = answers.order, answers.parents
-    if answers.g(query.handshake, query.mode, start):
+    if start not in answers.doomed(query.handshake, query.mode):
         return CheckResult(True, frozenset(order), None)
     first = answers.failing(query.handshake, query.mode)[0]
     expanded = set(order[: order.index(first)])
@@ -244,22 +241,20 @@ class _EnvAnswers:
     fails when it can move but is neither transient nor labeled with the
     queried mode. Per (handshake, mode), on first use, the backward closure
     of the failing states, the doomed states, is computed: g holds at a
-    state iff it is not doomed, and fg iff it lies in the backward closure
-    of the undoomed states. From a graph's only start every state is
-    reached, so there fg is just "some state is not doomed". tested holds
-    the input wires the exploration tested against the environment, in
-    first-test order: every environment that answers those wires alike
-    gets the same graph, so the same answers. Build one per query or per
-    environment and drop it after: it is never memoised on the machine.
+    state iff it is not in doomed, and fg iff it is in hopeful, the
+    backward closure of the undoomed states. tested holds the input wires
+    the exploration tested against the environment, in first-test order:
+    every environment that answers those wires alike gets the same graph,
+    so the same answers. Build one per query or per environment and drop
+    it after: it is never memoised on the machine.
     """
 
     __slots__ = (
-        "machine", "root", "order", "parents", "preds", "tested", "movers", "_doomed", "_hopeful"
+        "machine", "order", "parents", "preds", "tested", "movers", "_doomed", "_hopeful"
     )
 
     def __init__(self, machine: XdiMachine, env: Environment, starts: Sequence[str]) -> None:
         self.machine = machine
-        self.root = starts[0] if len(starts) == 1 else None
         self.order, self.parents, self.preds, self.tested = _reach(machine, env, *starts)
         # A state with an enabled move is some state's predecessor.
         self.movers = {pred for preds in self.preds.values() for pred in preds}
@@ -284,9 +279,6 @@ class _EnvAnswers:
             self._doomed[key] = _back_closure(self.preds, self.failing(handshake, mode))
         return self._doomed[key]
 
-    def g(self, handshake: str, mode: Mode, state: str) -> bool:
-        return state not in self.doomed(handshake, mode)
-
     def hopeful(self, handshake: str, mode: Mode) -> set[str]:
         """The backward closure of the undoomed states: where fg holds."""
 
@@ -297,11 +289,6 @@ class _EnvAnswers:
             self._hopeful[key] = _back_closure(self.preds, undoomed)
         return self._hopeful[key]
 
-    def fg(self, handshake: str, mode: Mode, state: str) -> bool:
-        if state == self.root:
-            return len(self.doomed(handshake, mode)) < len(self.order)
-        return state in self.hopeful(handshake, mode)
-
 
 def _env_classes(machine: XdiMachine, outcome: Callable[[Callable[[str, Mode], bool]], object]):
     """Call outcome once per class of environments; return the trie
@@ -310,15 +297,15 @@ def _env_classes(machine: XdiMachine, outcome: Callable[[Callable[[str, Mode], b
     The environments that answer alike the input wires an exploration from
     the initial state tests get the same graph, hence the same fg answers:
     a class. outcome gets answer(handshake, mode), the fg answer at the
-    initial state of the class's smallest environment; its first call
-    explores. Taking the classes size by size, each size in wire order, is
-    reasonable_envs order, so an error outcome raises is the first
-    environment's. An inner node is [wire, live branch, stable branch]; a
-    leaf is a class's value, anything but a list. The wires tested past
-    those that fix a class are live in its smallest environment: each one's
-    node hangs in the live branch of the one before (the first in the
-    class's slot), and its stable branch is the slot of a child class.
-    Keep values small: a verdict keeps its trie.
+    initial state of the class's smallest environment, read from the
+    doomed set alone; its first call explores. Taking the classes size by
+    size, each size in wire order, is reasonable_envs order, so an error
+    outcome raises is the first environment's. An inner node is [wire,
+    live branch, stable branch]; a leaf is a class's value, anything but a
+    list. The wires tested past those that fix a class are live in its
+    smallest environment: each one's node hangs in the live branch of the
+    one before (the first in the class's slot), and its stable branch is
+    the slot of a child class. Keep values small: a verdict keeps its trie.
     """
 
     wires = machine.sorted_input_wires
@@ -335,10 +322,11 @@ def _env_classes(machine: XdiMachine, outcome: Callable[[Callable[[str, Mode], b
             made: list[_EnvAnswers] = []
 
             def answer(handshake: str, mode: Mode) -> bool:
-                start = machine.init_state
                 if not made:
-                    made.append(_EnvAnswers(machine, env, (start,)))
-                return made[0].fg(handshake, mode, start)
+                    made.append(_EnvAnswers(machine, env, (machine.init_state,)))
+                # Every state is reached from the only start, so fg holds
+                # there iff some state is not doomed.
+                return len(made[0].doomed(handshake, mode)) < len(made[0].order)
 
             value = outcome(answer)
             tested = list(made[0].tested) if made else []

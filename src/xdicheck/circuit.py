@@ -548,8 +548,6 @@ def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
     (states + edges). Only the witness state is decoded.
     """
 
-    if not system.order:
-        return None
     codes, predecessors = system.codes, system.predecessors
     can = list(system.moving)
     worklist = [s for s, mask in enumerate(can) if mask]

@@ -190,18 +190,20 @@ def _cmd_query(args) -> int:
         result = runner(query)
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
-    payload = {
-        "machine": mach.name,
-        "op": args.op,
-        "handshake": args.handshake,
-        "mode": mode,
-        "env": machine.format_env(env),
-        "start": query.resolved_start(),
-        "holds": result.holds,
-        "visited": sorted(result.visited),
-        "trace": list(result.counterexample) if result.counterexample else None,
-        "witness": result.witness,
-    }
+    payload = None
+    if args.json:  # text output drops the payload, so only JSON builds it
+        payload = {
+            "machine": mach.name,
+            "op": args.op,
+            "handshake": args.handshake,
+            "mode": mode,
+            "env": machine.format_env(env),
+            "start": query.resolved_start(),
+            "holds": result.holds,
+            "visited": sorted(result.visited),
+            "trace": list(result.counterexample) if result.counterexample else None,
+            "witness": result.witness,
+        }
     lines = [f"holds: {'yes' if result.holds else 'no'}"]
     if result.counterexample:
         lines.append(f"trace: {' '.join(result.counterexample)}")
@@ -606,10 +608,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CommandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -343,10 +343,11 @@ def validate(machine: XdiMachine) -> ValidationReport:
         violations.append("no initial state")
     elif len(initials) > 1:
         violations.append("multiple initial states: " + " ".join(initials))
-    names = [entry.name for entry in machine.states]
-    declared = set(names)
-    if len(declared) < len(names):
-        dupes = sorted(name for name, count in Counter(names).items() if count > 1)
+    declared = machine.state_map
+    unique = len(declared) == len(machine.states)
+    if not unique:
+        counts = Counter(entry.name for entry in machine.states)
+        dupes = sorted(name for name, count in counts.items() if count > 1)
         violations.append("duplicate state ids: " + " ".join(dupes))
     directions: dict[tuple[str, str], str] = {}
     for entry in machine.states:
@@ -362,16 +363,16 @@ def validate(machine: XdiMachine) -> ValidationReport:
                     f"direction conflict on ({wire.handshake},{wire.phase}):"
                     f" both {prior} and {wire.direction}"
                 )
-    if initials and len(initials) == 1 and len(declared) == len(names):
+    if len(initials) == 1 and unique:
         reached = {initials[0]}
         frontier = [initials[0]]
         while frontier:
             state = frontier.pop()
-            for _, target in machine.state_map[state].transitions:
+            for _, target in declared[state].transitions:
                 if target in declared and target not in reached:
                     reached.add(target)
                     frontier.append(target)
-        unreachable = sorted(declared - reached)
+        unreachable = sorted(declared.keys() - reached)
         if unreachable:
             violations.append("unreachable states: " + " ".join(unreachable))
     return ValidationReport(tuple(violations))

@@ -41,10 +41,13 @@ __all__ = [
 
 Form = tuple[Union[str, tuple], int]
 
+# The body of a well-formed string: no quote, backslash or newline
+# except the escapes \" and \\.
+_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\["\\])*')
 # A paren, a well-formed string, a lone quote (a malformed string), a
 # comment, or a symbol. Whitespace matches none of them and is skipped;
 # regex \s and str.isspace agree on every code point.
-_TOKEN = re.compile(r'[()]|"(?:[^"\\\n]|\\["\\])*"|"|;[^\n]*|[^\s()";]+')
+_TOKEN = re.compile(r'[()]|"' + _STRING_BODY.pattern + r'"|"|;[^\n]*|[^\s()";]+')
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
@@ -80,24 +83,18 @@ def _token_offset(text: str, token: int, pattern: re.Pattern = _TOKEN) -> int:
 def _string_error(text: str, start: int) -> ParseError:
     """Why the string opened at start is malformed.
 
-    The token pattern matched no well-formed string there, so the scan
-    meets one of these faults before any closing quote.
+    The token pattern matched no well-formed string there, so its body
+    stops short of a closing quote; the fault is where it stops.
     """
 
-    i, n = start + 1, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                return _offset_error(text, i, "unterminated escape")
-            if text[i + 1] not in ('"', "\\"):
-                return _offset_error(text, i, f"unknown escape '\\{text[i + 1]}'")
-            i += 2
-        elif ch == "\n":
-            return _offset_error(text, i, "newline in string")
-        else:
-            i += 1
-    return _offset_error(text, start, "unterminated string")
+    end = _STRING_BODY.match(text, start + 1).end()
+    if end == len(text):
+        return _offset_error(text, start, "unterminated string")
+    if text[end] == "\n":
+        return _offset_error(text, end, "newline in string")
+    if end + 1 == len(text):
+        return _offset_error(text, end, "unterminated escape")
+    return _offset_error(text, end, f"unknown escape '\\{text[end + 1]}'")
 
 
 def read_forms(text: str) -> tuple[Form, ...]:

@@ -135,9 +135,9 @@ def reference_cross_validate(machine, bound=None, max_states=20) -> tuple[Disagr
         for handshake in handshakes:
             for mode in (BLOCKING, IDLING):
                 for start in states:
-                    g = answers.g(handshake, mode, start)
+                    g = start not in answers.doomed(handshake, mode)
                     oracle_g = _oracle_g(machine, handshake, mode, env, start, steps, memo)
-                    fg = answers.fg(handshake, mode, start)
+                    fg = start in answers.hopeful(handshake, mode)
                     oracle_fg = _oracle_fg(machine, handshake, mode, env, start, steps, memo)
                     for op, fast, slow in (("g", g, oracle_g), ("fg", fg, oracle_fg)):
                         if fast != slow:

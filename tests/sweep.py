@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -65,15 +66,13 @@ def _row(kind: str, size: str, **fields) -> dict:
 def slope(rows: list[dict], key: str, size: str) -> float | None:
     """Least-squares slope of log(row[key]) against log(row[size])."""
 
-    points = [(math.log(row[size]), math.log(row[key])) for row in rows if row[key] > 0]
-    if len(points) < 2:
+    kept = [row for row in rows if row[key] > 0]
+    try:
+        return statistics.linear_regression(
+            [math.log(row[size]) for row in kept], [math.log(row[key]) for row in kept]
+        ).slope
+    except statistics.StatisticsError:  # fewer than two points, or a single size
         return None
-    mean_x = sum(x for x, _ in points) / len(points)
-    mean_y = sum(y for _, y in points) / len(points)
-    spread = sum((x - mean_x) ** 2 for x, _ in points)
-    if spread == 0:
-        return None
-    return sum((x - mean_x) * (y - mean_y) for x, y in points) / spread
 
 
 def measure_product(kind: str, size: str, broken: str) -> dict:

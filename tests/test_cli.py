@@ -1,5 +1,8 @@
 """Command line behavior: output lines, JSON payloads, and exit codes."""
 
+import contextlib
+import errno
+import io
 import json
 import os
 import pathlib
@@ -762,3 +765,92 @@ def test_a_valid_call_imports_no_argparse(machines_dir):
     lines = run.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]")
     assert "blocking: s1 s3 s4 s5 s7 s8 s9" in lines
+
+
+# --- Error paths: the exit code and the exact message of each -----------------
+
+
+def _error(result, message):
+    assert (result.code, result.out, result.err) == (2, "", f"error: {message}\n")
+
+
+def test_query_rejects_an_env_wire_the_machine_lacks(run_cli, join_path):
+    result = run_cli("query", join_path, "--handshake", "a", "--op", "blocked", "--env", "q.R")
+    _error(result, "not input wires of join: q.R")
+
+
+@pytest.mark.parametrize(
+    "condition, message",
+    [
+        ("blocked(a", "expected ')', found 'end of input'"),
+        ("blocked(zz)", "machine join has no handshake 'zz'"),
+    ],
+)
+def test_check_names_the_condition_that_fails_to_parse_or_resolve(
+    run_cli, join_path, condition, message
+):
+    result = run_cli("check", join_path, "--condition", condition)
+    _error(result, f"condition condition: {message}")
+
+
+def test_oracle_check_lists_each_disagreement_under_too_short_a_bound(run_cli, join_path):
+    result = run_cli("oracle-check", join_path, "--bound", "0")
+    lines = result.out.splitlines()
+    assert (result.code, result.err) == (1, "")
+    assert lines[:3] == [
+        "machine: join",
+        "queries: 960",
+        "disagree: g a blocking env={} start=s1 graph=False oracle=True",
+    ]
+    assert all(line.startswith("disagree: ") for line in lines[2:-1])
+    assert lines[-1] == "disagreements: 242" and len(lines) == 245
+
+
+def test_a_max_states_that_is_not_an_integer_is_a_usage_error(run_cli, machines_dir):
+    result = run_cli("deadlock", str(machines_dir / "pipeline.net"), "--max-states", "x")
+    assert (result.code, result.out) == (2, "")
+    assert result.err.endswith(
+        "xdicheck deadlock: error: argument --max-states: must be an integer, got 'x'\n"
+    )
+
+
+def test_a_stable_entry_with_two_endpoints_is_a_parse_error(run_cli, tmp_path):
+    bad = tmp_path / "stable.net"
+    bad.write_text("(circuit c (instance j join) (stable (j in0) (j in1)))")
+    result = run_cli("deadlock", str(bad))
+    _error(result, f"{bad}:1:30: stable entry must be (stable endpoint)")
+
+
+def test_check_library_reports_each_problem_of_a_failing_primitive(
+    run_cli, monkeypatch, twopath
+):
+    from xdicheck import library
+    from xdicheck.machine import parse_document
+
+    lost = parse_document("(machine lost (s0 t box ()) (s1 nil box ()))")[0]
+    shipped = library.builtin_library()[0]
+    primitives = (
+        shipped,
+        library.PrimitiveSpec("twopath", twopath, (), (), {}),
+        library.PrimitiveSpec("lost", lost, (), (), {}),
+    )
+    monkeypatch.setattr(library, "builtin_library", lambda: primitives)
+    result = run_cli("check-library")
+    assert (result.code, result.err) == (1, "")
+    assert result.out.splitlines()[-4:] == [
+        "twopath: PROBLEM ambiguous labels for handshake a",
+        "twopath: PROBLEM ambiguous labels for handshake h",
+        "lost: PROBLEM unreachable states: s1",
+        "primitives checked: 3, failing: 2",
+    ]
+
+
+def test_a_stdout_that_breaks_is_an_error_not_a_crash(join_path):
+    class Broken(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(Broken()), contextlib.redirect_stderr(err):
+        code = cli.main(["labels", join_path, "--handshake", "a"])
+    assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")

@@ -89,8 +89,8 @@ def test_answer_table_matches_the_per_query_checker(machines):
                         )
                         for answers in (shared, single):
                             got = (
-                                _outcome(lambda: answers.g(handshake, mode, start)),
-                                _outcome(lambda: answers.fg(handshake, mode, start)),
+                                _outcome(lambda: start not in answers.doomed(handshake, mode)),
+                                _outcome(lambda: start in answers.hopeful(handshake, mode)),
                             )
                             assert got == expected, (machine.name, env, handshake, mode, start)
 
@@ -98,7 +98,7 @@ def test_answer_table_matches_the_per_query_checker(machines):
 def test_answer_table_raises_the_ambiguity_error_of_the_checker(twopath):
     answers = checker._EnvAnswers(twopath, frozenset(), (twopath.init_state,))
     with pytest.raises(labeling.AmbiguousMachineError) as fast:
-        answers.fg("a", BLOCKING, twopath.init_state)
+        answers.hopeful("a", BLOCKING)
     with pytest.raises(labeling.AmbiguousMachineError) as slow:
         reference_fg_check(TemporalQuery(twopath, "a", BLOCKING, frozenset()))
     assert str(fast.value) == str(slow.value)
@@ -169,7 +169,7 @@ def fresh_resolver(machine, env):
         if not made:
             made.append(checker._EnvAnswers(machine, env, (machine.init_state,)))
         mode = BLOCKING if isinstance(atom, BlockedAtom) else IDLING
-        return made[0].fg(atom.handshake, mode, machine.init_state)
+        return machine.init_state in made[0].hopeful(atom.handshake, mode)
 
     return resolve
 
@@ -382,7 +382,7 @@ def test_environment_classes_are_sound_exhaustively():
         for env in reasonable_envs(machine):
             envs += 1
             fresh = checker._EnvAnswers(machine, env, (start,))
-            expected = tuple(_outcome(lambda: fresh.fg(*ask, start)) for ask in asks)
+            expected = tuple(_outcome(lambda: start in fresh.hopeful(*ask)) for ask in asks)
             assert checker._find_class(trie, env) == expected, (machine, env)
     assert (machines, envs) == (3870, 10460)
 

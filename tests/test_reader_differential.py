@@ -7,11 +7,13 @@ must give the same forms, each at the same line and column, and both
 file parsers the same result, or the same exception type, message, line
 and column. The inputs are the shipped machine, netlist and library
 files, the rings and netlists conftest.py builds, hand cases for
-whitespace, comments, escapes and malformed strings, and the fuzz
-strategies of tests/test_fuzz.py.
+whitespace, comments, escapes and malformed strings, seeded random
+short texts over the characters that make and break strings, and the
+fuzz strategies of tests/test_fuzz.py.
 """
 
 import pathlib
+import random
 
 import pytest
 from hypothesis import given
@@ -172,3 +174,22 @@ def test_hand_cases_read_alike(text):
 @given(FILES)
 def test_fuzzed_files_read_alike(text):
     _assert_same(text)
+
+
+def test_random_short_texts_read_alike():
+    """Texts of up to 12 characters over quote, backslash, newline, space,
+    a symbol letter, parens and the comment mark: read_forms gives the
+    reference reader's forms, or its error at the same line and column.
+    Each of the four string faults turns up among them."""
+
+    rng = random.Random(20)
+    alphabet = '"\\\n a();'
+    faults = {"unterminated string", "newline in string", "unterminated escape", "unknown escape"}
+    seen = set()
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+        got = _outcome(_forms, text, True)
+        assert got == _outcome(_reference_forms, text, True), text
+        if type(got) is tuple:
+            seen.update(fault for fault in faults if got[1].startswith(fault))
+    assert seen == faults
