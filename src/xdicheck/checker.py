@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .labeling import BLOCKING, IDLING, Mode, compute_block_idle
 from .machine import OUTPUT, TRANSIENT, Environment, XdiMachine, enabled_transitions, is_environment
@@ -163,8 +163,10 @@ def _reach(machine: XdiMachine, env: Environment, *starts: str):
     return order, parents, preds, tested
 
 
-def _back_closure(preds: dict[str, list[str]], seeds: Iterable[str]) -> set[str]:
-    """The seeds plus every state with an enabled path into one of them."""
+def _back_closure(preds: Mapping | Sequence, seeds: Iterable) -> set:
+    """The seeds plus every state with a path into one of them. preds[state]
+    lists the states with an edge into state: by name over a machine's
+    enabled transitions, by number over a product (circuit._can_move)."""
 
     closure = set(seeds)
     pending = list(closure)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
+from .checker import _back_closure
 from .formulas import (
     And,
     BlockedAtom,
@@ -255,10 +256,11 @@ class ProductSystem(Record):
     Each instance numbers its local states in declaration order, and a
     product state is the mixed-radix code sum(number[i] * weights[i]).
     States are identified by breadth-first discovery order: codes[s] is
-    the code of state s, and state 0 is the initial state. Mover sets are
-    bitmasks with bit i for order[i]. compose records what the deadlock
-    search reads: moving[s], the OR of the mover masks of the edges of s,
-    and predecessors[s], the source of every edge into s, once per edge.
+    the code of state s, and state 0 is the initial state, from which
+    every state is reached. Mover sets are bitmasks with bit i for
+    order[i]. compose records what the deadlock search reads: moving[s],
+    the OR of the mover masks of the edges of s, and predecessors[s], the
+    source of every edge into s, once per edge, in exploration order.
     parent[s] and parent_label[s] (an id into labels) give the
     breadth-first tree; both are -1 at state 0. plan holds the compiled
     move tables (see _compile), one per instance, that the edges are
@@ -346,16 +348,18 @@ def _compile(
         {entry.name: number for number, entry in enumerate(machine.states)}
         for machine in machines
     ]
-    # Per instance and local state number: (handshake, phase) -> local
-    # target numbers of its input transitions.
+    # Per instance and local state number: (handshake, phase) -> what its
+    # input transitions add to the code, in transition order.
     inputs: list[list[dict[tuple[str, str], list[int]]]] = []
-    for number, machine in zip(numbers, machines):
+    for number, machine, weight in zip(numbers, machines, weights):
         tables = []
-        for entry in machine.states:
+        for here, entry in enumerate(machine.states):
             table: dict[tuple[str, str], list[int]] = {}
             for wire, target in entry.transitions:
                 if wire.direction == INPUT:
-                    table.setdefault((wire.handshake, wire.phase), []).append(number[target])
+                    table.setdefault((wire.handshake, wire.phase), []).append(
+                        (number[target] - here) * weight
+                    )
             tables.append(table)
         inputs.append(tables)
 
@@ -375,8 +379,7 @@ def _compile(
                     jdx = index_of[other.instance]
                     key = (other.handshake, wire.phase)
                     deltas = tuple(
-                        tuple(own + (arrival - there) * weights[jdx] for arrival in table.get(key, ()))
-                        for there, table in enumerate(inputs[jdx])
+                        [tuple(map(own.__add__, table.get(key, ()))) for table in inputs[jdx]]
                     )
                     label = label_ids.setdefault(f"{channel.name}.{wire.phase}", len(label_ids))
                     moves.append((label, 1 << idx | 1 << jdx, weights[jdx], len(deltas), deltas))
@@ -397,28 +400,53 @@ def _compile(
 _BLOCK_SPAN = 1296
 
 
-def _block_moves(first: int, span: int, members: list, digit: int) -> list:
-    """A block's moves at its joint digit: its members' moves, in instance
-    order. Where the digit fixes the partner's local state, as for a
-    partner inside the block, or there is no partner (partner radix 1;
-    instance 0 has weight 1 too), the move carries its deltas resolved,
-    with partner weight 0, and is dropped if they are empty. Any other
-    move is the plan's tuple."""
+def _block_members(first: int, span: int, members: list) -> list:
+    """A block's instances, each as (place, radix, moves by local state
+    number), place being its weight over the block's first. A move is
+    (partner place, partner radix, deltas, movers, label). A move whose
+    partner is inside the block, or that has no partner (partner radix
+    1), keeps its deltas by the partner's local state number, to be read
+    at the block's joint digit. A move whose partner lies outside the
+    block has partner place 0 and, for deltas, the plan's tuple. Places
+    and partners are worked out here, once per block, not once per row."""
 
+    last = first * span
     found = []
     for weight, radix, by_state in members:
-        for move in by_state[digit // (weight // first) % radix]:
-            label, movers, partner_weight, partner_radix, deltas = move
-            if partner_radix == 1:
-                resolved = deltas[0]
-            elif first <= partner_weight and partner_weight * partner_radix <= first * span:
-                resolved = deltas[digit // (partner_weight // first) % partner_radix]
-            else:
-                found.append(move)
-                continue
-            if resolved:
-                found.append((label, movers, 0, 0, resolved))
+        moves_by_state = []
+        for moves in by_state:
+            placed = []
+            for move in moves:
+                label, movers, partner_weight, partner_radix, deltas = move
+                if partner_radix == 1:
+                    placed.append((1, 1, deltas, movers, label))
+                elif first <= partner_weight and partner_weight * partner_radix <= last:
+                    placed.append((partner_weight // first, partner_radix, deltas, movers, label))
+                else:
+                    placed.append((0, 1, move, movers, label))
+            moves_by_state.append(placed)
+        found.append((weight // first, radix, moves_by_state))
     return found
+
+
+def _block_moves(members: list, digit: int) -> list:
+    """A block's edges at its joint digit (see _block_members), in
+    instance order, then transition order, then the partner's transition
+    order: one (delta, movers, label) triple per edge of a resolved move,
+    and (None, the plan's move, label) for a move whose partner lies
+    outside the block."""
+
+    row: list = []
+    for place, radix, moves_by_state in members:
+        for partner_place, partner_radix, deltas, movers, label in moves_by_state[
+            digit // place % radix
+        ]:
+            if partner_place:
+                for delta in deltas[digit // partner_place % partner_radix]:
+                    row.append((delta, movers, label))
+            else:
+                row.append((None, deltas, label))
+    return row
 
 
 def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
@@ -432,13 +460,15 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     the state's code plus a precomputed delta, and the cost is linear in
     product states plus edges. Moves are looked up once per block, a run
     of consecutive instances whose joint radix stays within _BLOCK_SPAN:
-    its table, by the block's joint digit, is filled on first use with
-    the instances' moves in instance order (see _block_moves), so the
-    edge order is the same as instance by instance. Each edge is touched
-    once: it ORs its mover mask into moving[state] and appends its source
-    to its target's predecessor list. A state costs one dict entry while
-    composing, a slot in each of five lists and its predecessor list; an
-    edge one slot in that list; a block at most _BLOCK_SPAN entries.
+    its row, by the block's joint digit, is filled on first use with the
+    instances' edges in instance order (see _block_moves), one flat
+    (delta, movers, label) triple per edge, so the edge order is the same
+    as instance by instance. Each edge is touched once: it ORs its mover
+    mask into moving[state] and appends its source to its target's
+    predecessor list, found by code in one table that becomes
+    predecessors. A state costs a slot in each of five lists, its
+    predecessor list and, while composing, one dict entry; an edge one
+    slot in a predecessor list; a block at most _BLOCK_SPAN rows.
     """
 
     order = tuple(instance for instance, _ in netlist.instances)
@@ -457,8 +487,8 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
 
     # The blocks: runs of consecutive instances whose joint radix stays
     # within _BLOCK_SPAN, each the weight of its first instance, its joint
-    # radix, a move table by joint digit filled on first use, and its
-    # instances' plan entries.
+    # radix, a row table by joint digit filled on first use, and its
+    # instances' moves (see _block_members).
     blocks = []
     for member in plan:
         if blocks and blocks[-1][1] * member[1] <= _BLOCK_SPAN:
@@ -466,12 +496,16 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
             blocks[-1][2].append(member)
         else:
             blocks.append([member[0], member[1], [member]])
-    blocks = [(first, span, [None] * span, members) for first, span, members in blocks]
+    blocks = [
+        (first, span, [None] * span, _block_members(first, span, members))
+        for first, span, members in blocks
+    ]
 
-    ids = {start: 0}
+    # Per code, the source of every edge into it; its keys, in insertion
+    # order, are the codes list.
+    into = {start: []}
     codes = [start]
     moving: list[int] = []
-    predecessors: list[list[int]] = [[]]
     parent = [-1]
     parent_label = [-1]
     # The code list doubles as the breadth-first queue.
@@ -481,29 +515,43 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
             digit = code // first % span
             entry = table[digit]
             if entry is None:
-                entry = table[digit] = _block_moves(first, span, members, digit)
-            for label, movers, partner_weight, partner_radix, deltas in entry:
-                if partner_weight:
-                    deltas = deltas[code // partner_weight % partner_radix]
-                for delta in deltas:
+                entry = table[digit] = _block_moves(members, digit)
+            # One edge body, twice: for a resolved edge, and for each delta
+            # of a move whose partner lies outside the block. One body with
+            # an inner loop over every move's deltas is slower.
+            for delta, movers, label in entry:
+                if delta is not None:
                     mask |= movers
                     successor = code + delta
-                    target = ids.get(successor)
-                    if target is None:
-                        target = len(codes)
-                        if target >= max_states:
+                    sources = into.get(successor)
+                    if sources is None:
+                        if len(codes) >= max_states:
                             raise ExplorationLimitError(too_many)
-                        ids[successor] = target
+                        into[successor] = [state]
                         codes.append(successor)
-                        predecessors.append([state])
                         parent.append(state)
                         parent_label.append(label)
                     else:
-                        predecessors[target].append(state)
+                        sources.append(state)
+                    continue
+                _, movers, partner_weight, partner_radix, deltas = movers
+                for delta in deltas[code // partner_weight % partner_radix]:
+                    mask |= movers
+                    successor = code + delta
+                    sources = into.get(successor)
+                    if sources is None:
+                        if len(codes) >= max_states:
+                            raise ExplorationLimitError(too_many)
+                        into[successor] = [state]
+                        codes.append(successor)
+                        parent.append(state)
+                        parent_label.append(label)
+                    else:
+                        sources.append(state)
         moving.append(mask)
     return ProductSystem(
         netlist, order, machines, weights, codes, labels, plan,
-        moving, predecessors, parent, parent_label,
+        moving, list(into.values()), parent, parent_label,
     )
 
 
@@ -532,24 +580,36 @@ def _blocking_states(machine: XdiMachine) -> frozenset[str]:
     )
 
 
-def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
-    """First deadlocked state in breadth-first order, if any.
+def _can_move(system: ProductSystem) -> list[int]:
+    """Per state, the instances that some continuation from it moves, as
+    a bitmask over instances: the least fixpoint of can[s] = moving[s] |
+    OR can[t] over the successors t of s.
 
-    An instance is deadlocked when no reachable continuation ever moves
-    it again and its local state is transient or blocking on some
-    handshake: it is parked where the protocol still owes progress.
-
-    One backward pass decides "can still move" for every instance at
-    once: can[s] is the least fixpoint of moving[s] | OR can[t] over the
-    successors t of s, as a bitmask over instances. It starts from a copy
-    of moving and runs over the predecessor lists compose recorded, so it
-    reads no edge itself. A state enters the worklist only when its mask
-    grows and is never in it twice, so the pass costs at most instances x
-    (states + edges). Only the witness state is decoded.
+    compose reaches every state from state 0, so a state with a path back
+    to state 0, a home state, reaches every state, and its mask is the OR
+    of all moving masks. One backward closure from state 0 over the
+    predecessor lists finds the home states. A state that is not home
+    reaches no home state, and the worklist gives its mask: it starts from
+    a copy of moving, runs over the predecessor lists, and a state enters
+    it only when its mask grows and is never in it twice, so it costs at
+    most instances x (states + edges). Edges from home states add nothing
+    to a mask that is already the union. A clean product returns to state
+    0 from everywhere and skips the worklist; where state 0 has no
+    predecessor, as in an acyclic product, the closure and the union are
+    skipped.
     """
 
-    codes, predecessors = system.codes, system.predecessors
-    can = list(system.moving)
+    moving, predecessors = system.moving, system.predecessors
+    home = _back_closure(predecessors, (0,)) if predecessors[0] else ()
+    if home:
+        union = 0
+        for mask in set(moving):  # a few distinct masks
+            union |= mask
+        if len(home) == len(moving):
+            return [union] * len(moving)
+    can = list(moving)
+    for s in home:
+        can[s] = union
     worklist = [s for s, mask in enumerate(can) if mask]
     queued = bytearray(map(bool, can))
     while worklist:
@@ -562,6 +622,30 @@ def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
                 if not queued[prior]:
                     queued[prior] = 1
                     worklist.append(prior)
+    return can
+
+
+def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
+    """First deadlocked state in breadth-first order, if any.
+
+    An instance is deadlocked when no reachable continuation ever moves
+    it again and its local state is transient or blocking on some
+    handshake: it is parked where the protocol still owes progress.
+    Which instances can still move is decided for every state and
+    instance at once from the fields compose recorded (see _can_move), so
+    the search reads no edge itself. When every state can move every
+    instance there is no witness to look for; otherwise only the witness
+    state is decoded.
+    """
+
+    codes = system.codes
+    can = _can_move(system)
+    every = (1 << len(system.order)) - 1
+    # can[0] is the OR of every mask, so only a product that moves every
+    # instance pays for the count, which compares by identity where every
+    # mask is the one union int _can_move shares.
+    if can[0] == every and can.count(can[0]) == len(can):
+        return None
 
     # Transient or blocking local states owe progress; a state that is
     # neither is a quiescent resting point, never a deadlock however
@@ -572,7 +656,6 @@ def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:
         blocking = _blocking_states(machine)
         stuck = tuple(entry.is_transient or entry.name in blocking for entry in machine.states)
         places.append((weight, stuck))
-    every = (1 << len(system.order)) - 1
     for s, code in enumerate(codes):
         frozen = every & ~can[s]
         if not frozen:

@@ -507,6 +507,17 @@ BLOCK_EDGES = (
 )
 
 
+# A clean pipeline beside an unconnected join whose second input is
+# stable: half its states can return to the initial state, and the states
+# of both halves lie on cycles (see test_mixed_product_has_both_kinds_of_state).
+MIXED = (
+    "(circuit mixed (instance a source) (instance st storage) (instance z sink)"
+    " (instance b source) (instance j join) (instance y sink)"
+    " (channel c0 (a out) (st in)) (channel c1 (st out) (z in))"
+    " (channel c2 (b out) (j in0)) (channel c3 (j out) (y in)) (stable (j in1)))"
+)
+
+
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 SHIPPED_NETS = sorted(path.name for path in MACHINES.glob("*.net"))
 # Chain 7 spans three blocks in either declaration order ("reversed").
@@ -518,7 +529,7 @@ DIFFERENTIAL_CASES = (
     [("file", name, None) for name in SHIPPED_NETS]
     + [("chain", n, broken) for broken in (False, True) for n in range(1, 7)]
     + [("tree", depth, broken) for broken in (False, True) for depth in (1, 2)]
-    + [("inline", ")", None), ("inline", " (stable (j in1)))", None)]
+    + [("inline", ")", None), ("inline", " (stable (j in1)))", None), ("mixed", None, None)]
     + [case[:3] for case in BLOCK_CASES]
 )
 
@@ -530,6 +541,8 @@ def differential_netlist(kind, arg, broken, machines_dir, circuit_document):
         text = EXTERNAL_INPUT.format(arg)
     elif kind == "blocks":
         text = BLOCK_EDGES.format(arg)
+    elif kind == "mixed":
+        text = MIXED
     elif kind == "reversed":
         netlist = parse_netlist(circuit_document("chain", arg, broken))
         return netlist._replace(instances=netlist.instances[::-1])
@@ -591,6 +604,54 @@ def assert_search_fields_match(system, expected):
     assert list(map(sorted, system.predecessors)) == list(map(sorted, predecessors))
 
 
+def assert_can_move_matches(system, expected):
+    """circuit._can_move holds, for every state and instance, whether
+    the instance can still move from the state: whether the state is in
+    reference_can_move's set for it."""
+
+    can = circuit._can_move(system)
+    for idx, instance in enumerate(expected.order):
+        movable = reference_can_move(expected, instance)
+        assert [bool(mask >> idx & 1) for mask in can] == [
+            state in movable for state in expected.states
+        ]
+
+
+def reference_reach(system, state):
+    """The states reachable from state, itself included."""
+
+    reached = {state}
+    queue = deque([state])
+    while queue:
+        for edge in system.adjacency[queue.popleft()]:
+            if edge.target not in reached:
+                reached.add(edge.target)
+                queue.append(edge.target)
+    return reached
+
+
+def test_mixed_product_has_both_kinds_of_state():
+    """MIXED has 12 states: 6 can return to the initial state and take
+    the OR of every moving mask in circuit._can_move, and 6 cannot and
+    take less. Every state lies on a cycle, so both the closure from the
+    initial state and the worklist on the other states have cycles to
+    get right."""
+
+    netlist = parse_netlist(MIXED)
+    system = compose(netlist)
+    expected = reference_compose(netlist)
+    home = [expected.init in reference_reach(expected, state) for state in expected.states]
+    assert (len(home), sum(home)) == (12, 6)
+    for state in expected.states:
+        assert any(
+            state in reference_reach(expected, edge.target) for edge in expected.adjacency[state]
+        )
+    union = 0
+    for mask in system.moving:
+        union |= mask
+    assert [mask == union for mask in circuit._can_move(system)] == home
+
+
 @pytest.mark.parametrize(
     "kind, arg, broken", DIFFERENTIAL_CASES, ids=[str(case) for case in DIFFERENTIAL_CASES]
 )
@@ -608,6 +669,7 @@ def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_docum
     assert [paths[state] for state in expected.states] == [
         expected.path_to(state) for state in expected.states
     ]
+    assert_can_move_matches(system, expected)
     finding = analyze_deadlock(system)
     reference = reference_analyze_deadlock(expected)
     assert (finding is None) == (reference is None)
@@ -658,8 +720,9 @@ def random_netlists(draw):
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(netlist=random_netlists(), max_states=st.integers(0, 300))
 def test_engine_matches_reference_on_random_netlists(netlist, max_states):
-    """compose, analyze_deadlock and fullness_invariant agree with the
-    tuple-based references, and the state limit trips at the same bound."""
+    """compose, the can-move masks, analyze_deadlock and fullness_invariant
+    agree with the tuple-based references, and the state limit trips at the
+    same bound."""
 
     try:
         expected = reference_compose(netlist, max_states)
@@ -681,6 +744,7 @@ def test_engine_matches_reference_on_random_netlists(netlist, max_states):
     ]
     with pytest.raises(ExplorationLimitError):
         compose(netlist, len(expected.states) - 1)
+    assert_can_move_matches(system, expected)
     finding = analyze_deadlock(system)
     reference = reference_analyze_deadlock(expected)
     assert finding == reference
