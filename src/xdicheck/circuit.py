@@ -263,8 +263,8 @@ class ProductSystem(Record):
     source of every edge into s, once per edge, in exploration order.
     parent[s] and parent_label[s] (an id into labels) give the
     breadth-first tree; both are -1 at state 0. plan holds the compiled
-    move tables (see _compile), one per instance, that the edges are
-    re-derived from; the block tables compose reads are not kept.
+    move tables (see _compile), one per block of instances, that the
+    edges are re-derived from.
 
     states and adjacency are the tuple-form views: product states as
     tuples of local state names, edges as Edge. Each is built on first
@@ -298,24 +298,33 @@ class ProductSystem(Record):
 
     @cached_property
     def adjacency(self) -> dict[ProductState, tuple[Edge, ...]]:
-        state_of = dict(zip(self.codes, self.states))
-        movers = {
+        labels, state_of = self.labels, dict(zip(self.codes, self.states))
+        names = {
             mask: frozenset(name for idx, name in enumerate(self.order) if mask >> idx & 1)
-            for _, _, by_state in self.plan
+            for _, _, members in self.plan
+            for _, _, by_state in members
             for moves in by_state
-            for _, mask, *_ in moves
+            for *_, mask, _ in moves
         }
-        return {
-            state_of[code]: tuple(
-                Edge(self.labels[label], movers[mask], state_of[code + delta])
-                for weight, radix, by_state in self.plan
-                for label, mask, partner_weight, partner_radix, deltas in by_state[
-                    code // weight % radix
-                ]
-                for delta in deltas[code // partner_weight % partner_radix]
-            )
-            for code in self.codes
-        }
+        # Per block, its rows by joint digit, filled on first use as in compose.
+        blocks = [(first, span, [None] * span, members) for first, span, members in self.plan]
+        adjacency = {}
+        for code in self.codes:
+            edges = []
+            for first, span, table, members in blocks:
+                digit = code // first % span
+                row = table[digit]
+                if row is None:
+                    row = table[digit] = _block_moves(members, digit)
+                for delta, movers, label in row:
+                    if delta is not None:
+                        edges.append(Edge(labels[label], names[movers], state_of[code + delta]))
+                        continue
+                    movers, partner_weight, partner_radix, deltas = movers
+                    for delta in deltas[code // partner_weight % partner_radix]:
+                        edges.append(Edge(labels[label], names[movers], state_of[code + delta]))
+            adjacency[state_of[code]] = tuple(edges)
+        return adjacency
 
     def _path(self, s: int) -> tuple[str, ...]:
         labels: list[str] = []
@@ -325,22 +334,32 @@ class ProductSystem(Record):
         return tuple(reversed(labels))
 
 
-def _compile(
-    netlist: Netlist,
-    order: tuple[str, ...],
-    machines: tuple[XdiMachine, ...],
-    weights: tuple[int, ...],
-) -> tuple[tuple, tuple[str, ...]]:
-    """Per instance, (weight, radix, moves by local state number); and the
-    label names.
+# Consecutive instances share one move table while their joint radix
+# stays within this.
+_BLOCK_SPAN = 1296
 
-    A move is (label id, mover bitmask, partner weight, partner radix,
-    deltas by the partner's local state number): adding a delta to a
+
+def _compile(
+    netlist: Netlist, order: tuple[str, ...], machines: tuple[XdiMachine, ...]
+) -> tuple[tuple[int, ...], int, tuple, tuple[str, ...]]:
+    """The instances' weights, the initial state's code, the move tables
+    by block, and the label names.
+
+    A block is a run of consecutive instances whose joint radix stays
+    within _BLOCK_SPAN. Its table is (weight of its first instance, joint
+    radix, members), a member being an instance's (place, radix, moves by
+    local state number), place its weight over the block's first. A move
+    is (partner place, partner radix, deltas, mover bitmask, label id),
+    deltas by the partner's local state number: adding a delta to a
     product state's code gives a successor's. A move on a channel fires
     once per input transition of the partner on the same handshake and
     phase, in declaration order, and not at all where the partner has
-    none. A move on an external wire involves no partner: weight and
-    radix 1, one delta.
+    none. A move on an external wire involves no partner: partner place
+    and radix 1, one delta. A move whose partner is in the block, or that
+    has none, is read at the block's joint digit; one whose partner lies
+    in another block has partner place 0, partner radix 1 and, for
+    deltas, (movers, partner weight, partner radix, deltas), read at the
+    full code.
     """
 
     index_of = {instance: idx for idx, instance in enumerate(order)}
@@ -348,10 +367,22 @@ def _compile(
         {entry.name: number for number, entry in enumerate(machine.states)}
         for machine in machines
     ]
+    weights: list[int] = []
+    start, weight = 0, 1
+    # Each block as [first weight, joint radix, members], and per
+    # instance its block.
+    blocks: list[list] = []
+    block_of: list[list] = []
     # Per instance and local state number: (handshake, phase) -> what its
     # input transitions add to the code, in transition order.
     inputs: list[list[dict[tuple[str, str], list[int]]]] = []
-    for number, machine, weight in zip(numbers, machines, weights):
+    for number, machine in zip(numbers, machines):
+        radix = len(machine.states)
+        if blocks and blocks[-1][1] * radix <= _BLOCK_SPAN:
+            blocks[-1][1] *= radix
+        else:
+            blocks.append([weight, radix, []])
+        block_of.append(blocks[-1])
         tables = []
         for here, entry in enumerate(machine.states):
             table: dict[tuple[str, str], list[int]] = {}
@@ -362,11 +393,13 @@ def _compile(
                     )
             tables.append(table)
         inputs.append(tables)
+        weights.append(weight)
+        start += number[machine.init_state] * weight
+        weight *= radix
 
     label_ids: dict[str, int] = {}
-    plan = []
     for idx, (instance, machine) in enumerate(zip(order, machines)):
-        weight = weights[idx]
+        weight, block = weights[idx], block_of[idx]
         by_state = []
         for here, entry in enumerate(machine.states):
             moves = []
@@ -382,59 +415,31 @@ def _compile(
                         [tuple(map(own.__add__, table.get(key, ()))) for table in inputs[jdx]]
                     )
                     label = label_ids.setdefault(f"{channel.name}.{wire.phase}", len(label_ids))
-                    moves.append((label, 1 << idx | 1 << jdx, weights[jdx], len(deltas), deltas))
+                    movers = 1 << idx | 1 << jdx
+                    if block_of[jdx] is block:
+                        moves.append((weights[jdx] // block[0], len(deltas), deltas, movers, label))
+                    else:
+                        crossing = (movers, weights[jdx], len(deltas), deltas)
+                        moves.append((0, 1, crossing, movers, label))
                 # External wires move alone: outputs always, inputs unless
                 # marked stable. Connected inputs are driven by the partner.
                 elif channel is None and (
                     wire.direction == OUTPUT or point not in netlist.stable
                 ):
                     label = label_ids.setdefault(f"{point}.{wire.phase}", len(label_ids))
-                    moves.append((label, 1 << idx, 1, 1, ((own,),)))
+                    moves.append((1, 1, ((own,),), 1 << idx, label))
             by_state.append(tuple(moves))
-        plan.append((weight, len(by_state), tuple(by_state)))
-    return tuple(plan), tuple(label_ids)
+        block[2].append((weight // block[0], len(by_state), tuple(by_state)))
+    plan = tuple((first, span, tuple(members)) for first, span, members in blocks)
+    return tuple(weights), start, plan, tuple(label_ids)
 
 
-# Consecutive instances share one move table while their joint radix
-# stays within this.
-_BLOCK_SPAN = 1296
-
-
-def _block_members(first: int, span: int, members: list) -> list:
-    """A block's instances, each as (place, radix, moves by local state
-    number), place being its weight over the block's first. A move is
-    (partner place, partner radix, deltas, movers, label). A move whose
-    partner is inside the block, or that has no partner (partner radix
-    1), keeps its deltas by the partner's local state number, to be read
-    at the block's joint digit. A move whose partner lies outside the
-    block has partner place 0 and, for deltas, the plan's tuple. Places
-    and partners are worked out here, once per block, not once per row."""
-
-    last = first * span
-    found = []
-    for weight, radix, by_state in members:
-        moves_by_state = []
-        for moves in by_state:
-            placed = []
-            for move in moves:
-                label, movers, partner_weight, partner_radix, deltas = move
-                if partner_radix == 1:
-                    placed.append((1, 1, deltas, movers, label))
-                elif first <= partner_weight and partner_weight * partner_radix <= last:
-                    placed.append((partner_weight // first, partner_radix, deltas, movers, label))
-                else:
-                    placed.append((0, 1, move, movers, label))
-            moves_by_state.append(placed)
-        found.append((weight // first, radix, moves_by_state))
-    return found
-
-
-def _block_moves(members: list, digit: int) -> list:
-    """A block's edges at its joint digit (see _block_members), in
-    instance order, then transition order, then the partner's transition
-    order: one (delta, movers, label) triple per edge of a resolved move,
-    and (None, the plan's move, label) for a move whose partner lies
-    outside the block."""
+def _block_moves(members: tuple, digit: int) -> list:
+    """A block's edges at its joint digit (see _compile), in instance
+    order, then transition order, then the partner's transition order:
+    one (delta, movers, label) triple per edge of a move read at the
+    digit, and (None, (movers, partner weight, partner radix, deltas),
+    label) for a move whose partner lies in another block."""
 
     row: list = []
     for place, radix, moves_by_state in members:
@@ -456,50 +461,29 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     max_states states, the initial state included. The state order, edge
     order, and parent links are deterministic: edges follow instance
     order, then transition order, then the partner's transition order.
-    Each instance is compiled into move tables once, so a successor is
-    the state's code plus a precomputed delta, and the cost is linear in
-    product states plus edges. Moves are looked up once per block, a run
-    of consecutive instances whose joint radix stays within _BLOCK_SPAN:
-    its row, by the block's joint digit, is filled on first use with the
-    instances' edges in instance order (see _block_moves), one flat
-    (delta, movers, label) triple per edge, so the edge order is the same
-    as instance by instance. Each edge is touched once: it ORs its mover
-    mask into moving[state] and appends its source to its target's
-    predecessor list, found by code in one table that becomes
-    predecessors. A state costs a slot in each of five lists, its
-    predecessor list and, while composing, one dict entry; an edge one
-    slot in a predecessor list; a block at most _BLOCK_SPAN rows.
+    The instances are compiled once into move tables, one per block of
+    consecutive instances (see _compile), so a successor is the state's
+    code plus a precomputed delta, and the cost is linear in product
+    states plus edges. A block's row, by its joint digit, is filled on
+    first use with its instances' edges in instance order (see
+    _block_moves), one flat (delta, movers, label) triple per edge, so
+    the edge order is the same as instance by instance. Each edge is
+    touched once: it ORs its mover mask into moving[state] and appends
+    its source to its target's predecessor list, found by code in one
+    table that becomes predecessors. A state costs a slot in each of five
+    lists, its predecessor list and, while composing, one dict entry; an
+    edge one slot in a predecessor list; a block at most _BLOCK_SPAN rows.
     """
 
     order = tuple(instance for instance, _ in netlist.instances)
     machines = tuple(netlist.machine_of(instance) for instance in order)
-    places: list[int] = []
-    weight, start = 1, 0
-    for machine in machines:
-        places.append(weight)
-        start += [entry.init for entry in machine.states].index(True) * weight
-        weight *= len(machine.states)
-    weights = tuple(places)
-    plan, labels = _compile(netlist, order, machines, weights)
+    weights, start, plan, labels = _compile(netlist, order, machines)
     too_many = f"product of {netlist.name} exceeds {max_states} states"
     if max_states < 1:
         raise ExplorationLimitError(too_many)
 
-    # The blocks: runs of consecutive instances whose joint radix stays
-    # within _BLOCK_SPAN, each the weight of its first instance, its joint
-    # radix, a row table by joint digit filled on first use, and its
-    # instances' moves (see _block_members).
-    blocks = []
-    for member in plan:
-        if blocks and blocks[-1][1] * member[1] <= _BLOCK_SPAN:
-            blocks[-1][1] *= member[1]
-            blocks[-1][2].append(member)
-        else:
-            blocks.append([member[0], member[1], [member]])
-    blocks = [
-        (first, span, [None] * span, _block_members(first, span, members))
-        for first, span, members in blocks
-    ]
+    # Per block, its row table by joint digit, filled on first use.
+    blocks = [(first, span, [None] * span, members) for first, span, members in plan]
 
     # Per code, the source of every edge into it; its keys, in insertion
     # order, are the codes list.
@@ -534,7 +518,7 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
                     else:
                         sources.append(state)
                     continue
-                _, movers, partner_weight, partner_radix, deltas = movers
+                movers, partner_weight, partner_radix, deltas = movers
                 for delta in deltas[code // partner_weight % partner_radix]:
                     mask |= movers
                     successor = code + delta

@@ -555,7 +555,7 @@ def differential_netlist(kind, arg, broken, machines_dir, circuit_document):
 def test_block_cases_span_blocks(kind, arg, broken, blocks, machines_dir, circuit_document):
     """The differential cases for compose's block move tables cross block
     boundaries: count the runs of consecutive instances whose joint radix
-    stays within circuit._BLOCK_SPAN."""
+    stays within circuit._BLOCK_SPAN, and compose builds one table each."""
 
     netlist = differential_netlist(kind, arg, broken, machines_dir, circuit_document)
     count, span = 0, circuit._BLOCK_SPAN + 1
@@ -565,6 +565,7 @@ def test_block_cases_span_blocks(kind, arg, broken, blocks, machines_dir, circui
         if span > circuit._BLOCK_SPAN:
             count, span = count + 1, radix
     assert count == blocks
+    assert len(compose(netlist).plan) == count
 
 
 def parent_links(system):
@@ -677,6 +678,41 @@ def test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_docum
         assert finding.state == reference.state
         assert finding.path == reference.path
         assert finding.instances == reference.instances
+
+
+# The differential cases small enough (joint radix at most 51,840) that
+# one block table can span the whole netlist.
+SMALL_CASES = [
+    case
+    for case in DIFFERENTIAL_CASES
+    if case[0] in ("file", "inline", "mixed", "blocks")
+    or case[1] <= {"chain": 4, "tree": 1}.get(case[0], 0)
+]
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["span 1", "whole span"])
+@pytest.mark.parametrize("kind, arg, broken", SMALL_CASES, ids=[str(case) for case in SMALL_CASES])
+def test_engine_matches_reference_at_block_span_extremes(
+    kind, arg, broken, whole, machines_dir, circuit_document, monkeypatch
+):
+    """The block rule at its extremes: with circuit._BLOCK_SPAN 1 every
+    instance is a block of its own and every channel move crosses a
+    block; with the netlist's joint radix all instances share one block
+    and every channel move resolves in its row. Either way compose, the
+    search fields, adjacency and _can_move agree with the reference."""
+
+    netlist = differential_netlist(kind, arg, broken, machines_dir, circuit_document)
+    span = 1
+    if whole:
+        for instance, _ in netlist.instances:
+            span *= len(netlist.machine_of(instance).states)
+    monkeypatch.setattr(circuit, "_BLOCK_SPAN", span)
+    system = compose(netlist)
+    members = [len(block[2]) for block in system.plan]
+    count = len(netlist.instances)
+    assert members == ([count] if whole and count else [1] * count)
+    assert_search_fields_match(system, reference_compose(netlist))
+    test_engine_matches_reference(kind, arg, broken, machines_dir, circuit_document)
 
 
 PRIMITIVES = sorted(spec.name for spec in builtin_library())
