@@ -9,6 +9,7 @@ the program failed internally.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -56,13 +57,12 @@ def _load(path: str, parse):
         raise CommandError(f"{path}: {exc}") from exc
 
 
-def _load_document(path: str, validated: bool = True):
+def _load_document(path: str):
     parsed = _load(path, machine.parse_document)
-    if validated:
-        report = machine.validate(parsed[0])
-        if not report.ok:
-            listing = "; ".join(report.violations)
-            raise CommandError(f"{path}: invalid machine: {listing}")
+    report = machine.validate(parsed[0])
+    if not report.ok:
+        listing = "; ".join(report.violations)
+        raise CommandError(f"{path}: invalid machine: {listing}")
     return parsed
 
 
@@ -74,20 +74,31 @@ def _parse_env_arg(text: str | None, mach: machine.XdiMachine):
 
 
 def _emit(payload, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        import json  # here, so that a text run does not pay for its import
+    """Print the payload as JSON or the lines as text. A reader that closed
+    stdout early does not change the exit code: the output is dropped, and
+    stdout is pointed at devnull so that the flush at exit cannot fail."""
 
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if as_json:
+            import json  # here, so that a text run does not pay for its import
+
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # a stdout with no descriptor has no flush at exit to fail
+            pass
 
 
 # --- Subcommand handlers -----------------------------------------------------
 
 
 def _cmd_validate(args) -> int:
-    mach, _ = _load_document(args.file, validated=False)
+    mach, _ = _load(args.file, machine.parse_document)
     report = machine.validate(mach)
     if args.emit_dot is not None:
         _write_file(args.emit_dot, _to_dot(mach))

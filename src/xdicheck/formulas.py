@@ -7,13 +7,16 @@ blocked(h) and idle(h) answered by the checker. The same AST doubles as the
 constraint language for deadlock instances, where the atoms have been
 substituted by free boolean variables: smt_term renders those as SMT-LIB
 and first_model solves them.
+
+No walk recurses. _postorder lists the nodes children first, and
+map_atoms, the Tseitin encoder _tseitin and _check_atoms_known read that
+list; evaluate and smt_term walk parent-first with stacks of their own.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from . import checker
 from .labeling import BLOCKING, IDLING, Mode, UnknownHandshakeError
@@ -35,8 +38,6 @@ __all__ = [
     "Implies",
     "Iff",
     "parse_condition",
-    "atoms",
-    "condition_handshakes",
     "map_atoms",
     "evaluate",
     "EnvVerdict",
@@ -229,18 +230,6 @@ def _postorder(form: Formula) -> list[Formula]:
     return order[::-1]
 
 
-def atoms(form: Formula) -> Iterator[Formula]:
-    """Yield every atom, left to right, duplicates included."""
-
-    return (node for node in _postorder(form) if type(node) in (BlockedAtom, IdleAtom, VarAtom))
-
-
-def condition_handshakes(form: Formula) -> frozenset[str]:
-    return frozenset(
-        atom.handshake for atom in atoms(form) if isinstance(atom, (BlockedAtom, IdleAtom))
-    )
-
-
 def map_atoms(form: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild the formula with every atom passed through fn, left to right."""
 
@@ -313,7 +302,11 @@ def evaluate(form: Formula, resolve: Callable[[Formula], bool]) -> bool:
 
 
 def _check_atoms_known(form: Formula, machine: XdiMachine) -> None:
-    for name in sorted(condition_handshakes(form)):
+    """Raise UnknownHandshakeError for the first name, in sorted order, of a
+    blocked or idle atom that names no handshake of the machine."""
+
+    names = {node.handshake for node in _postorder(form) if type(node) in (BlockedAtom, IdleAtom)}
+    for name in sorted(names):
         if name not in machine.handshakes:
             raise UnknownHandshakeError(
                 f"machine {machine.name} has no handshake {name!r}"
@@ -419,52 +412,45 @@ def verify_condition(form: Formula, machine: XdiMachine) -> Verdict:
 _SMT_WORD = {Not: "not", And: "and", Or: "or", Implies: "=>", Iff: "="}
 
 
-def _close(kind: type | None, pieces: deque) -> deque:
-    """The pieces of a term, with the parentheses its open connective needs."""
-
-    if kind is not None:
-        pieces.appendleft(f"({_SMT_WORD[kind]} ")
-        pieces.append(")")
-    return pieces
-
-
 def smt_term(form: Formula) -> str:
     """Render a variable-only formula as an SMT-LIB 2 term.
 
-    Each term is a deque of text pieces left open, without its connective's
-    parentheses, until its parent closes it, so a chain of And or of Or
-    becomes one n-ary term. A deque grows at either end in constant time and
-    the shorter operand moves into the longer, so deep formulas render in
-    O(n log n) at worst.
+    One parent-first pass: an explicit stack of (node, parent connective)
+    entries, and of closing parentheses, appends the pieces of text to one
+    list, left to right. An And under an And, or an Or under an Or, opens no
+    term of its own, so a chain becomes one n-ary term. Deep formulas stay
+    off the call stack and render in linear time.
     """
 
-    values: list[tuple[type | None, deque]] = []  # (connective left open or None, pieces)
-    for node in _postorder(form):
+    pieces: list[str] = []
+    # (node, its parent's connective or None at the root), or (")", str)
+    stack: list[tuple[Formula | str, type | None]] = [(form, None)]
+    while stack:
+        node, parent = stack.pop()
         kind = type(node)
+        if parent is str:
+            pieces.append(node)
+            continue
+        if kind is parent and kind in (And, Or):
+            stack += ((node.rhs, kind), (node.lhs, kind))
+            continue
+        if parent is not None:
+            pieces.append(" ")
         if kind is Const:
-            values.append((None, deque(("true" if node.value else "false",))))
+            pieces.append("true" if node.value else "false")
         elif kind is VarAtom:
-            values.append((None, deque((node.name,))))
+            pieces.append(node.name)
         elif kind in (BlockedAtom, IdleAtom):
             raise ValueError("blocked/idle atoms must be substituted before emission")
         elif kind is Not:
-            values[-1] = (Not, _close(*values[-1]))
+            pieces.append("(not")
+            stack += ((")", str), (node.operand, Not))
         elif kind in _SMT_WORD:
-            (rkind, rhs), (lkind, lhs) = values.pop(), values.pop()
-            chain = kind in (And, Or)
-            lhs = lhs if chain and lkind is kind else _close(lkind, lhs)
-            rhs = rhs if chain and rkind is kind else _close(rkind, rhs)
-            if len(lhs) < len(rhs):
-                rhs.appendleft(" ")
-                rhs.extendleft(reversed(lhs))
-                lhs = rhs
-            else:
-                lhs.append(" ")
-                lhs.extend(rhs)
-            values.append((kind, lhs))
+            pieces.append(f"({_SMT_WORD[kind]}")
+            stack += ((")", str), (node.rhs, kind), (node.lhs, kind))
         else:
             raise TypeError(f"not a formula: {node!r}")
-    return "".join(_close(*values[0]))
+    return "".join(pieces)
 
 
 # --- Satisfiability: lex-first DPLL ------------------------------------------

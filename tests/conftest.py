@@ -14,7 +14,7 @@ import pytest
 from xdicheck import machine as machine_mod
 from xdicheck.cli import main as cli_main
 from xdicheck.circuit import _blocking_states
-from xdicheck.formulas import BlockedAtom, Formula, IdleAtom, Iff
+from xdicheck.formulas import And, BlockedAtom, Formula, IdleAtom, Iff, Implies, Not, Or, VarAtom
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 MACHINES = REPO / "machines"
@@ -148,6 +148,23 @@ def wide_document(k: int) -> str:
         target = f"a{j + 1}" if j + 1 < k else "q0"
         rows.append(f"(a{j} nil transient (((i{j} A O) {target})))")
     return f"(machine wide{k}\n  " + "\n  ".join(rows) + ")\n"
+
+
+def atoms(form: Formula) -> list[Formula]:
+    """Every atom of the formula, left to right, duplicates included; an
+    explicit stack keeps deep formulas off the call stack."""
+
+    found = []
+    stack = [form]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            stack += (node.rhs, node.lhs)
+        elif isinstance(node, (BlockedAtom, IdleAtom, VarAtom)):
+            found.append(node)
+    return found
 
 
 def every_atom_iff(machine) -> Formula:

@@ -6,9 +6,10 @@ and its timed columns. Every point runs in a fresh interpreter, so that its
 peak RSS is its own. The script prints a row per point and, per group, the
 least-squares slope of each timed column against the size column on
 log/log axes. The families, described at their measure functions, are
-product (compose and analyze_deadlock), parse (parse_document and
-builtin_library), query (the layers of one query command), condition
-(verify_condition) and oracle (cross_validate).
+product (compose and analyze_deadlock), deadlock (Dead(ch) for every
+channel), parse (parse_document and builtin_library), query (the layers of
+one query command), condition (verify_condition) and oracle
+(cross_validate).
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep.py FAMILY [--out sweep.json]
@@ -106,6 +107,33 @@ def measure_product(kind: str, size: str, broken: str) -> dict:
         compose_s=compose_s, analyze_s=analyze_s,
     )
     return {**row, "peak_rss_mb": peak}
+
+
+def measure_deadlock(kind: str, size: str, broken: str) -> dict:
+    """Answer Dead(ch) for every channel as `deadlock --channel CH` does:
+    compose the storage chain of SIZE storages or the fork/join tree of
+    depth SIZE (conftest.py's netlists), broken if BROKEN is 1, once; then,
+    per channel, derive_deadlock_formula on that product and first_model.
+    The product states, the channels, how many are sat, and the seconds of
+    the compose and of the derivations and the solves, each summed over the
+    channels; one run."""
+
+    from xdicheck.circuit import compose, derive_deadlock_formula, parse_netlist
+
+    text = (_chain_netlist if kind == "chain" else _tree_netlist)(int(size), broken == "1")
+    netlist = parse_netlist(text)
+    system, compose_s, _ = timed(lambda: compose(netlist), 1)
+    sat, derive_s, solve_s = 0, 0.0, 0.0
+    for channel in netlist.channels:
+        instance, seconds, _ = timed(lambda: derive_deadlock_formula(netlist, channel.name, system), 1)
+        derive_s += seconds
+        model, seconds, _ = timed(instance.first_model, 1)
+        solve_s += seconds
+        sat += model is not None
+    return _row(
+        kind, size, broken=broken == "1", states=len(system.codes), channels=len(netlist.channels),
+        sat=sat, compose_s=compose_s, derive_s=derive_s, solve_s=solve_s,
+    )
 
 
 def measure_parse(kind: str, size: str) -> dict:
@@ -272,6 +300,13 @@ FAMILIES = {
         + (_group("tree", (1, 2), "0"), _group("tree", (1, 2), "1"), _group("tree2", (1, 2), "0")),
         "states",
         ("compose_s", "analyze_s"),
+    ),
+    "deadlock": Family(
+        measure_deadlock,
+        (_group("chain", range(5, 11), "0"), _group("chain", range(5, 11), "1"))
+        + (_group("tree", (1, 2), "0"), _group("tree", (1, 2), "1")),
+        "states",
+        ("compose_s", "derive_s", "solve_s"),
     ),
     "parse": Family(
         measure_parse,

@@ -853,4 +853,29 @@ def test_a_stdout_that_breaks_is_an_error_not_a_crash(join_path):
     err = io.StringIO()
     with contextlib.redirect_stdout(Broken()), contextlib.redirect_stderr(err):
         code = cli.main(["labels", join_path, "--handshake", "a"])
-    assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
+    assert (code, err.getvalue()) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("labels", "--handshake", "a"), 0), (("oracle-check", "--bound", "0"), 1)],
+    ids=["labels", "oracle-check"],
+)
+def test_a_reader_that_closed_stdout_leaves_the_verdicts_exit_code(join_path, argv, code, unbuffered):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # every write fails: in print when unbuffered, else in the flush.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "xdicheck.cli", argv[0], join_path, *argv[1:]],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (code, "")

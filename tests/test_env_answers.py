@@ -12,7 +12,7 @@ from hypothesis import given
 
 import labeling_sweep
 from checker_reference import reference_fg_check, reference_g_check
-from conftest import every_atom_iff, wide_document
+from conftest import atoms, every_atom_iff, wide_document
 from test_properties import BASE, formula_st
 from xdicheck import checker, formulas, labeling
 from xdicheck.checker import (
@@ -358,7 +358,7 @@ def test_verify_condition_explores_once_per_environment(explorations):
 
     machine = parse_document(wide_document(4))[0]
     form = every_atom_iff(machine)
-    assert len(list(formulas.atoms(form))) == 10
+    assert len(atoms(form)) == 10
     verify_condition(form, machine)
     assert len(explorations) == 6
     assert len(set(explorations)) == len(explorations)

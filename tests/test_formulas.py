@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import atoms
 from dsl_reference import recursive_parse_condition, to_dsl
 from solver_reference import satisfying_models
 from test_properties import BASE, formula_st
@@ -181,12 +182,16 @@ def test_deep_conditions_parse_without_recursion():
 
 def test_atoms_iterates_left_to_right():
     form = parse_condition("blocked(a) <-> blocked(c) | idle(b)")
-    assert list(f.atoms(form)) == [BlockedAtom("a"), BlockedAtom("c"), IdleAtom("b")]
+    assert atoms(form) == [BlockedAtom("a"), BlockedAtom("c"), IdleAtom("b")]
 
 
-def test_condition_handshakes():
-    form = parse_condition("blocked(a) <-> blocked(c) | idle(b)")
-    assert f.condition_handshakes(form) == frozenset({"a", "b", "c"})
+def test_condition_handshakes(join):
+    # Every blocked and idle atom's handshake is checked; the error names
+    # the first unknown one in sorted order, wherever it sits.
+    f._check_atoms_known(parse_condition("blocked(a) <-> blocked(c) | idle(b)"), join)
+    form = parse_condition("idle(zz) <-> blocked(c) | !blocked(yy) & idle(zz)")
+    with pytest.raises(UnknownHandshakeError, match="no handshake 'yy'"):
+        f._check_atoms_known(form, join)
 
 
 def test_map_atoms_replaces_leaves():
@@ -290,35 +295,73 @@ def test_smt_term_matches_the_recursive_reference(form):
     assert _outcome(smt_term, form) == _outcome(recursive_smt_term, form)
 
 
-def _deep(cls, prefix):
-    """A left-nested 1,200-term chain of cls over prefix0, prefix1, ..., or
-    a 5,000-deep Not chain over prefix0; with its variables and SMT-LIB text."""
+_WORD = {And: "and", Or: "or", Implies: "=>", Iff: "="}
 
+
+def _deep(shape, prefix):
+    """A deep formula over prefix0, prefix1, ..., with its variables and
+    SMT-LIB text. shape is a connective and a nesting: a 1,200-term chain of
+    And, Or, Implies or Iff nested to the left or to the right, or 5,000
+    Nots over prefix0 or over the left-nested And chain."""
+
+    cls, nesting = shape
     if cls is Not:
-        names = [f"{prefix}0"]
-        form = VarAtom(names[0])
+        if nesting == "And":
+            form, names, text = _deep((And, "left"), prefix)
+        else:
+            names = [f"{prefix}0"]
+            form, text = VarAtom(names[0]), names[0]
         for _ in range(5000):
             form = Not(form)
-        return form, names, "(not " * 5000 + names[0] + ")" * 5000
+        return form, names, "(not " * 5000 + text + ")" * 5000
     names = [f"{prefix}{i}" for i in range(1200)]
-    form = VarAtom(names[0])
-    for name in names[1:]:
-        form = cls(form, VarAtom(name))
-    return form, names, f"({'and' if cls is And else 'or'} {' '.join(names)})"
+    word = _WORD[cls]
+    if nesting == "left":
+        form = VarAtom(names[0])
+        for name in names[1:]:
+            form = cls(form, VarAtom(name))
+        text = f"({word} " * 1199 + names[0] + "".join(f" {name})" for name in names[1:])
+    else:
+        form = VarAtom(names[-1])
+        for name in reversed(names[:-1]):
+            form = cls(VarAtom(name), form)
+        text = "".join(f"({word} {name} " for name in names[:-1]) + names[-1] + ")" * 1199
+    if cls in (And, Or):
+        text = f"({word} {' '.join(names)})"
+    return form, names, text
 
 
-@pytest.mark.parametrize("cls", [Or, And, Not], ids=["Or-or", "And-and", "Not-not"])
-def test_smt_term_renders_a_1200_term_chain(cls):
-    # Every transform must keep deep input off the call stack. Deep formulas
-    # are compared through their rendering: == on dataclasses recurses.
-    form, names, text = _deep(cls, "v")
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (Or, "left"),
+        (And, "left"),
+        (Not, "Not"),
+        (Implies, "left"),
+        (Implies, "right"),
+        (Iff, "left"),
+        (Iff, "right"),
+        (Not, "And"),
+    ],
+    ids=[
+        "Or-or", "And-and", "Not-not", "Implies-left", "Implies-right", "Iff-left", "Iff-right",
+        "Not-over-And",
+    ],
+)
+def test_smt_term_renders_a_1200_term_chain(shape):
+    # Every transform must keep deep input off the call stack, so none of
+    # these may raise RecursionError. Deep formulas are compared through
+    # their rendering: == on dataclasses recurses.
+    form, names, text = _deep(shape, "v")
     assert smt_term(form) == text
     assert smt_term(Not(form)) == f"(not {text})"
-    assert [atom.name for atom in f.atoms(form)] == names
+    assert [atom.name for atom in atoms(form)] == names
     renamed = f.map_atoms(form, lambda atom: VarAtom("w" + atom.name[1:]))
-    assert smt_term(renamed) == _deep(cls, "w")[2]
-    expected = {name: cls is not Or or name == names[-1] for name in names}
-    assert first_model([form], names) == expected
+    assert smt_term(renamed) == _deep(shape, "w")[2]
+    # The lex-first models: an Implies chain holds at all false, and so does
+    # an Iff chain over an even number of variables.
+    true = {Or: {names[-1]}, And: set(names), Not: set(names)}.get(shape[0], set())
+    assert first_model([form], names) == {name: name in true for name in names}
 
 
 def test_a_shared_subformula_is_encoded_once_per_occurrence():

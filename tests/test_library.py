@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import settled_states
+from conftest import atoms, settled_states
 from dsl_reference import to_dsl
 from xdicheck import labeling, library
 from xdicheck.checker import reasonable_envs
@@ -146,7 +146,7 @@ def _parities(machine, handshake):
 
 
 def test_fact_invariants():
-    from xdicheck.formulas import VarAtom, atoms
+    from xdicheck.formulas import VarAtom
 
     for spec in builtin_library():
         for fact in spec.facts:

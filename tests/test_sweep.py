@@ -13,6 +13,10 @@ KEYS = {
     "product": [
         "kind", "size", "broken", "states", "edges", "deadlock", "compose_s", "analyze_s", "peak_rss_mb"
     ],
+    "deadlock": [
+        "kind", "size", "broken", "states", "channels", "sat", "compose_s", "derive_s", "solve_s",
+        "peak_rss_mb",
+    ],
     "parse": ["kind", "size", "states", "cold_s", "first_s", "best_s", "peak_rss_mb"],
     "query": [
         "kind", "size", "states", "visited", "holds", "validate_s", "labels_s", "explore_s", "query_s",
@@ -31,6 +35,9 @@ KEYS = {
         ("product", ("chain", "6", "0"), {"states": 1458, "edges": 5184, "deadlock": False}),
         ("product", ("tree", "1", "1"), {"states": 22, "edges": 32, "deadlock": True}),
         ("product", ("tree2", "1", "0"), {"states": 2604, "edges": 9882, "deadlock": False}),
+        ("deadlock", ("chain", "5", "0"), {"states": 486, "channels": 6, "sat": 0}),
+        ("deadlock", ("chain", "5", "1"), {"states": 486, "channels": 7, "sat": 6}),
+        ("deadlock", ("tree", "1", "1"), {"states": 22, "channels": 4, "sat": 3}),
         ("parse", ("ring", "400"), {"states": 402}),
         ("parse", ("library", "6"), {"states": 43}),
         ("query", ("ring", "400"), {"states": 402, "visited": 402, "holds": True}),
