@@ -9,6 +9,7 @@ the program failed internally.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 from . import checker, circuit, formulas, labeling, library, machine
 from .record import Record
-from .sexpr import ParseError
+from .sexpr import ParseError, read_text
 
 __all__ = ["main", "entrypoint"]
 
@@ -27,21 +28,23 @@ class CommandError(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return read_text(path)
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
 
 
 def _write_file(path: str, text: str) -> None:
-    """Write text to path; a CommandError naming the path if that fails.
+    """Write text to path as UTF-8; a CommandError naming the path if that fails.
 
     The caller renders the text first, so a failure to render it leaves
     no empty file behind."""
 
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -73,25 +76,30 @@ def _parse_env_arg(text: str | None, mach: machine.XdiMachine):
         raise CommandError(str(exc)) from exc
 
 
-def _emit(payload, as_json: bool, lines: Sequence[str]) -> None:
-    """Print the payload as JSON or the lines as text. A reader that closed
-    stdout early does not change the exit code: the output is dropped, and
-    stdout is pointed at devnull so that the flush at exit cannot fail."""
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it. A reader that closed stdout early
+    does not change the exit code: the output is dropped, and stdout is
+    pointed at devnull so that the flush at exit cannot fail."""
 
     try:
-        if as_json:
-            import json  # here, so that a text run does not pay for its import
-
-            print(json.dumps(payload, indent=2))
-        else:
-            for line in lines:
-                print(line)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except OSError:  # a stdout with no descriptor has no flush at exit to fail
             pass
+
+
+def _emit(payload, as_json: bool, lines: Sequence[str]) -> None:
+    """Print the payload as JSON or the lines as text."""
+
+    if as_json:
+        import json  # here, so that a text run does not pay for its import
+
+        _write_stdout(json.dumps(payload, indent=2) + "\n")
+    else:
+        _write_stdout("".join(f"{line}\n" for line in lines))
 
 
 # --- Subcommand handlers -----------------------------------------------------
@@ -616,7 +624,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
+            _write_stdout("")  # the help text argparse leaves in the buffer
             return int(exc.code or 0)
+    # The cyclic collector is paused while the command runs: no command
+    # builds reference cycles, so reference counting frees what it
+    # allocates and the collector's passes would find nothing. The one
+    # exception, the cycle json's indented encoder leaves per --json call,
+    # is freed by the first collection after the command.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (CommandError, OSError) as exc:
@@ -627,6 +643,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # escape as an uncaught exception, which the interpreter turns into 1.
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -2,7 +2,9 @@
 
 Each primitive ships as a data file holding its machine and the verified
 blocking/idling conditions. Each file is parsed on the first use of its
-primitive, so a netlist loads only the primitives it names; the full
+primitive, so a netlist loads only the primitives it names, and a
+primitive's conditions are parsed on their first read, so a deadlock
+search without a formula parses none; the full
 verification pass (validation, unambiguity, every condition under every
 environment) is exercised by verify_library, which the test suite and
 the check-library subcommand run end to end.
@@ -11,7 +13,7 @@ the check-library subcommand run end to end.
 from __future__ import annotations
 
 import os
-from functools import cache
+from functools import cache, cached_property
 from typing import Mapping
 
 from .formulas import And, BlockedAtom, Formula, IdleAtom, Iff, Not, VarAtom, Verdict
@@ -19,6 +21,7 @@ from .formulas import parse_condition, verify_condition
 from .labeling import check_unambiguous
 from .machine import XdiMachine, parse_document, validate
 from .record import Record
+from .sexpr import read_text
 
 __all__ = [
     "NamedCondition",
@@ -63,16 +66,29 @@ _FORMULA_FACTS = {
 class PrimitiveSpec(Record):
     """A machine with its verified conditions, and what the deadlock
     formula assumes of each instance: its facts and, when it has a
-    full_<instance> variable, the fullness of each settled state."""
+    full_<instance> variable, the fullness of each settled state. The
+    conditions are kept as their (name, text) pairs and parsed on the
+    first read of conditions or facts."""
 
     name: str
     machine: XdiMachine
-    conditions: tuple[NamedCondition, ...]
-    facts: tuple[NamedCondition, ...]
+    condition_texts: tuple[tuple[str, str], ...]
     fullness: Mapping[str, bool]
 
     def __hash__(self) -> int:  # fullness is a dict: left out of the hash
-        return hash((self.name, self.machine, self.conditions, self.facts))
+        return hash((self.name, self.machine, self.condition_texts))
+
+    @cached_property
+    def conditions(self) -> tuple[NamedCondition, ...]:
+        return tuple(
+            NamedCondition(name, parse_condition(text), text)
+            for name, text in self.condition_texts
+        )
+
+    @cached_property
+    def facts(self) -> tuple[NamedCondition, ...]:
+        facts = _FORMULA_FACTS.get(self.name)
+        return self.conditions if facts is None else facts
 
 
 # The data files sit beside this module and are opened by path: importing
@@ -86,14 +102,8 @@ def get_primitive(name: str) -> PrimitiveSpec:
 
     if name not in PRIMITIVE_NAMES:
         raise KeyError(f"no builtin primitive named {name!r}")
-    with open(os.path.join(_DATA, f"{name}.xdi"), encoding="utf-8") as handle:
-        machine, raw_conditions = parse_document(handle.read())
-    conditions = tuple(
-        NamedCondition(cond_name, parse_condition(text), text)
-        for cond_name, text in raw_conditions
-    )
-    facts = _FORMULA_FACTS.get(name, conditions)
-    return PrimitiveSpec(machine.name, machine, conditions, facts, _FULLNESS.get(name, {}))
+    machine, conditions = parse_document(read_text(os.path.join(_DATA, f"{name}.xdi")))
+    return PrimitiveSpec(machine.name, machine, conditions, _FULLNESS.get(name, {}))
 
 
 def builtin_library() -> tuple[PrimitiveSpec, ...]:

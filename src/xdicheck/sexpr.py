@@ -36,6 +36,7 @@ __all__ = [
     "expect_symbol",
     "located",
     "read_forms",
+    "read_text",
     "string_value",
 ]
 
@@ -49,6 +50,21 @@ _STRING_BODY = re.compile(r'(?:[^"\\\n]|\\["\\])*')
 # regex \s and str.isspace agree on every code point.
 _TOKEN = re.compile(r'[()]|"' + _STRING_BODY.pattern + r'"|"|;[^\n]*|[^\s()";]+')
 _ESCAPE = re.compile(r'\\(["\\])')
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file as ``open(path, encoding="utf-8").read()``
+    returns it: ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, so lines
+    and columns count alike, and a byte order mark is kept. The bytes are
+    decoded in one call, which costs less than text mode's incremental
+    decoder. Raises OSError, or UnicodeDecodeError whose ``start`` is the
+    offset of the first bad byte."""
+
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 class ParseError(ValueError):

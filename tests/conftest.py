@@ -20,14 +20,20 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 MACHINES = REPO / "machines"
 
 
-def bench_catalogs(monkeypatch) -> dict[str, list]:
-    """Per benchmark workload, every job it can draw, from bench/workloads.py
-    loaded without touching bench/."""
+def bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded without touching bench/."""
 
     spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_catalogs(monkeypatch) -> dict[str, list]:
+    """Per benchmark workload, every job it can draw."""
+
+    workloads = bench_workloads(monkeypatch)
     return {name: workloads.catalog(name) for name in workloads.WORKLOADS}
 
 

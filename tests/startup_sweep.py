@@ -4,7 +4,7 @@ Each command below runs in RUNS fresh interpreters, from the repository
 root, and the script prints the best and the median wall time of the
 runs, seen from this process, so interpreter start and exit are
 included. The commands are an empty program, the import of xdicheck.cli,
-and three CLI calls made as the installed console script makes them.
+and four CLI calls made as the installed console script makes them.
 
 Every command is timed twice. Uncached: the package is imported from a
 copy without bytecode, and no bytecode is written, so the package is
@@ -43,6 +43,7 @@ COMMANDS = {
     "import": ["-c", "import xdicheck.cli"],
     "validate": ["-c", CLI, "validate", "machines/join.xdi"],
     "deadlock": ["-c", CLI, "deadlock", "machines/pipeline.net"],
+    "deadlock-channel": ["-c", CLI, "deadlock", "machines/pipeline_broken.net", "--channel", "a"],
     "check-library": ["-c", CLI, "check-library"],
 }
 MODES = ("uncached", "cached")
@@ -74,11 +75,14 @@ def _run(argv: list[str], env: dict) -> float:
     # No timeout: with one, subprocess polls the child with sleeps that
     # grow to 50 ms, and the times snap to the end of a sleep.
     start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, check=True,
+    run = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if run.returncode not in (0, 1):  # 1 is a verdict (a deadlock found), 2 a failure
+        raise subprocess.CalledProcessError(run.returncode, run.args)
+    return seconds
 
 
 def measure(names: list[str], runs: int) -> list[dict]:

@@ -2,6 +2,8 @@
 
 import contextlib
 import errno
+import gc
+import inspect
 import io
 import json
 import os
@@ -12,7 +14,7 @@ import sys
 
 import pytest
 
-from conftest import bench_jobs
+from conftest import MACHINES, bench_jobs, bench_workloads
 from test_readme import REPO, _quick_start
 from xdicheck import cli, formulas
 
@@ -831,8 +833,8 @@ def test_check_library_reports_each_problem_of_a_failing_primitive(
     shipped = library.builtin_library()[0]
     primitives = (
         shipped,
-        library.PrimitiveSpec("twopath", twopath, (), (), {}),
-        library.PrimitiveSpec("lost", lost, (), (), {}),
+        library.PrimitiveSpec("twopath", twopath, (), {}),
+        library.PrimitiveSpec("lost", lost, (), {}),
     )
     monkeypatch.setattr(library, "builtin_library", lambda: primitives)
     result = run_cli("check-library")
@@ -863,8 +865,20 @@ def test_a_stdout_that_breaks_is_an_error_not_a_crash(join_path):
     ids=["labels", "oracle-check"],
 )
 def test_a_reader_that_closed_stdout_leaves_the_verdicts_exit_code(join_path, argv, code, unbuffered):
-    # stdout is a pipe whose read end is closed before the child starts, so
-    # every write fails: in print when unbuffered, else in the flush.
+    assert _into_a_closed_pipe([argv[0], join_path, *argv[1:]], unbuffered) == (code, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--help",), ("deadlock", "--help")], ids=" ".join)
+def test_help_into_a_closed_pipe_exits_with_argparses_code(argv, unbuffered):
+    assert _into_a_closed_pipe(argv, unbuffered) == (0, "")
+
+
+def _into_a_closed_pipe(argv, unbuffered: str) -> tuple[int, str]:
+    """Exit code and stderr of the CLI in a child whose stdout is a pipe
+    with its read end closed before the child starts, so every write
+    fails: in the write itself when unbuffered, else in the flush."""
+
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -873,9 +887,141 @@ def test_a_reader_that_closed_stdout_leaves_the_verdicts_exit_code(join_path, ar
     os.close(read)
     try:
         run = subprocess.run(
-            [sys.executable, "-m", "xdicheck.cli", argv[0], join_path, *argv[1:]],
+            [sys.executable, "-m", "xdicheck.cli", *argv],
             env=env, stdout=write, stderr=subprocess.PIPE, text=True,
         )
     finally:
         os.close(write)
-    assert (run.returncode, run.stderr) == (code, "")
+    return run.returncode, run.stderr
+
+
+# --- Input files: bytes on disk to text --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, name, data, offset, reason",
+    [
+        ("validate", "bad.xdi", b"\xff(machine m (s0 t box ()))", 0, "invalid start byte"),
+        ("deadlock", "bad.net", "(circuit c ; caf\u00e9".encode() + b" \xe9\n)", 19, "invalid continuation byte"),
+    ],
+    ids=["validate", "deadlock"],
+)
+def test_a_file_that_is_not_utf8_is_named_with_the_byte_offset(
+    run_cli, tmp_path, command, name, data, offset, reason
+):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    _error(run_cli(command, str(bad)), f"{bad}: not UTF-8 at byte {offset}: {reason}")
+
+
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+def test_a_parse_error_after_cr_line_ends_has_the_text_mode_position(run_cli, tmp_path, newline):
+    bad = tmp_path / "m.xdi"
+    bad.write_bytes(newline.join([b"(machine m", b"  (s0 t box ())", b"  (s1 nil bogus ()))"]))
+    _error(run_cli("validate", str(bad)), f"{bad}:3:11: kind must be box or transient, got 'bogus'")
+
+
+# --- The cyclic collector is paused while a command runs ---------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, crash, code",
+    [
+        (("labels", "{join}", "--handshake", "a"), False, 0),
+        (("oracle-check", "{join}", "--bound", "0"), False, 1),
+        (("validate", "/nonexistent/path.xdi"), False, 2),
+        (("labels", "{join}", "--handshake", "a"), True, 2),
+        (("deadlock",), False, 2),
+    ],
+    ids=["holds", "fails", "bad-input", "internal-error", "usage"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    monkeypatch, run_cli, join_path, enabled, argv, crash, code
+):
+    seen = []
+    compute_block_idle = cli.labeling.compute_block_idle
+
+    def labels(*args):
+        seen.append(gc.isenabled())  # while the command runs
+        if crash:
+            raise RuntimeError("boom")
+        return compute_block_idle(*args)
+
+    monkeypatch.setattr(cli.labeling, "compute_block_idle", labels)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = run_cli(*(arg.format(join=join_path) for arg in argv))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (result.code, after) == (code, enabled)
+    assert seen == ([False] if argv[0] == "labels" else [])
+    if crash:
+        assert result.err == "error: internal error: RuntimeError: boom\n"
+
+
+def _machine_calls() -> list[list[str]]:
+    """Calls of every subcommand over machines/*, good and bad."""
+
+    calls = [["check-library"], ["validate", "/nonexistent/path.xdi"]]
+    calls += [["validate", str(MACHINES / "pipeline.net")], ["deadlock", str(MACHINES / "join.xdi")]]
+    for path in sorted(MACHINES.glob("*.xdi")):
+        file = str(path)
+        calls += [["validate", file], ["envs", file], ["check", file], ["oracle-check", file, "--bound", "0"]]
+        for handshake in ("a", "b", "in", "out", "zz"):
+            calls.append(["labels", file, "--handshake", handshake, "--json"])
+            calls += [["query", file, "--handshake", handshake, "--op", op] for op in ("blocked", "idle")]
+            calls.append(["query", file, "--handshake", handshake, "--op", "fg", "--mode", "idling"])
+    for path in sorted(MACHINES.glob("*.net")):
+        file = str(path)
+        calls += [["deadlock", file, "--json"], ["deadlock", file, "--max-states", "3"]]
+        calls += [["deadlock", file, "--channel", name, "--emit-smt", "out.smt"] for name in ("a", "b", "e", "zz")]
+    return calls
+
+
+JSON_CYCLE = {"JSONEncoder", "cell", "dict", "function", "method", "tuple"}
+
+
+def test_no_command_leaves_cyclic_garbage(monkeypatch, tmp_path):
+    # The one cycle allowed is the standard library's: json's indented
+    # encoder ties its nested functions and the encoder into a cycle on
+    # every call, which the next collection after main frees.
+    workloads = bench_workloads(monkeypatch)
+    jobs = [job for name in workloads.WORKLOADS for job in workloads.jobs(name, 0)]
+    calls = [(job.argv, job.files) for job in jobs] + [(argv, ()) for argv in _machine_calls()]
+    was = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    found = {}
+    try:
+        for number, (argv, files) in enumerate(calls):
+            workdir = tmp_path / str(number)
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            for name, text in files:
+                pathlib.Path(name).parent.mkdir(parents=True, exist_ok=True)
+                pathlib.Path(name).write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(list(argv))
+            gc.set_debug(gc.DEBUG_SAVEALL)  # what the collection finds stays in gc.garbage
+            gc.collect()
+            gc.set_debug(0)
+            garbage = [type(item).__name__ for item in gc.garbage]
+            if "--json" in argv:
+                encoder = [item for item in gc.garbage if isinstance(item, json.JSONEncoder)]
+                functions = {item.__module__ for item in gc.garbage if inspect.isfunction(item)}
+                if len(encoder) == 1 and functions == {"json.encoder"}:
+                    garbage = [name for name in garbage if name not in JSON_CYCLE]
+            gc.garbage.clear()
+            gc.collect()  # frees what the saving collection kept
+            found[" ".join(argv)] = garbage
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+    assert len(calls) > 100 and sum("--json" in argv for argv, _ in calls) > 10
+    assert {argv: left for argv, left in found.items() if left} == {}
+

@@ -49,6 +49,35 @@ def test_a_netlist_loads_only_the_primitives_it_names(machines_dir):
     assert all(a is b for a, b in zip(builtin_library(), map(get_primitive, PRIMITIVE_NAMES)))
 
 
+@pytest.mark.parametrize(
+    "argv, code, parsed",
+    [
+        (("deadlock", "pipeline.net"), 0, ()),
+        (("deadlock", "pipeline_broken.net", "--json"), 1, ()),
+        (("deadlock", "pipeline.net", "--channel", "a"), 0, ("fork", "join")),
+        (("deadlock", "pipeline_broken.net", "--channel", "d"), 1, ("fork", "join")),
+    ],
+    ids=["search", "search-json", "channel", "channel-broken"],
+)
+def test_conditions_are_parsed_on_first_read(monkeypatch, run_cli, machines_dir, argv, code, parsed):
+    texts = []
+
+    def parse_condition(text):
+        texts.append(text)
+        return parse(text)
+
+    parse = library.parse_condition
+    monkeypatch.setattr(library, "parse_condition", parse_condition)
+    get_primitive.cache_clear()
+    try:
+        result = run_cli(argv[0], str(machines_dir / argv[1]), *argv[2:])
+        expected = [text for name in parsed for _, text in get_primitive(name).condition_texts]
+    finally:
+        get_primitive.cache_clear()
+    assert (result.code, result.err) == (code, "")
+    assert sorted(texts) == sorted(expected)
+
+
 def test_every_primitive_validates():
     for spec in builtin_library():
         report = validate(spec.machine)

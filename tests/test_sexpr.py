@@ -9,6 +9,7 @@ from xdicheck.sexpr import (
     expect_symbol,
     located,
     read_forms,
+    read_text,
     string_value,
 )
 
@@ -108,3 +109,30 @@ def test_located_passes_other_errors_through():
     assert (info.value.message, info.value.line, info.value.column) == ("no node", 3, 4)
     with pytest.raises(KeyError), located("(a)"):
         raise KeyError("x")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"(a\r\nb)\r\n",
+        b"(a\rb)\r",
+        b"\r\r\n\n\r(a\r\n\rb\n\r\n)",
+        b"\xef\xbb\xbf(machine m)\r\n",
+        b"",
+        "(caf\u00e9 \u2028 \u00e9)\r".encode(),
+    ],
+    ids=["crlf", "cr", "mixed", "bom", "empty", "non-ascii"],
+)
+def test_read_text_reads_as_text_mode_does(tmp_path, data):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as handle:
+        assert read_text(str(path)) == handle.read()
+
+
+def test_read_text_reports_the_offset_of_a_bad_byte(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"\r\n\xc3\xa9\r\xc3(")
+    with pytest.raises(UnicodeDecodeError) as info:
+        read_text(str(path))
+    assert info.value.start == 5
