@@ -38,13 +38,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 9
 CLI = "from xdicheck.cli import entrypoint; entrypoint()"
+# name -> (argv, the exit code a sound run ends with). The --channel call
+# on the broken pipeline ends in a deadlock verdict, exit 1. An uncaught
+# exception exits 1 too, but writes a traceback, and a sound run of any of
+# these commands writes nothing on stderr; _run checks both.
 COMMANDS = {
-    "pass": ["-c", "pass"],
-    "import": ["-c", "import xdicheck.cli"],
-    "validate": ["-c", CLI, "validate", "machines/join.xdi"],
-    "deadlock": ["-c", CLI, "deadlock", "machines/pipeline.net"],
-    "deadlock-channel": ["-c", CLI, "deadlock", "machines/pipeline_broken.net", "--channel", "a"],
-    "check-library": ["-c", CLI, "check-library"],
+    "pass": (["-c", "pass"], 0),
+    "import": (["-c", "import xdicheck.cli"], 0),
+    "validate": (["-c", CLI, "validate", "machines/join.xdi"], 0),
+    "deadlock": (["-c", CLI, "deadlock", "machines/pipeline.net"], 0),
+    "deadlock-channel": (["-c", CLI, "deadlock", "machines/pipeline_broken.net", "--channel", "a"], 1),
+    "check-library": (["-c", CLI, "check-library"], 0),
 }
 MODES = ("uncached", "cached")
 
@@ -71,17 +75,18 @@ def _environment(mode: str, path: str, prefix: str) -> dict:
     return env
 
 
-def _run(argv: list[str], env: dict) -> float:
+def _run(command: tuple[list[str], int], env: dict) -> float:
+    argv, expected = command
     # No timeout: with one, subprocess polls the child with sleeps that
     # grow to 50 ms, and the times snap to the end of a sleep.
     start = time.perf_counter()
     run = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     seconds = time.perf_counter() - start
-    if run.returncode not in (0, 1):  # 1 is a verdict (a deadlock found), 2 a failure
-        raise subprocess.CalledProcessError(run.returncode, run.args)
+    if run.returncode != expected or run.stderr:
+        raise subprocess.CalledProcessError(run.returncode, run.args, stderr=run.stderr)
     return seconds
 
 
@@ -121,13 +126,13 @@ def main(argv=None) -> int:
             print(json.dumps(row))
         return 0
 
-    print(f"{'command':<15}{'mode':<10}{'best ms':>9}{'median ms':>11}")
+    print(f"{'command':<18}{'mode':<10}{'best ms':>9}{'median ms':>11}")
     rows = []
     for name in COMMANDS:
         for row in measure([name], args.runs):
             rows.append(row)
             print(
-                f"{name:<15}{row['mode']:<10}{row['best_s'] * 1000:>9.1f}"
+                f"{name:<18}{row['mode']:<10}{row['best_s'] * 1000:>9.1f}"
                 f"{row['median_s'] * 1000:>11.1f}",
                 flush=True,
             )
