@@ -261,20 +261,37 @@ def _conditions_after(forms: Sequence[Form]) -> tuple[tuple[str, str], ...]:
 
 
 # The pattern reader's grammar: ASCII whitespace, with ; comments only
-# between forms. A comment is pinned to the end of its line, so that it
-# cannot stop early and let its rest be read as forms. re.ASCII keeps a
-# name to [A-Za-z_][A-Za-z0-9_]* and the (?i:) keywords to ASCII case, as
-# lower() and upper() read them on ASCII text.
-_GAP = r"(?:\s|;[^\n]*(?![^\n]))*"
-_NAME = r"[A-Za-z_]\w*"
-_TRANSITION_TEXT = rf"\(\s*\(\s*({_NAME}\s+(?i:[ra])\s+(?i:[io]))\s*\)\s*({_NAME})\s*\)"
-_HEAD = re.compile(rf"{_GAP}\(\s*machine\s+({_NAME})", re.ASCII)
+# between forms. Every quantifier is possessive: no text the patterns take
+# has a second way to match, so nothing is given back. That pins a comment
+# to the end of its line, so that it cannot stop early and let its rest be
+# read as forms. The entry match captures the wire text and target of the
+# first two transitions; further ones come back as one text, which
+# _TRANSITION.findall reads. re.ASCII keeps a name to
+# [A-Za-z_][A-Za-z0-9_]* and the (?i:) keywords to ASCII case, as lower()
+# and upper() read them on ASCII text.
+_GAP = r"(?:\s++|;[^\n]*+)*+"
+_NAME = r"[A-Za-z_]\w*+"
+
+
+def _transition_text(group: str) -> str:
+    """A transition ((h R|A I|O) target), its wire text and target each in
+    a group that opens with ``group``."""
+
+    return (
+        rf"\(\s*+\(\s*+{group}{_NAME}\s++(?i:[ra])\s++(?i:[io]))\s*+\)"
+        rf"\s*+{group}{_NAME})\s*+\)"
+    )
+
+
+_HEAD = re.compile(rf"{_GAP}\(\s*+machine\s++({_NAME})", re.ASCII)
 _ENTRY = re.compile(
-    rf"{_GAP}\(\s*({_NAME})\s+(?i:(t)|nil)\s+(?i:(box)|transient)\s*"
-    rf"\(((?:\s*{_TRANSITION_TEXT})*)\s*\)\s*\)",
+    rf"{_GAP}\(\s*+({_NAME})\s++(?i:(t)|nil)\s++(?i:(box)|transient)\s*+\("
+    rf"(?:\s*+{_transition_text('(')}"
+    rf"(?:\s*+{_transition_text('(')}((?:\s*+{_transition_text('(?:')})*+))?+)?+"
+    rf"\s*+\)\s*+\)",
     re.ASCII,
 )
-_TRANSITION = re.compile(_TRANSITION_TEXT, re.ASCII)
+_TRANSITION = re.compile(_transition_text("("), re.ASCII)
 _CLOSE = re.compile(rf"{_GAP}\)", re.ASCII)
 
 
@@ -302,8 +319,15 @@ def _read_by_pattern(text: str) -> tuple[XdiMachine, tuple[tuple[str, str], ...]
     states = []
     end = head.end()
     while entry := entry_at(text, end):
-        name, init, box, listed = entry.group(1, 2, 3, 4)
-        transitions = tuple([(wires[key], target) for key, target in transitions_in(listed)])
+        name, init, box, wire, target, second, second_target, rest = entry.groups()
+        if second is not None:
+            transitions = ((wires[wire], target), (wires[second], second_target))
+            if rest:
+                transitions += tuple([(wires[key], to) for key, to in transitions_in(rest)])
+        elif wire is not None:
+            transitions = ((wires[wire], target),)
+        else:
+            transitions = ()
         # tuple.__new__ skips the namedtuple's generated Python __new__.
         kind = BOX if box else TRANSIENT
         states.append(new_entry(StateEntry, (name, init is not None, kind, transitions)))
@@ -349,20 +373,27 @@ def validate(machine: XdiMachine) -> ValidationReport:
         counts = Counter(entry.name for entry in machine.states)
         dupes = sorted(name for name, count in counts.items() if count > 1)
         violations.append("duplicate state ids: " + " ".join(dupes))
-    directions: dict[tuple[str, str], str] = {}
+    # Distinct wires of one (handshake, phase) differ in direction, so a
+    # conflict shows as fewer pairs than wires. Only then are directions
+    # kept per transition, to report each conflict where it is met.
+    wires = machine.wires
+    directions: dict[tuple[str, str], str] | None = None
+    if len({(wire.handshake, wire.phase) for wire in wires}) < len(wires):
+        directions = {}
     for entry in machine.states:
         for wire, target in entry.transitions:
             if target not in declared:
                 violations.append(
                     f"state {entry.name} has transition to undeclared state {target}"
                 )
-            key = (wire.handshake, wire.phase)
-            prior = directions.setdefault(key, wire.direction)
-            if prior != wire.direction:
-                violations.append(
-                    f"direction conflict on ({wire.handshake},{wire.phase}):"
-                    f" both {prior} and {wire.direction}"
-                )
+            if directions is not None:
+                key = (wire.handshake, wire.phase)
+                prior = directions.setdefault(key, wire.direction)
+                if prior != wire.direction:
+                    violations.append(
+                        f"direction conflict on ({wire.handshake},{wire.phase}):"
+                        f" both {prior} and {wire.direction}"
+                    )
     if len(initials) == 1 and unique:
         reached = {initials[0]}
         frontier = [initials[0]]

@@ -5,11 +5,13 @@ symbols and double-quoted strings, with ``;`` line comments. The reader
 splits the text into tokens with one regular expression and builds the
 forms from that token list with one stack. A machine file reaches this
 reader only when the pattern reader in machine.py declines it: that
-reader takes a plain machine file one regex match per state entry and
-leaves every error, and the spellings its patterns do not take, to this
-one. So a machine file is read here to place an error, or when it has a
-comment inside an entry, non-ASCII whitespace or a non-ASCII letter;
-every machine file of the benchmark's workloads is read by the patterns.
+reader takes a plain machine file one regex match per state entry,
+with possessive quantifiers and the first two transitions captured in
+that match, and leaves every error, and the spellings its patterns do
+not take, to this one. So a machine file is read here to place an
+error, or when it has a comment inside an entry, non-ASCII whitespace
+or a non-ASCII letter; every machine file of the benchmark's workloads
+is read by the patterns.
 
 A form is a pair: a list is ``(children, token)``, with ``children`` a
 tuple of forms, and a leaf is ``(text, token)``, with ``text`` the
@@ -183,4 +185,12 @@ def string_value(node: Form) -> str | None:
     text = node[0]
     if type(text) is not str or text[0] != '"':
         return None
-    return _ESCAPE.sub(r"\1", text[1:-1])
+    body = text[1:-1]
+    if "\\" not in body:
+        return body
+    # A callable, not the template r"\1", which re parses once per process.
+    return _ESCAPE.sub(_escaped, body)
+
+
+def _escaped(match: re.Match) -> str:
+    return match[1]

@@ -172,8 +172,9 @@ def measure_parse(kind: str, size: str) -> dict:
 def measure_query(kind: str, size: str) -> dict:
     """The layers of `query --op P` on the ring machine of SIZE ring states
     with polarity P, idle for ring and blocked for blocked (the branch
-    handshake x, live): validate on a freshly read machine, labels on a
-    validated one (compute_block_idle, so the wires and the parity search),
+    handshake x, live): validate on a freshly read machine (so the wires,
+    which its direction check reads), labels on a validated one
+    (compute_block_idle, so the parity search),
     explore + doomed on a labeled one (one _EnvAnswers and its doomed set,
     as fg_check builds them) and the whole CLI call on the file, output
     captured. Each is the best of nine calls, every call on a machine of

@@ -63,6 +63,39 @@ def test_validate_reports_violations(run_cli, tmp_path):
     assert "unreachable" in result.out
 
 
+ORDER = """(machine order
+  (s0 t box (((a R O) s1) ((b R I) x1) ((a R I) x2) ((b R O) s0) ((c A I) x3)))
+  (s1 nil transient (((a R O) x4) ((c A O) s0) ((a R I) s0) ((d R I) x5) ((b R O) x6)))
+  (s2 nil box (((d R O) s2) ((c A I) x7))))
+"""
+
+
+def test_validate_lists_targets_and_conflicts_in_the_order_met(run_cli, tmp_path):
+    # Conflicts are met as O then I and as I then O, several in one state,
+    # between undeclared targets; each is listed at the transition that
+    # shows it, after that transition's undeclared target.
+    path = tmp_path / "order.xdi"
+    path.write_text(ORDER)
+    result = run_cli("validate", "--json", str(path))
+    assert (result.code, result.err) == (2, "")
+    assert json.loads(result.out)["violations"] == [
+        "state s0 has transition to undeclared state x1",
+        "state s0 has transition to undeclared state x2",
+        "direction conflict on (a,R): both O and I",
+        "direction conflict on (b,R): both I and O",
+        "state s0 has transition to undeclared state x3",
+        "state s1 has transition to undeclared state x4",
+        "direction conflict on (c,A): both I and O",
+        "direction conflict on (a,R): both O and I",
+        "state s1 has transition to undeclared state x5",
+        "state s1 has transition to undeclared state x6",
+        "direction conflict on (b,R): both I and O",
+        "direction conflict on (d,R): both I and O",
+        "state s2 has transition to undeclared state x7",
+        "unreachable states: s2",
+    ]
+
+
 def test_validate_emit_dot(run_cli, join_path, tmp_path):
     out = tmp_path / "join.dot"
     result = run_cli("validate", join_path, "--emit-dot", str(out))

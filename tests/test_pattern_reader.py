@@ -6,11 +6,14 @@ to machine._read_by_tokens when it returns None. The pattern reader may
 decline any text, but what it does read must be exactly what the token
 reader reads, and it must decline every text that the token reader
 rejects. The inputs are hand cases for the spellings the patterns decline
-and for two faults a looser pattern had, and a seeded mutation fuzz over
-the shipped, library and ring documents. Every one of those documents
-must be read by the pattern reader, so that a pattern which declines
-everything fails here rather than only in the benchmark, and so must
-every machine file the benchmark's workloads write.
+and for two faults a looser pattern had, entries with zero to five
+transitions (the entry match captures the first two and leaves the rest
+to a second pattern), and seeded mutation fuzz over the shipped, library
+and ring documents and over the long entries. Every shipped, library and
+ring document and every long entry must be read by the pattern reader,
+so that a pattern which declines everything fails here rather than only
+in the benchmark, and so must every machine file the benchmark's
+workloads write.
 """
 
 import random
@@ -110,6 +113,54 @@ def test_hand_cases(text, reader):
     assert isinstance(outcome[0], str) == (reader == "error"), outcome
 
 
+def _entries(*counts):
+    """A machine whose state si has counts[i] transitions, on wires h0, h1, ..."""
+
+    def transitions(index, count):
+        return " ".join(f"((h{k} {'RA'[k % 2]} {'IO'[k % 2]}) s{(index + k) % len(counts)})" for k in range(count))
+
+    init = ("t",) + ("nil",) * (len(counts) - 1)
+    states = " ".join(f"(s{i} {flag} box ({transitions(i, n)}))" for i, (flag, n) in enumerate(zip(init, counts)))
+    return f"(machine many {states})"
+
+
+# The entry match captures the first two transitions; a third and later
+# ones are read from the text it returns for the rest.
+MANY_CASES = [
+    (_entries(0), [0]),
+    (_entries(1), [1]),
+    (_entries(2), [2]),
+    (_entries(3), [3]),
+    (_entries(5), [5]),
+    (_entries(0, 1, 2, 3, 5, 3, 2, 1, 0), [0, 1, 2, 3, 5, 3, 2, 1, 0]),
+    # spellings, in every slot of the match
+    (
+        "(machine m (s0 T BOX (((a r i) s1) ((b A o) s0) ((c R I) s1) ((d a O) s0)))"
+        " (s1 NIL Transient (((a a O) s0) ((b r I) s1) ((c A o) s0))) (s2 Nil tRaNsIeNt ()))",
+        [4, 3, 0],
+    ),
+    # tabs and newlines inside a transition list, between and within transitions
+    (
+        "(machine m (s0 t box (\n\t((a R I)\ts0)\n\t(\t(b A\nO)\n s0\t)\n\t((c R\tI) s0)\n\t((d R I) s0)\n)))",
+        [4],
+    ),
+    # a comment between entries and right after the last entry
+    (
+        "(machine m (s0 t box (((a R I) s1) ((b R I) s1) ((c R I) s1))) ; three\n"
+        "(s1 nil box (((a A O) s0) ((b A O) s0) ((c A O) s0) ((d A O) s0) ((e A O) s0)))"
+        "; five (s2 nil box ())\n)",
+        [3, 5],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, counts", MANY_CASES)
+def test_entries_with_any_number_of_transitions_are_read_by_the_patterns(text, counts):
+    parsed = _assert_agrees(text)
+    assert parsed is not None, text
+    assert [len(entry.transitions) for entry in parsed[0].states] == counts
+
+
 ALPHABET = (
     ";", '"', "(", ")", " ", "\n", "\u00a0", "\u0131", "\u017f", "\u212a", ".", "1",
     "machine", "conditions", "t", "nil", "box", "transient", "R", "A", "I", "O", "s0",
@@ -143,3 +194,20 @@ def test_mutants_are_read_alike_or_declined():
             read += 1
     # Both branches are exercised: most mutants still read, many do not.
     assert read > 1000 and declined > 500, (read, declined)
+
+
+def test_mutants_of_long_entries_are_read_alike_or_declined():
+    # Mutants of entries with three and five transitions, so that a fault
+    # in the text read after the first two transitions shows here.
+    rng = random.Random(33)
+    seeds = [text for text, counts in MANY_CASES if max(counts) > 2]
+    long = declined = 0
+    for _ in range(1500):
+        parsed = _assert_agrees(_mutant(rng, rng.choice(seeds)))
+        if parsed is None:
+            declined += 1
+        elif max(len(entry.transitions) for entry in parsed[0].states) > 2:
+            long += 1
+    # Both branches are exercised: many mutants with a long entry still
+    # read, many do not.
+    assert long > 300 and declined > 500, (long, declined)

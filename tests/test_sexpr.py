@@ -1,7 +1,10 @@
 """Reader behavior for the parenthesized file formats."""
 
+import re
+
 import pytest
 
+import sexpr_reference as reference
 from xdicheck.sexpr import (
     ParseError,
     error_at,
@@ -40,6 +43,19 @@ def test_reads_symbols_strings_and_nesting():
 def test_string_escapes_are_read():
     items = expect_list(read_forms(r'("a\"b" "c\\d" "")')[0], "a list")
     assert [string_value(item) for item in items] == ['a"b', "c\\d", ""]
+
+
+@pytest.mark.parametrize(
+    "written",
+    [r'"\\"', r'"\""', r'"\\\""', r'"\"\\"', r'"\\\\"', r'"\\n"', r'"x\"y\\z\""', '"plain ;text"', '""'],
+)
+def test_string_values_match_the_reference_reader(written):
+    # An escape in the body is read by a callable, a body without one is
+    # returned as it is; either way the text is the one read character by
+    # character.
+    (expected,) = (node.value for node in reference.read_forms(written))
+    assert string_value(read_forms(written)[0]) == expected
+    assert string_value(read_forms(written)[0]) == re.sub(r'\\(["\\])', r"\1", written[1:-1])
 
 
 def test_semicolon_comments_are_skipped_outside_strings():
