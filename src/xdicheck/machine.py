@@ -373,27 +373,20 @@ def validate(machine: XdiMachine) -> ValidationReport:
         counts = Counter(entry.name for entry in machine.states)
         dupes = sorted(name for name, count in counts.items() if count > 1)
         violations.append("duplicate state ids: " + " ".join(dupes))
-    # Distinct wires of one (handshake, phase) differ in direction, so a
-    # conflict shows as fewer pairs than wires. Only then are directions
-    # kept per transition, to report each conflict where it is met.
-    wires = machine.wires
-    directions: dict[tuple[str, str], str] | None = None
-    if len({(wire.handshake, wire.phase) for wire in wires}) < len(wires):
-        directions = {}
+    directions: dict[tuple[str, str], str] = {}
     for entry in machine.states:
         for wire, target in entry.transitions:
             if target not in declared:
                 violations.append(
                     f"state {entry.name} has transition to undeclared state {target}"
                 )
-            if directions is not None:
-                key = (wire.handshake, wire.phase)
-                prior = directions.setdefault(key, wire.direction)
-                if prior != wire.direction:
-                    violations.append(
-                        f"direction conflict on ({wire.handshake},{wire.phase}):"
-                        f" both {prior} and {wire.direction}"
-                    )
+            key = (wire.handshake, wire.phase)
+            prior = directions.setdefault(key, wire.direction)
+            if prior != wire.direction:
+                violations.append(
+                    f"direction conflict on ({wire.handshake},{wire.phase}):"
+                    f" both {prior} and {wire.direction}"
+                )
     if len(initials) == 1 and unique:
         reached = {initials[0]}
         frontier = [initials[0]]

@@ -136,25 +136,43 @@ def measure_deadlock(kind: str, size: str, broken: str) -> dict:
     )
 
 
-def measure_parse(kind: str, size: str) -> dict:
-    """Read the ring machine of SIZE ring states (two states more) with
+def _fan_document(length: int, width: int) -> str:
+    """A cycle of `length` box states, each with `width` transitions, one
+    on each of the handshakes h0, h1, ...: an even state requests on all of
+    them (outputs) and an odd one takes all their acknowledges (inputs), the
+    transition on hk going k + 1 states ahead. length must be even."""
+
+    def moves(i: int) -> str:
+        phase, way = ("R", "O") if i % 2 == 0 else ("A", "I")
+        return " ".join(f"((h{k} {phase} {way}) f{(i + k + 1) % length})" for k in range(width))
+
+    body = "\n".join(f"  (f{i} {'t' if i == 0 else 'nil'} box ({moves(i)}))" for i in range(length))
+    return f"(machine fan_{width}_{length}\n{body})\n"
+
+
+def measure_parse(kind: str, size: str, width: str = "") -> dict:
+    """Read the ring machine of SIZE ring states (two states more), or the
+    fan machine of SIZE states with WIDTH transitions each, with
     parse_document, or load the library with builtin_library and the
     per-primitive cache cleared (SIZE is its six files): the cold call, the
-    point's very first; the states, from an untimed call; then the first
-    and the best of nine more calls, each timed with the freeing of what
-    it returns."""
+    point's very first; the states and transitions, from an untimed call;
+    then the first and the best of nine more calls, each timed with the
+    freeing of what it returns."""
 
-    if kind == "ring":
+    if kind in ("ring", "fan"):
         from xdicheck.machine import parse_document
 
-        text = _ring_document(int(size), "idle")
+        if kind == "ring":
+            text = _ring_document(int(size), "idle")
+        else:
+            text = _fan_document(int(size), int(width))
 
         def call():
             parse_document(text)
 
         _, cold_s, _ = timed(call, 1)
         machine = parse_document(text)[0]  # alive while timing, as for BENCH_14.json
-        states = len(machine.states)
+        entries = machine.states
     else:
         from xdicheck import library
 
@@ -163,18 +181,20 @@ def measure_parse(kind: str, size: str) -> dict:
             library.builtin_library()
 
         _, cold_s, _ = timed(call, 1)
-        states = sum(len(spec.machine.states) for spec in library.builtin_library())
+        entries = [entry for spec in library.builtin_library() for entry in spec.machine.states]
 
     _, first_s, best_s = timed(call, 9)
-    return _row(kind, size, states=states, cold_s=cold_s, first_s=first_s, best_s=best_s)
+    transitions = sum(len(entry.transitions) for entry in entries)
+    return _row(
+        kind, size, states=len(entries), transitions=transitions, cold_s=cold_s, first_s=first_s, best_s=best_s
+    )
 
 
 def measure_query(kind: str, size: str) -> dict:
     """The layers of `query --op P` on the ring machine of SIZE ring states
     with polarity P, idle for ring and blocked for blocked (the branch
-    handshake x, live): validate on a freshly read machine (so the wires,
-    which its direction check reads), labels on a validated one
-    (compute_block_idle, so the parity search),
+    handshake x, live): validate on a freshly read machine, labels on a
+    validated one (compute_block_idle, so the wires and the parity search),
     explore + doomed on a labeled one (one _EnvAnswers and its doomed set,
     as fg_check builds them) and the whole CLI call on the file, output
     captured. Each is the best of nine calls, every call on a machine of
@@ -311,7 +331,8 @@ FAMILIES = {
     ),
     "parse": Family(
         measure_parse,
-        (_group("ring", (400, 800, 1600, 3200)), _group("library", (6,))),
+        (_group("ring", (400, 800, 1600, 3200)), _group("library", (6,)))
+        + (_group("fan", (400, 800, 1600, 3200), "3"), _group("fan", (400, 800, 1600, 3200), "5")),
         "states",
         ("cold_s", *FIRST_BEST),
     ),

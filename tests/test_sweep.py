@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 import sweep
-from xdicheck import checker, formulas
+from xdicheck import checker, formulas, machine
 
 KEYS = {
     "product": [
@@ -17,7 +17,7 @@ KEYS = {
         "kind", "size", "broken", "states", "channels", "sat", "compose_s", "derive_s", "solve_s",
         "peak_rss_mb",
     ],
-    "parse": ["kind", "size", "states", "cold_s", "first_s", "best_s", "peak_rss_mb"],
+    "parse": ["kind", "size", "states", "transitions", "cold_s", "first_s", "best_s", "peak_rss_mb"],
     "query": [
         "kind", "size", "states", "visited", "holds", "validate_s", "labels_s", "explore_s", "query_s",
         "peak_rss_mb",
@@ -38,8 +38,9 @@ KEYS = {
         ("deadlock", ("chain", "5", "0"), {"states": 486, "channels": 6, "sat": 0}),
         ("deadlock", ("chain", "5", "1"), {"states": 486, "channels": 7, "sat": 6}),
         ("deadlock", ("tree", "1", "1"), {"states": 22, "channels": 4, "sat": 3}),
-        ("parse", ("ring", "400"), {"states": 402}),
-        ("parse", ("library", "6"), {"states": 43}),
+        ("parse", ("ring", "400"), {"states": 402, "transitions": 402}),
+        ("parse", ("library", "6"), {"states": 43, "transitions": 56}),
+        ("parse", ("fan", "400", "3"), {"states": 400, "transitions": 1200}),
         ("query", ("ring", "400"), {"states": 402, "visited": 402, "holds": True}),
         ("condition", ("wide", "6"), {"envs": 128, "explorations": 8, "holds": True}),
         ("oracle", ("wide", "3"), {"states": 8, "envs": 16, "queries": 2048, "disagreements": 0}),
@@ -54,6 +55,16 @@ def test_smallest_points_do_the_pinned_work(family, point, counts):
         assert row[key] > 0
     assert row[sweep.FAMILIES[family].size] > 0
     assert any(point in points for points in sweep.FAMILIES[family].groups)
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_fan_documents_are_valid_and_read_by_the_patterns(width):
+    # The parse family times the pattern reader on entries with more than
+    # two transitions, so the token reader must not be what it measures.
+    read = machine._read_by_pattern(sweep._fan_document(400, width))
+    assert read is not None
+    assert {len(entry.transitions) for entry in read[0].states} == {width}
+    assert machine.validate(read[0]).ok
 
 
 def test_condition_puts_back_reach_when_verification_raises(monkeypatch):
