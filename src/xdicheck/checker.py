@@ -16,11 +16,14 @@ query costs time linear in the reachable states plus edges, and a failing
 g query explores the whole reachable graph.
 
 The bounded walk oracle (oracle_g_check, oracle_fg_check) answers the same
-queries from the definitions, with none of the engine's code: _oracle_sets
-gives the states where g holds and those where fg holds, for one
-environment, handshake, mode and bound. cross_validate compares those two
-sets with the engine's per (environment, handshake, mode) and lists
-disagreements state by state only where a pair of sets differs.
+queries from the definitions, with none of the engine's code. It holds its
+sets of states as bitmasks, one bit per declared state, and reads each
+state's moves once per environment: _oracle_walks gives every state's walk
+mask and the states that may fail, per environment and bound, and
+_oracle_sets the masks of the states where g holds and where fg holds, per
+handshake and mode. cross_validate compares those two masks with the
+engine's sets per (environment, handshake, mode) and lists disagreements
+state by state only where a pair differs.
 
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
@@ -356,13 +359,18 @@ def _find_class(trie, env: Environment):
 # test, and an fg query holds iff some such walk ends in a state whose g
 # query holds. Since every prefix of a walk is a walk, the final states of
 # all bounded walks are exactly the states reachable within the bound,
-# which _walk_states collects one breadth-first layer per step.
-# _oracle_sets answers both queries for every start at once. Per
-# environment and bound, _oracle_walks builds every state's walk set and
-# lists the states that may fail a mode test, once per machine through
-# XdiMachine.memo. Per handshake and mode, the g set holds the starts whose
-# walk set misses the failing states, and the fg set the starts whose walk
-# set meets the g set. The oracle reads nothing of the g/fg engine above.
+# which _oracle_walks collects one breadth-first layer per step. Sets of
+# states are bitmasks: bit i stands for the i-th declared state, and an
+# undeclared target that a walk meets takes the next free bit. Per
+# environment and bound, once per machine through XdiMachine.memo,
+# _oracle_walks reads each state's enabled moves once, as the mask of their
+# targets, when a walk first expands the state (a declared state no walk
+# expands is read to tell whether it may fail), and keeps only ints: every
+# declared state's walk mask and the mask of the states that may fail a
+# mode test. _oracle_sets answers both queries for every start at once: per
+# handshake and mode, the g mask holds the starts whose walk misses the
+# failing states, and the fg mask the starts whose walk meets the g mask.
+# The oracle reads nothing of the g/fg engine above.
 
 ORACLE_MAX_STATES = 20
 
@@ -383,52 +391,83 @@ def _check_oracle_size(machine: XdiMachine, max_states: int) -> None:
         )
 
 
-def _walk_states(
-    machine: XdiMachine, env: Environment, start: str, bound: int
-) -> frozenset[str]:
-    """Final states of all walks from start taking at most `bound` steps.
+def _state_bits(machine: XdiMachine) -> dict[str, int]:
+    """Each declared state's bit, in declaration order."""
 
-    Layer k holds the states first reached in k steps; the loop stops at
-    the bound or at the first empty layer, so it never recurses.
-    """
-
-    reached = {start}
-    layer = {start}
-    for _ in range(bound):
-        layer = {
-            target for state in layer for _, target in enabled_transitions(machine, state, env)
-        } - reached
-        if not layer:
-            break
-        reached |= layer
-    return frozenset(reached)
+    return {name: 1 << position for position, name in enumerate(machine.state_map)}
 
 
 def _oracle_walks(
     machine: XdiMachine, env: Environment, bound: int
-) -> tuple[dict[str, frozenset[str]], list[str]]:
-    """Every state's walk set under env, and the states that may fail a
-    mode test: those with an enabled move that are not transient."""
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Every declared state's bit and walk mask under env, in declaration
+    order, and the mask of the states that may fail a mode test: those
+    with an enabled move that are not transient.
 
-    walks = {entry.name: _walk_states(machine, env, entry.name, bound) for entry in machine.states}
-    candidates = [
-        state
-        for state in walks
-        if not machine.entry(state).is_transient and enabled_transitions(machine, state, env)
-    ]
-    return walks, candidates
+    A walk mask holds the final states of all walks from the state taking
+    at most `bound` steps. Layer k holds the states first reached in k
+    steps; a walk stops at the bound or at the first empty layer.
+    """
+
+    bits = _state_bits(machine)
+    names = list(bits)
+    moves: dict[int, int] = {}  # a state's bit -> the mask of its enabled moves' targets
+
+    def successors(bit: int) -> int:
+        # enabled_transitions raises entry()'s ValueError for an undeclared state.
+        mask = 0
+        for _, target in enabled_transitions(machine, names[bit.bit_length() - 1], env):
+            if target not in bits:
+                bits[target] = 1 << len(names)
+                names.append(target)
+            mask |= bits[target]
+        moves[bit] = mask
+        return mask
+
+    declared = list(bits.values())
+    walks = []
+    for start in declared:
+        reached = layer = start
+        for _ in range(bound):
+            step = 0
+            while layer:
+                bit = layer & -layer
+                layer ^= bit
+                step |= moves[bit] if bit in moves else successors(bit)
+            layer = step & ~reached
+            if not layer:
+                break
+            reached |= layer
+        walks.append((start, reached))
+    may_fail = sum(
+        bit
+        for bit, entry in zip(declared, machine.state_map.values())
+        if not entry.is_transient and (moves[bit] if bit in moves else successors(bit))
+    )
+    return tuple(walks), may_fail
+
+
+def _blocking_mask(machine: XdiMachine, handshake: str) -> int:
+    """The mask of the declared states labeled blocking for the handshake."""
+
+    labels = compute_block_idle(machine, handshake).labels
+    return sum(bit for state, bit in _state_bits(machine).items() if labels[state])
 
 
 def _oracle_sets(
-    machine: XdiMachine, handshake: str, mode: Mode, env: Environment, bound: int
-) -> tuple[set[str], set[str]]:
-    """The states where the g query holds, and those where the fg query holds."""
+    walks: Sequence[tuple[int, int]], may_fail: int, blocking: int, mode: Mode
+) -> tuple[int, int]:
+    """The masks of the states where the g query holds and where the fg
+    query holds, from _oracle_walks and the handshake's blocking mask."""
 
-    walks, candidates = machine.memo(_oracle_walks, env, bound)
-    labels = compute_block_idle(machine, handshake)
-    failing = {state for state in candidates if labels.mode(state) != mode}
-    g = {state for state, walk in walks.items() if failing.isdisjoint(walk)}
-    fg = {state for state, walk in walks.items() if not g.isdisjoint(walk)}
+    failing = may_fail & (~blocking if mode == BLOCKING else blocking)
+    g = fg = 0
+    for start, walk in walks:
+        if not walk & failing:
+            g |= start
+    for start, walk in walks:
+        if walk & g:
+            fg |= start
     return g, fg
 
 
@@ -439,8 +478,10 @@ def _oracle_answers(query: TemporalQuery, bound: int | None, max_states: int) ->
     machine = query.machine
     _check_oracle_size(machine, max_states)
     steps = _oracle_bound(machine, bound)
-    g, fg = _oracle_sets(machine, query.handshake, query.mode, query.env, steps)
-    return start in g, start in fg
+    walks, may_fail = machine.memo(_oracle_walks, query.env, steps)
+    g, fg = _oracle_sets(walks, may_fail, _blocking_mask(machine, query.handshake), query.mode)
+    bit = _state_bits(machine)[start]
+    return g & bit != 0, fg & bit != 0
 
 
 def oracle_g_check(
@@ -489,11 +530,13 @@ def cross_validate(
     size limit first, then, as the first query would, the first
     handshake's labels, then the bound, whether or not the machine has a
     handshake. Per environment, handshake and mode, the engine's g set
-    (the undoomed states) and fg set (their backward closure) are compared
-    with the oracle's; only a pair that differs is walked state by state,
-    in declaration order, g before fg. The engine's sets read each
-    handshake's labels before the oracle's, so an ambiguous machine raises
-    at the same handshake as a query would.
+    (the undoomed states) and fg set (their backward closure) are each
+    turned into a mask once and compared with the oracle's masks; only a
+    pair that differs is walked state by state, in declaration order, g
+    before fg. The engine's sets read each handshake's labels before the
+    oracle's blocking mask does, so an ambiguous machine raises at the
+    same handshake as a query would, and the engine explores from every
+    state first, so it meets an undeclared state before the oracle's walks.
     """
 
     _check_oracle_size(machine, max_states)
@@ -502,21 +545,30 @@ def cross_validate(
         compute_block_idle(machine, handshakes[0])
     steps = _oracle_bound(machine, bound)
     states = [entry.name for entry in machine.states]
-    every = set(states)
+    bits = _state_bits(machine)
+    every = sum(bits.values())
+    blocking: dict[str, int] = {}  # each handshake's, once the engine has read its labels
     found: list[Disagreement] = []
     for env in reasonable_envs(machine):
         answers = _EnvAnswers(machine, env, states)
+        walks, may_fail = machine.memo(_oracle_walks, env, steps)
         for handshake in handshakes:
             for mode in (BLOCKING, IDLING):
-                g = every - answers.doomed(handshake, mode)
+                doomed = answers.doomed(handshake, mode)
                 fg = answers.hopeful(handshake, mode)
-                oracle_g, oracle_fg = _oracle_sets(machine, handshake, mode, env, steps)
-                if g == oracle_g and fg == oracle_fg:
+                if handshake not in blocking:
+                    blocking[handshake] = _blocking_mask(machine, handshake)
+                oracle_g, oracle_fg = _oracle_sets(walks, may_fail, blocking[handshake], mode)
+                if (
+                    oracle_g == every ^ sum(map(bits.__getitem__, doomed))
+                    and oracle_fg == sum(map(bits.__getitem__, fg))
+                ):
                     continue
                 for start in states:
+                    bit = bits[start]
                     for op, fast, slow in (
-                        ("g", start in g, start in oracle_g),
-                        ("fg", start in fg, start in oracle_fg),
+                        ("g", start not in doomed, oracle_g & bit != 0),
+                        ("fg", start in fg, oracle_fg & bit != 0),
                     ):
                         if fast != slow:
                             found.append(

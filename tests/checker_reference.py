@@ -11,6 +11,10 @@ reference_cross_validate is the per-query loop that cross_validate ran
 before it compared whole answer sets: for every environment, handshake,
 mode and start, one g and one fg answer from the engine and one of each
 from the walk oracle, asked query by query (_oracle_g, _oracle_fg).
+
+_walk_states is the oracle's walk as a set of state names, the loop the
+checker ran before its walks became bitmasks; _oracle_g and _oracle_fg
+read it.
 """
 
 from collections import deque
@@ -26,7 +30,6 @@ from xdicheck.checker import (
     _oracle_bound,
     _reach,
     _trace_to,
-    _walk_states,
     reasonable_envs,
 )
 from xdicheck.labeling import compute_block_idle
@@ -91,6 +94,25 @@ def reference_fg_check(query) -> CheckResult:
         if state not in doomed:
             return CheckResult(True, visited, _trace_to(parents, state))
     return CheckResult(False, visited, None)
+
+
+def _walk_states(machine, env, start, bound) -> frozenset[str]:
+    """Final states of all walks from start taking at most `bound` steps.
+
+    Layer k holds the states first reached in k steps; the loop stops at
+    the bound or at the first empty layer, so it never recurses.
+    """
+
+    reached = {start}
+    layer = {start}
+    for _ in range(bound):
+        layer = {
+            target for state in layer for _, target in enabled_transitions(machine, state, env)
+        } - reached
+        if not layer:
+            break
+        reached |= layer
+    return frozenset(reached)
 
 
 def _oracle_g(machine, handshake, mode, env, start, bound, memo) -> bool:

@@ -9,11 +9,13 @@ log/log axes. The families, described at their measure functions, are
 product (compose and analyze_deadlock), deadlock (Dead(ch) for every
 channel), parse (parse_document and builtin_library), query (the layers of
 one query command), condition (verify_condition) and oracle
-(cross_validate).
+(cross_validate on wide machines, the shipped join and distributor, and
+rings).
 Run from the repository root:
 
     PYTHONPATH=src python tests/sweep.py FAMILY [--out sweep.json]
     PYTHONPATH=src python tests/sweep.py --point product chain 6 0
+    PYTHONPATH=src python tests/sweep.py --point oracle shipped distributor
 
 --out also writes {"python", "family", "groups": [{"rows", "slopes"}]}.
 --point measures one point in this process and prints its row. Point
@@ -59,9 +61,11 @@ def peak_rss_mb() -> float:
 
 
 def _row(kind: str, size: str, **fields) -> dict:
-    """A point's row: its kind and size, the fields, and the peak RSS."""
+    """A point's row: its kind and size (a number, or a shipped machine's
+    name), the fields, and the peak RSS."""
 
-    return {"kind": kind, "size": int(size), **fields, "peak_rss_mb": peak_rss_mb()}
+    number = int(size) if size.isdigit() else size
+    return {"kind": kind, "size": number, **fields, "peak_rss_mb": peak_rss_mb()}
 
 
 def slope(rows: list[dict], key: str, size: str) -> float | None:
@@ -283,14 +287,22 @@ def measure_condition(kind: str, size: str) -> dict:
 
 
 def measure_oracle(kind: str, size: str) -> dict:
-    """Cross-validate wide SIZE, on a freshly parsed machine per call since
-    the walk sets are memoised on the machine: the queries, and the first
-    and the best of five. A disagreement raises."""
+    """Cross-validate wide SIZE, the ring machine of SIZE ring states
+    (idle polarity) or, as shipped, machines/SIZE.xdi, on a freshly parsed
+    machine per call since the walk masks are memoised on the machine: the
+    queries, and the first and the best of five. A disagreement raises."""
+
+    from pathlib import Path
 
     from xdicheck.checker import cross_validate
     from xdicheck.machine import parse_document
 
-    text = wide_document(int(size))
+    if kind == "wide":
+        text = wide_document(int(size))
+    elif kind == "ring":
+        text = _ring_document(int(size), "idle")
+    else:
+        text = (Path(__file__).resolve().parents[1] / "machines" / f"{size}.xdi").read_text()
     found, first_s, best_s = timed(cross_validate, 5, lambda: parse_document(text)[0])
     assert not found, found
     machine = parse_document(text)[0]
@@ -343,7 +355,12 @@ FAMILIES = {
         ("validate_s", "labels_s", "explore_s", "query_s"),
     ),
     "condition": Family(measure_condition, (_group("wide", (6, 8, 10, 12, 14)),), "envs", FIRST_BEST),
-    "oracle": Family(measure_oracle, (_group("wide", range(3, 9)),), "envs", FIRST_BEST),
+    "oracle": Family(
+        measure_oracle,
+        (_group("wide", range(3, 9)), _group("shipped", ("join", "distributor")), _group("ring", (8, 14))),
+        "envs",
+        FIRST_BEST,
+    ),
 }
 
 
@@ -362,6 +379,7 @@ def run(name: str, out: str | None) -> None:
     the rows and the slopes, and write them to `out` if given."""
 
     family = FAMILIES[name]
+    width = max(14, *(len(" ".join(point)) + 2 for points in family.groups for point in points))
     groups = []
     for points in family.groups:
         rows = []
@@ -370,9 +388,9 @@ def run(name: str, out: str | None) -> None:
             row = json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout)
             columns = [key for key in row if key not in ("kind", "size", "broken")]
             if not groups and not rows:
-                print(f"{'point':<14}" + "".join(f"{_heading(key):>14}" for key in columns))
+                print(f"{'point':<{width}}" + "".join(f"{_heading(key):>14}" for key in columns))
             cells = "".join(f"{_cell(key, row[key]):>14}" for key in columns)
-            print(f"{' '.join(point):<14}{cells}", flush=True)
+            print(f"{' '.join(point):<{width}}{cells}", flush=True)
             rows.append(row)
         slopes = {key: slope(rows, key, family.size) for key in family.times}
         shown = (f"{key} -" if value is None else f"{key} {value:.2f}" for key, value in slopes.items())

@@ -2,7 +2,8 @@
 
 import pytest
 
-from checker_reference import reference_g_check
+from checker_reference import _walk_states, reference_g_check
+from test_env_answers import _outcome
 from xdicheck import checker
 from xdicheck.checker import (
     BLOCKING,
@@ -149,7 +150,7 @@ def test_oracle_respects_explicit_bound(join):
 
 def recursive_walk_states(machine, env, start, bound):
     """Reference walk set: the recursion over the walk tree, one call per
-    step, memoized on (state, budget), that checker._walk_states replaced."""
+    step, memoized on (state, budget), that _walk_states replaced."""
 
     memo = {}
 
@@ -167,15 +168,68 @@ def recursive_walk_states(machine, env, start, bound):
 
 
 def test_walk_states_match_the_recursive_reference(join, distributor, twopath):
+    """The set walk against the recursion, and the oracle's walk masks
+    against the set walk: bit i decodes to the i-th declared state."""
+
     machines = [spec.machine for spec in builtin_library()] + [join, distributor, twopath]
     for machine in dict.fromkeys(machines):  # the shipped distributor is the library's
+        names = [entry.name for entry in machine.states]
+
+        def decode(mask):
+            assert mask >> len(names) == 0, (machine.name, mask)
+            return frozenset(name for position, name in enumerate(names) if mask >> position & 1)
+
         for env in reasonable_envs(machine):
-            for entry in machine.states:
-                for bound in range(len(machine.states) + 2):
-                    expected = recursive_walk_states(machine, env, entry.name, bound)
-                    assert checker._walk_states(machine, env, entry.name, bound) == expected, (
-                        machine.name, env, entry.name, bound
+            may_fail = frozenset(
+                entry.name
+                for entry in machine.states
+                if not entry.is_transient and enabled_transitions(machine, entry.name, env)
+            )
+            for bound in range(len(machine.states) + 2):
+                walks, may_fail_mask = checker._oracle_walks(machine, env, bound)
+                assert decode(may_fail_mask) == may_fail, (machine.name, env, bound)
+                assert [bit for bit, _ in walks] == [1 << position for position in range(len(names))]
+                for name, (_, walk) in zip(names, walks):
+                    expected = recursive_walk_states(machine, env, name, bound)
+                    assert _walk_states(machine, env, name, bound) == expected, (
+                        machine.name, env, name, bound
                     )
+                    assert decode(walk) == expected, (machine.name, env, name, bound)
+
+
+UNDECLARED = "(machine u (s0 t box (((a R I) s1))) (s1 nil box (((a A O) s0))) (s2 nil box (((a R I) s9))))"
+NO_S9 = (ValueError, "machine u has no state 's9'")
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, None])
+@pytest.mark.parametrize("reached_from_init", [False, True])
+def test_unvalidated_machines_keep_their_answers_and_errors(bound, reached_from_init):
+    """s9 is undeclared, and only s2's a.R move leads to it. A walk from s2
+    meets s9 in one step and expands it from bound 2 on, so only then, and
+    only where a.R is live, does the oracle raise entry()'s error. With s1
+    moving to s9 too, labeling meets s9 from the initial state and every
+    call raises. cross_validate's engine explores from every state, so it
+    raises at every bound."""
+
+    text = UNDECLARED.replace("(((a A O) s0))", "(((a A O) s9))") if reached_from_init else UNDECLARED
+    stable = frozenset({("a", "R")})
+    raises = (NO_S9, NO_S9)
+    stops_before_s9 = not reached_from_init and bound in (0, 1)
+    expected = {
+        (BLOCKING, LIVE): (False, False) if stops_before_s9 else raises,
+        (IDLING, LIVE): (True, True) if stops_before_s9 else raises,
+        (BLOCKING, stable): raises if reached_from_init else (True, True),
+        (IDLING, stable): raises if reached_from_init else (True, True),
+    }
+    for (mode, env), answers in expected.items():
+        # A fresh machine per call, so no call reads another's memo.
+        query = lambda: TemporalQuery(parse_document(text)[0], "a", mode, env, "s2")  # noqa: E731
+        found = (
+            _outcome(lambda: oracle_g_check(query(), bound)),
+            _outcome(lambda: oracle_fg_check(query(), bound)),
+        )
+        assert found == answers, (mode, env)
+    assert _outcome(lambda: cross_validate(parse_document(text)[0], bound)) == NO_S9
 
 
 def test_oracle_size_guard():

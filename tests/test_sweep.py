@@ -44,13 +44,21 @@ KEYS = {
         ("query", ("ring", "400"), {"states": 402, "visited": 402, "holds": True}),
         ("condition", ("wide", "6"), {"envs": 128, "explorations": 8, "holds": True}),
         ("oracle", ("wide", "3"), {"states": 8, "envs": 16, "queries": 2048, "disagreements": 0}),
+        ("oracle", ("shipped", "join"), {"states": 10, "envs": 8, "queries": 960, "disagreements": 0}),
+        (
+            "oracle",
+            ("shipped", "distributor"),
+            {"states": 15, "envs": 64, "queries": 23040, "disagreements": 0},
+        ),
+        ("oracle", ("ring", "8"), {"states": 10, "envs": 4, "queries": 320, "disagreements": 0}),
+        ("oracle", ("ring", "14"), {"states": 16, "envs": 4, "queries": 512, "disagreements": 0}),
     ],
 )
 def test_smallest_points_do_the_pinned_work(family, point, counts):
     row = sweep.FAMILIES[family].measure(*point)
     assert list(row) == KEYS[family]
     assert {key: row[key] for key in counts} == counts
-    assert (row["kind"], row["size"]) == (point[0], int(point[1]))
+    assert (row["kind"], row["size"]) == (point[0], int(point[1]) if point[1].isdigit() else point[1])
     for key in sweep.FAMILIES[family].times:
         assert row[key] > 0
     assert row[sweep.FAMILIES[family].size] > 0
