@@ -7,13 +7,19 @@ in CTL. blocked and idle are the fg forms from the initial state, with
 the blocking and idling labels.
 
 Every answer comes from _EnvAnswers, the one g/fg engine: one exploration
-of the enabled graph, then one backward closure of the failing states per
-(handshake, mode). g_check and fg_check build one from their start and read
-their trace and witness from it; cross validation builds one per
-environment and _env_classes, the walk behind formulas.verify_condition,
-one per class of environments, and each shares it among its queries. A
-query costs time linear in the reachable states plus edges, and a failing
-g query explores the whole reachable graph.
+of the enabled graph, then backward passes over its predecessor lists
+from the failing states. g_check and fg_check build one from their start,
+settle their (handshake, mode) key with one _back_closure, for the doomed
+states, and read their trace and witness from it; _env_classes, the walk
+behind formulas.verify_condition, builds one per class of environments
+and settles each key it is asked the same way, sharing it among its
+queries. cross_validate builds one per environment and settles every key
+at once, in two _back_fixpoint passes that carry one bit per key: one for
+the doomed states and one for the hopeful ones. The same fixpoint, with
+one bit per instance, settles which instances can still move in a
+product (circuit._can_move). A query costs time linear in the reachable
+states plus edges, and a failing g query explores the whole reachable
+graph.
 
 The bounded walk oracle (oracle_g_check, oracle_fg_check) answers the same
 queries from the definitions, with none of the engine's code. It holds its
@@ -181,6 +187,32 @@ def _back_closure(preds: Mapping | Sequence, seeds: Iterable) -> set:
     return closure
 
 
+def _back_fixpoint(preds: Mapping | Sequence, masks: dict | list) -> dict | list:
+    """The least masks above the given ones in which every state's mask
+    holds the masks of the states it has an edge into: masks[p] holds
+    masks[s] for every p in preds[s]. masks is indexed as preds is, by
+    name over a machine's enabled transitions (_EnvAnswers.key_masks) or
+    by number over a product (circuit._can_move); it is updated in place
+    and returned. Bit k of a state's result is set iff the state is in
+    the backward closure of the states whose given mask has bit k. A
+    state enters the worklist only when its mask grows and is never in
+    it twice, so the cost is at most bits x (states + edges)."""
+
+    worklist = [s for s in (range(len(masks)) if isinstance(masks, list) else masks) if masks[s]]
+    queued = set(worklist)
+    while worklist:
+        s = worklist.pop()
+        queued.discard(s)
+        mask = masks[s]
+        for prior in preds[s]:
+            if mask & ~masks[prior]:
+                masks[prior] |= mask
+                if prior not in queued:
+                    queued.add(prior)
+                    worklist.append(prior)
+    return masks
+
+
 def _trace_to(parents: dict[str, str | None], state: str) -> tuple[str, ...]:
     trail = []
     cursor: str | None = state
@@ -238,16 +270,42 @@ def idle(machine: XdiMachine, handshake: str, env: Environment) -> bool:
     return fg_check(TemporalQuery(machine, handshake, IDLING, env)).holds
 
 
+def _failing(machine: XdiMachine, handshake: str, mode: Mode, states: Iterable[str]) -> list[str]:
+    """The given states, in their order, that fail the (handshake, mode)
+    test wherever they can move: those neither transient nor labeled with
+    the mode."""
+
+    blocking = compute_block_idle(machine, handshake).labels
+    entries = machine.state_map
+    other = mode != BLOCKING  # the label (True: blocking) of the other mode
+    return [state for state in states if blocking[state] == other and entries[state].kind != TRANSIENT]
+
+
+def _failing_keys(machine: XdiMachine, keys: Sequence[tuple[str, Mode]]) -> dict[str, int]:
+    """Per declared state, the mask of the keys (handshake, mode) whose
+    test it fails wherever it can move: bit k for keys[k]. Reads the
+    labels in key order, so an ambiguous handshake raises at its first key."""
+
+    masks = dict.fromkeys(machine.state_map, 0)
+    for k, (handshake, mode) in enumerate(keys):
+        for state in _failing(machine, handshake, mode, masks):
+            masks[state] |= 1 << k
+    return masks
+
+
 class _EnvAnswers:
     """The g and fg answers for every handshake, mode and reached state
     under one environment, from one exploration.
 
     The enabled graph reachable from the starts is explored once. A state
-    fails when it can move but is neither transient nor labeled with the
-    queried mode. Per (handshake, mode), on first use, the backward closure
-    of the failing states, the doomed states, is computed: g holds at a
-    state iff it is not in doomed, and fg iff it is in hopeful, the
-    backward closure of the undoomed states. tested holds the input wires
+    fails a (handshake, mode) key when it can move and is neither
+    transient nor labeled with the mode (_failing). The doomed states of a
+    key are the backward closure of its failing states: g holds at a state
+    iff it is not doomed, and fg iff it is hopeful, in the backward
+    closure of the undoomed states. doomed and hopeful settle one key on
+    first use, one _back_closure each; key_masks settles many keys at
+    once, one _back_fixpoint each for doomed and hopeful, with one bit per
+    key. tested holds the input wires
     the exploration tested against the environment, in first-test order:
     every environment that answers those wires alike gets the same graph,
     so the same answers. Build one per query or per environment and drop
@@ -269,14 +327,7 @@ class _EnvAnswers:
     def failing(self, handshake: str, mode: Mode) -> list[str]:
         """The failing states, in discovery order."""
 
-        blocking = compute_block_idle(self.machine, handshake).labels
-        entries, movers = self.machine.state_map, self.movers
-        other = mode != BLOCKING  # the label (True: blocking) of the other mode
-        return [
-            state
-            for state in self.order
-            if state in movers and blocking[state] == other and entries[state].kind != TRANSIENT
-        ]
+        return _failing(self.machine, handshake, mode, filter(self.movers.__contains__, self.order))
 
     def doomed(self, handshake: str, mode: Mode) -> set[str]:
         key = (handshake, mode)
@@ -293,6 +344,18 @@ class _EnvAnswers:
             undoomed = [state for state in self.order if state not in doomed]
             self._hopeful[key] = _back_closure(self.preds, undoomed)
         return self._hopeful[key]
+
+    def key_masks(self, failing: Mapping[str, int], every: int) -> tuple[dict[str, int], dict[str, int]]:
+        """Per reached state, the mask of the keys it is doomed for and the
+        mask of those it is hopeful for, given _failing_keys's masks and
+        every, the mask of all their keys: bit k of a state's masks is set
+        iff the state is in doomed(*keys[k]), or in hopeful(*keys[k])."""
+
+        movers = self.movers
+        seeds = {state: failing[state] if state in movers else 0 for state in self.order}
+        doomed = _back_fixpoint(self.preds, seeds)
+        hopeful = _back_fixpoint(self.preds, {state: every & ~mask for state, mask in doomed.items()})
+        return doomed, hopeful
 
 
 def _env_classes(machine: XdiMachine, outcome: Callable[[Callable[[str, Mode], bool]], object]):
@@ -518,6 +581,23 @@ class Disagreement(Record):
     slow: bool
 
 
+def _per_key(masks: Mapping[str, int], bits: Mapping[str, int], count: int) -> list[int]:
+    """Per-state key masks turned into per-key state masks: entry k holds
+    the bits of the states whose key mask has bit k. The states are
+    grouped by key mask first, since a pass leaves few distinct masks."""
+
+    groups: dict[int, int] = {}
+    for state, mask in masks.items():
+        groups[mask] = groups.get(mask, 0) | bits[state]
+    states = [0] * count
+    for mask, held in groups.items():
+        while mask:
+            low = mask & -mask
+            states[low.bit_length() - 1] |= held
+            mask ^= low
+    return states
+
+
 def cross_validate(
     machine: XdiMachine,
     bound: int | None = None,
@@ -529,14 +609,16 @@ def cross_validate(
     The queries are validated once for the sweep, not once each: the
     size limit first, then, as the first query would, the first
     handshake's labels, then the bound, whether or not the machine has a
-    handshake. Per environment, handshake and mode, the engine's g set
-    (the undoomed states) and fg set (their backward closure) are each
-    turned into a mask once and compared with the oracle's masks; only a
-    pair that differs is walked state by state, in declaration order, g
-    before fg. The engine's sets read each handshake's labels before the
-    oracle's blocking mask does, so an ambiguous machine raises at the
-    same handshake as a query would, and the engine explores from every
-    state first, so it meets an undeclared state before the oracle's walks.
+    handshake. Per environment the engine settles every (handshake, mode)
+    key at once, in two fixpoint passes (_EnvAnswers.key_masks); per key,
+    its g set (the undoomed states) and fg set (the hopeful ones) are
+    turned into state masks and compared with the oracle's masks, and
+    only a pair that differs is walked state by state, in declaration
+    order, g before fg. The engine explores from every state first, so it
+    meets an undeclared state before the oracle's walks; the labels of
+    every handshake are read in sorted order after the first
+    environment's exploration and walks, so an ambiguous machine raises
+    at the same handshake as a query would.
     """
 
     _check_oracle_size(machine, max_states)
@@ -547,31 +629,28 @@ def cross_validate(
     states = [entry.name for entry in machine.states]
     bits = _state_bits(machine)
     every = sum(bits.values())
-    blocking: dict[str, int] = {}  # each handshake's, once the engine has read its labels
+    keys = [(handshake, mode) for handshake in handshakes for mode in (BLOCKING, IDLING)]
+    failing: dict[str, int] | None = None  # read with the labels, in the first environment
     found: list[Disagreement] = []
     for env in reasonable_envs(machine):
         answers = _EnvAnswers(machine, env, states)
         walks, may_fail = machine.memo(_oracle_walks, env, steps)
-        for handshake in handshakes:
-            for mode in (BLOCKING, IDLING):
-                doomed = answers.doomed(handshake, mode)
-                fg = answers.hopeful(handshake, mode)
-                if handshake not in blocking:
-                    blocking[handshake] = _blocking_mask(machine, handshake)
-                oracle_g, oracle_fg = _oracle_sets(walks, may_fail, blocking[handshake], mode)
-                if (
-                    oracle_g == every ^ sum(map(bits.__getitem__, doomed))
-                    and oracle_fg == sum(map(bits.__getitem__, fg))
+        if failing is None:
+            failing = _failing_keys(machine, keys)
+            blocking = {handshake: _blocking_mask(machine, handshake) for handshake in handshakes}
+        doomed, hopeful = answers.key_masks(failing, (1 << len(keys)) - 1)
+        doomed_states, fg_states = (_per_key(masks, bits, len(keys)) for masks in (doomed, hopeful))
+        for k, (handshake, mode) in enumerate(keys):
+            key = 1 << k
+            oracle_g, oracle_fg = _oracle_sets(walks, may_fail, blocking[handshake], mode)
+            if oracle_g == every ^ doomed_states[k] and oracle_fg == fg_states[k]:
+                continue
+            for start in states:
+                bit = bits[start]
+                for op, fast, slow in (
+                    ("g", doomed[start] & key == 0, oracle_g & bit != 0),
+                    ("fg", hopeful[start] & key != 0, oracle_fg & bit != 0),
                 ):
-                    continue
-                for start in states:
-                    bit = bits[start]
-                    for op, fast, slow in (
-                        ("g", start not in doomed, oracle_g & bit != 0),
-                        ("fg", start in fg, oracle_fg & bit != 0),
-                    ):
-                        if fast != slow:
-                            found.append(
-                                Disagreement(op, handshake, mode, env, start, fast, slow)
-                            )
+                    if fast != slow:
+                        found.append(Disagreement(op, handshake, mode, env, start, fast, slow))
     return tuple(found)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .checker import _back_closure
+from .checker import _back_closure, _back_fixpoint
 from .formulas import (
     And,
     BlockedAtom,
@@ -573,14 +573,13 @@ def _can_move(system: ProductSystem) -> list[int]:
     to state 0, a home state, reaches every state, and its mask is the OR
     of all moving masks. One backward closure from state 0 over the
     predecessor lists finds the home states. A state that is not home
-    reaches no home state, and the worklist gives its mask: it starts from
-    a copy of moving, runs over the predecessor lists, and a state enters
-    it only when its mask grows and is never in it twice, so it costs at
-    most instances x (states + edges). Edges from home states add nothing
-    to a mask that is already the union. A clean product returns to state
-    0 from everywhere and skips the worklist; where state 0 has no
-    predecessor, as in an acyclic product, the closure and the union are
-    skipped.
+    reaches no home state, and the shared backward fixpoint
+    (checker._back_fixpoint, one bit per instance) gives its mask from a
+    copy of moving over the predecessor lists, at most instances x
+    (states + edges). Edges from home states add nothing to a mask that is
+    already the union. A clean product returns to state 0 from everywhere
+    and skips the fixpoint; where state 0 has no predecessor, as in an
+    acyclic product, the closure and the union are skipped.
     """
 
     moving, predecessors = system.moving, system.predecessors
@@ -594,19 +593,7 @@ def _can_move(system: ProductSystem) -> list[int]:
     can = list(moving)
     for s in home:
         can[s] = union
-    worklist = [s for s, mask in enumerate(can) if mask]
-    queued = bytearray(map(bool, can))
-    while worklist:
-        s = worklist.pop()
-        queued[s] = 0
-        mask = can[s]
-        for prior in predecessors[s]:
-            if mask & ~can[prior]:
-                can[prior] |= mask
-                if not queued[prior]:
-                    queued[prior] = 1
-                    worklist.append(prior)
-    return can
+    return _back_fixpoint(predecessors, can)
 
 
 def analyze_deadlock(system: ProductSystem) -> DeadlockFinding | None:

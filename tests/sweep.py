@@ -290,10 +290,13 @@ def measure_oracle(kind: str, size: str) -> dict:
     """Cross-validate wide SIZE, the ring machine of SIZE ring states
     (idle polarity) or, as shipped, machines/SIZE.xdi, on a freshly parsed
     machine per call since the walk masks are memoised on the machine: the
-    queries, and the first and the best of five. A disagreement raises."""
+    queries, the engine's backward passes (checker._back_closure and
+    checker._back_fixpoint calls) of one more, untimed call, and the first
+    and the best of five. A disagreement raises."""
 
     from pathlib import Path
 
+    from xdicheck import checker
     from xdicheck.checker import cross_validate
     from xdicheck.machine import parse_document
 
@@ -306,11 +309,30 @@ def measure_oracle(kind: str, size: str) -> dict:
     found, first_s, best_s = timed(cross_validate, 5, lambda: parse_document(text)[0])
     assert not found, found
     machine = parse_document(text)[0]
+    passes = []  # one entry per backward pass
+    # A checkout from before the shared fixpoint has only the closure.
+    names = [name for name in ("_back_closure", "_back_fixpoint") if hasattr(checker, name)]
+    wrapped = {name: getattr(checker, name) for name in names}
+
+    def counting(name):
+        def counted(*args):
+            passes.append(name)
+            return wrapped[name](*args)
+
+        return counted
+
+    for name in wrapped:
+        setattr(checker, name, counting(name))
+    try:
+        cross_validate(machine)
+    finally:
+        for name, function in wrapped.items():
+            setattr(checker, name, function)
     states, envs = len(machine.states), 2 ** len(machine.input_wires)
     queries = envs * len(machine.handshakes) * 2 * states * 2
     return _row(
         kind, size, states=states, envs=envs, queries=queries, disagreements=len(found),
-        first_s=first_s, best_s=best_s,
+        passes=len(passes), first_s=first_s, best_s=best_s,
     )
 
 

@@ -1,5 +1,7 @@
 """The answer table as the one g/fg engine: the table, g_check and
-fg_check against the reference checks of tests/checker_reference.py,
+fg_check against the reference checks of tests/checker_reference.py, the
+batch that settles every key at once against the per-key answers, the
+shared backward fixpoint against one backward closure per bit,
 verify_condition against a loop without environment classes (with a fresh
 exploration or one query per atom), the classes against fresh explorations
 on every small machine, and the number of explorations each query,
@@ -8,7 +10,7 @@ environment and class costs."""
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import labeling_sweep
 from checker_reference import reference_fg_check, reference_g_check
@@ -102,6 +104,85 @@ def test_answer_table_raises_the_ambiguity_error_of_the_checker(twopath):
     with pytest.raises(labeling.AmbiguousMachineError) as slow:
         reference_fg_check(TemporalQuery(twopath, "a", BLOCKING, frozenset()))
     assert str(fast.value) == str(slow.value)
+
+
+def _keys(machine):
+    return [(handshake, mode) for handshake in sorted(machine.handshakes) for mode in (BLOCKING, IDLING)]
+
+
+def _batch_sets(machine, answers):
+    """Each key's doomed and hopeful sets, as the batch settles them."""
+
+    keys = _keys(machine)
+    doomed, hopeful = answers.key_masks(checker._failing_keys(machine, keys), (1 << len(keys)) - 1)
+    return [
+        tuple({state for state, mask in masks.items() if mask >> k & 1} for masks in (doomed, hopeful))
+        for k in range(len(keys))
+    ]
+
+
+def _per_key_sets(machine, answers):
+    """Each key's doomed and hopeful sets, one key at a time in sorted
+    handshake order, or the first error raised."""
+
+    try:
+        return [(answers.doomed(*key), answers.hopeful(*key)) for key in _keys(machine)]
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def test_batch_answers_match_the_per_key_answers(machines):
+    for machine in machines:
+        states = [entry.name for entry in machine.states]
+        for env in reasonable_envs(machine):
+            answers = checker._EnvAnswers(machine, env, states)
+            batch = _outcome(lambda: _batch_sets(machine, answers))
+            assert batch == _per_key_sets(machine, answers), (machine.name, env)
+
+
+@pytest.mark.parametrize("renamed, handshake", [("a", "a"), ("m", "h")])
+def test_the_batch_raises_at_the_first_ambiguous_handshake(machines_dir, renamed, handshake):
+    """twopath is ambiguous for a and h; with a renamed m its handshakes
+    are b, h and m, and h, the second, raises first."""
+
+    text = (machines_dir / "ambiguous.xdi").read_text().replace("(a R I)", f"({renamed} R I)")
+    machine = parse_document(text)[0]
+    answers = checker._EnvAnswers(machine, frozenset(), [entry.name for entry in machine.states])
+    with pytest.raises(labeling.AmbiguousMachineError, match=f"handshake '{handshake}'") as batch:
+        _batch_sets(machine, answers)
+    assert (type(batch.value), str(batch.value)) == _per_key_sets(machine, answers)
+
+
+@st.composite
+def fixpoint_graphs(draw):
+    """Predecessor lists and masks of up to 5 bits over at most 12 states,
+    by number in lists or by name in dicts."""
+
+    size = draw(st.integers(1, 12))
+    state = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(state, state), max_size=3 * size))
+    masks = draw(st.lists(st.integers(0, 31), min_size=size, max_size=size))
+    preds = [[source for source, target in edges if target == s] for s in range(size)]
+    if draw(st.booleans()):
+        return preds, masks
+    names = [f"s{number}" for number in draw(st.permutations(range(size)))]
+    return (
+        {names[s]: [names[source] for source in preds[s]] for s in range(size)},
+        {names[s]: masks[s] for s in range(size)},
+    )
+
+
+@BASE
+@given(graph=fixpoint_graphs())
+def test_the_shared_fixpoint_is_a_backward_closure_per_bit(graph):
+    preds, masks = graph
+    states = range(len(masks)) if isinstance(masks, list) else list(masks)
+    seeds = masks.copy()
+    result = checker._back_fixpoint(preds, masks)
+    assert result is masks
+    for k in range(5):
+        closure = checker._back_closure(preds, [state for state in states if seeds[state] >> k & 1])
+        assert {state for state in states if result[state] >> k & 1} == closure, k
 
 
 def every_query(machine):

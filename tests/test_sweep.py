@@ -24,7 +24,8 @@ KEYS = {
     ],
     "condition": ["kind", "size", "envs", "explorations", "holds", "first_s", "best_s", "peak_rss_mb"],
     "oracle": [
-        "kind", "size", "states", "envs", "queries", "disagreements", "first_s", "best_s", "peak_rss_mb"
+        "kind", "size", "states", "envs", "queries", "disagreements", "passes", "first_s", "best_s",
+        "peak_rss_mb",
     ],
 }
 
@@ -43,15 +44,27 @@ KEYS = {
         ("parse", ("fan", "400", "3"), {"states": 400, "transitions": 1200}),
         ("query", ("ring", "400"), {"states": 402, "visited": 402, "holds": True}),
         ("condition", ("wide", "6"), {"envs": 128, "explorations": 8, "holds": True}),
-        ("oracle", ("wide", "3"), {"states": 8, "envs": 16, "queries": 2048, "disagreements": 0}),
-        ("oracle", ("shipped", "join"), {"states": 10, "envs": 8, "queries": 960, "disagreements": 0}),
+        (
+            "oracle",
+            ("wide", "3"),
+            {"states": 8, "envs": 16, "queries": 2048, "disagreements": 0, "passes": 32},
+        ),
+        (
+            "oracle",
+            ("shipped", "join"),
+            {"states": 10, "envs": 8, "queries": 960, "disagreements": 0, "passes": 16},
+        ),
         (
             "oracle",
             ("shipped", "distributor"),
-            {"states": 15, "envs": 64, "queries": 23040, "disagreements": 0},
+            {"states": 15, "envs": 64, "queries": 23040, "disagreements": 0, "passes": 128},
         ),
-        ("oracle", ("ring", "8"), {"states": 10, "envs": 4, "queries": 320, "disagreements": 0}),
-        ("oracle", ("ring", "14"), {"states": 16, "envs": 4, "queries": 512, "disagreements": 0}),
+        ("oracle", ("ring", "8"), {"states": 10, "envs": 4, "queries": 320, "disagreements": 0, "passes": 8}),
+        (
+            "oracle",
+            ("ring", "14"),
+            {"states": 16, "envs": 4, "queries": 512, "disagreements": 0, "passes": 8},
+        ),
     ],
 )
 def test_smallest_points_do_the_pinned_work(family, point, counts):
@@ -86,6 +99,21 @@ def test_condition_puts_back_reach_when_verification_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         sweep.measure_condition("wide", "6")
     assert checker._reach is reach
+
+
+def test_oracle_puts_back_the_passes_when_cross_validation_raises(monkeypatch):
+    passes = (checker._back_closure, checker._back_fixpoint)
+    cross_validate = checker.cross_validate
+
+    def boom(machine):
+        if (checker._back_closure, checker._back_fixpoint) == passes:  # a timed call
+            return cross_validate(machine)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checker, "cross_validate", boom)
+    with pytest.raises(RuntimeError):
+        sweep.measure_oracle("ring", "8")
+    assert (checker._back_closure, checker._back_fixpoint) == passes
 
 
 def test_timed_frees_each_argument_before_the_next_setup():
