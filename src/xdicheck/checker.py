@@ -8,18 +8,19 @@ the blocking and idling labels.
 
 Every answer comes from _EnvAnswers, the one g/fg engine: one exploration
 of the enabled graph, then backward passes over its predecessor lists
-from the failing states. g_check and fg_check build one from their start,
-settle their (handshake, mode) key with one _back_closure, for the doomed
-states, and read their trace and witness from it; _env_classes, the walk
-behind formulas.verify_condition, builds one per class of environments
-and settles each key it is asked the same way, sharing it among its
-queries. cross_validate builds one per environment and settles every key
-at once, in two _back_fixpoint passes that carry one bit per key: one for
-the doomed states and one for the hopeful ones. The same fixpoint, with
-one bit per instance, settles which instances can still move in a
-product (circuit._can_move). A query costs time linear in the reachable
-states plus edges, and a failing g query explores the whole reachable
-graph.
+from the failing states. g_check and fg_check build one from their start
+and read their trace and witness from it. g_check settles no key: every
+state it reaches is reached from its start, so g holds there iff no
+reached state fails. fg_check settles its (handshake, mode) key with one
+_back_closure, for the doomed states; _env_classes, the walk behind
+formulas.verify_condition, builds one per class of environments and
+settles each key it is asked the same way, sharing it among its queries.
+cross_validate builds one per environment and settles every key at once,
+in two _back_fixpoint passes that carry one bit per key: one for the
+doomed states and one for the hopeful ones. The same fixpoint, with one
+bit per instance, settles which instances can still move in a product
+(circuit._can_move). A query costs time linear in the reachable states
+plus edges, and a failing g query explores the whole reachable graph.
 
 The bounded walk oracle (oracle_g_check, oracle_fg_check) answers the same
 queries from the definitions, with none of the engine's code. It holds its
@@ -39,7 +40,6 @@ apply the same rule, so the two implementations stay comparable.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -137,39 +137,36 @@ def _environments(machine: XdiMachine) -> tuple[Environment, ...]:
 def _reach(machine: XdiMachine, env: Environment, *starts: str):
     """Breadth-first reachability from the start states.
 
-    Returns the discovery order, parent links for trace rebuilding (None
-    at each start), the predecessors of each reached state over the
-    enabled edges, and the input wires tested against env, in first-test
-    order (a dict used as an ordered set). The enabled_transitions filter
-    is inlined so each test can be recorded as it is made.
+    Returns the discovery order, the predecessors of each reached state
+    over the enabled edges, in discovery order of the source (the first
+    is a non-start state's breadth-first parent), and the input wires
+    tested against env, in first-test order (a dict used as an ordered
+    set). The order list is the queue: the loop over it sees the states
+    appended while it runs. The enabled_transitions filter is inlined so
+    each test can be recorded as it is made.
     """
 
-    parents: dict[str, str | None] = dict.fromkeys(starts)
-    preds: dict[str, list[str]] = {start: [] for start in parents}
-    order: list[str] = []
+    preds: dict[str, list[str]] = {start: [] for start in starts}
+    order = list(preds)
     tested: dict[tuple[str, str], None] = {}
     entries = machine.state_map
-    queue = deque(parents)
     try:
-        while queue:
-            state = queue.popleft()
-            order.append(state)
+        for state in order:
             for wire, target in entries[state].transitions:
                 if wire.direction != OUTPUT:
                     key = (wire.handshake, wire.phase)
                     tested[key] = None
                     if key in env:
                         continue
-                if target in parents:
+                if target in preds:
                     preds[target].append(state)
                 else:
-                    parents[target] = state
                     preds[target] = [state]
-                    queue.append(target)
+                    order.append(target)
     except KeyError:
         machine.entry(state)  # raises entry()'s ValueError for an undeclared state
         raise
-    return order, parents, preds, tested
+    return order, preds, tested
 
 
 def _back_closure(preds: Mapping | Sequence, seeds: Iterable) -> set:
@@ -213,32 +210,36 @@ def _back_fixpoint(preds: Mapping | Sequence, masks: dict | list) -> dict | list
     return masks
 
 
-def _trace_to(parents: dict[str, str | None], state: str) -> tuple[str, ...]:
-    trail = []
-    cursor: str | None = state
-    while cursor is not None:
-        trail.append(cursor)
-        cursor = parents[cursor]
+def _trace_to(preds: dict[str, list[str]], start: str, state: str) -> tuple[str, ...]:
+    """The breadth-first tree path from start to state, over _reach's
+    predecessor lists from the one start."""
+
+    trail = [state]
+    while state != start:
+        state = preds[state][0]
+        trail.append(state)
     return tuple(reversed(trail))
 
 
 def g_check(query: TemporalQuery) -> CheckResult:
     """Check that every reachable state passes the mode test.
 
-    On failure the counterexample is a shortest trace to the first failing
-    state in breadth-first order. When the check holds, visited is exactly
-    the reachable set from the start.
+    Every reached state is reached from the start, so the check holds iff
+    no reached state fails, and no backward pass is made. On failure the
+    counterexample is a shortest trace to the first failing state in
+    breadth-first order. When the check holds, visited is exactly the
+    reachable set from the start.
     """
 
     start = _checked_start(query)
     answers = _EnvAnswers(query.machine, query.env, (start,))
-    order, parents = answers.order, answers.parents
-    if start not in answers.doomed(query.handshake, query.mode):
+    order, preds = answers.order, answers.preds
+    failing = answers.failing(query.handshake, query.mode)
+    if not failing:
         return CheckResult(True, frozenset(order), None)
-    first = answers.failing(query.handshake, query.mode)[0]
-    expanded = set(order[: order.index(first)])
-    visited = frozenset([start, *(state for state in order if parents[state] in expanded)])
-    return CheckResult(False, visited, _trace_to(parents, first))
+    expanded = set(order[: order.index(failing[0])])
+    visited = frozenset([start, *(state for state in order[1:] if preds[state][0] in expanded)])
+    return CheckResult(False, visited, _trace_to(preds, start, failing[0]))
 
 
 def fg_check(query: TemporalQuery) -> CheckResult:
@@ -255,7 +256,7 @@ def fg_check(query: TemporalQuery) -> CheckResult:
     witness = next((state for state in answers.order if state not in doomed), None)
     if witness is None:
         return CheckResult(False, visited, None)
-    return CheckResult(True, visited, _trace_to(answers.parents, witness))
+    return CheckResult(True, visited, _trace_to(answers.preds, start, witness))
 
 
 def blocked(machine: XdiMachine, handshake: str, env: Environment) -> bool:
@@ -297,28 +298,29 @@ class _EnvAnswers:
     """The g and fg answers for every handshake, mode and reached state
     under one environment, from one exploration.
 
-    The enabled graph reachable from the starts is explored once. A state
-    fails a (handshake, mode) key when it can move and is neither
-    transient nor labeled with the mode (_failing). The doomed states of a
-    key are the backward closure of its failing states: g holds at a state
-    iff it is not doomed, and fg iff it is hopeful, in the backward
-    closure of the undoomed states. doomed and hopeful settle one key on
-    first use, one _back_closure each; key_masks settles many keys at
-    once, one _back_fixpoint each for doomed and hopeful, with one bit per
-    key. tested holds the input wires
-    the exploration tested against the environment, in first-test order:
-    every environment that answers those wires alike gets the same graph,
-    so the same answers. Build one per query or per environment and drop
-    it after: it is never memoised on the machine.
+    The enabled graph reachable from the starts is explored once (_reach):
+    order holds the reached states in discovery order and preds each
+    one's predecessors, the first of which is a non-start state's
+    breadth-first parent, so traces need no parent table. A state fails a
+    (handshake, mode) key when it can move and is neither transient nor
+    labeled with the mode (_failing). The doomed states of a key are the
+    backward closure of its failing states: g holds at a state iff it is
+    not doomed, and fg iff it is hopeful, in the backward closure of the
+    undoomed states. doomed and hopeful settle one key on first use, one
+    _back_closure each; key_masks settles many keys at once, one
+    _back_fixpoint each for doomed and hopeful, with one bit per key.
+    tested holds the input wires the exploration tested against the
+    environment, in first-test order: every environment that answers
+    those wires alike gets the same graph, so the same answers. Build one
+    per query or per environment and drop it after: it is never memoised
+    on the machine.
     """
 
-    __slots__ = (
-        "machine", "order", "parents", "preds", "tested", "movers", "_doomed", "_hopeful"
-    )
+    __slots__ = ("machine", "order", "preds", "tested", "movers", "_doomed", "_hopeful")
 
     def __init__(self, machine: XdiMachine, env: Environment, starts: Sequence[str]) -> None:
         self.machine = machine
-        self.order, self.parents, self.preds, self.tested = _reach(machine, env, *starts)
+        self.order, self.preds, self.tested = _reach(machine, env, *starts)
         # A state with an enabled move is some state's predecessor.
         self.movers = {pred for preds in self.preds.values() for pred in preds}
         self._doomed: dict[tuple[str, Mode], set[str]] = {}

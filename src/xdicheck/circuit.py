@@ -261,10 +261,11 @@ class ProductSystem(Record):
     order[i]. compose records what the deadlock search reads: moving[s],
     the OR of the mover masks of the edges of s, and predecessors[s], the
     source of every edge into s, once per edge, in exploration order.
-    parent[s] and parent_label[s] (an id into labels) give the
-    breadth-first tree; both are -1 at state 0. plan holds the compiled
-    move tables (see _compile), one per block of instances, that the
-    edges are re-derived from.
+    The breadth-first tree needs no table of its own: the parent of a
+    state s other than 0 is predecessors[s][0], and parent_label[s] (an
+    id into labels, -1 at state 0) labels the edge from it. plan holds
+    the compiled move tables (see _compile), one per block of instances,
+    that the edges are re-derived from.
 
     states and adjacency are the tuple-form views: product states as
     tuples of local state names, edges as Edge. Each is built on first
@@ -281,7 +282,6 @@ class ProductSystem(Record):
     plan: tuple
     moving: list[int]
     predecessors: list[list[int]]
-    parent: list[int]
     parent_label: list[int]
 
     def decode(self, code: int) -> ProductState:
@@ -330,7 +330,7 @@ class ProductSystem(Record):
         labels: list[str] = []
         while s > 0:
             labels.append(self.labels[self.parent_label[s]])
-            s = self.parent[s]
+            s = self.predecessors[s][0]
         return tuple(reversed(labels))
 
 
@@ -459,7 +459,7 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
 
     Raises ExplorationLimitError when the product has more than
     max_states states, the initial state included. The state order, edge
-    order, and parent links are deterministic: edges follow instance
+    order, and tree edges are deterministic: edges follow instance
     order, then transition order, then the partner's transition order.
     The instances are compiled once into move tables, one per block of
     consecutive instances (see _compile), so a successor is the state's
@@ -470,7 +470,8 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     the edge order is the same as instance by instance. Each edge is
     touched once: it ORs its mover mask into moving[state] and appends
     its source to its target's predecessor list, found by code in one
-    table that becomes predecessors. A state costs a slot in each of five
+    table that becomes predecessors; the first entry of a list is its
+    state's breadth-first parent. A state costs a slot in each of four
     lists, its predecessor list and, while composing, one dict entry; an
     edge one slot in a predecessor list; a block at most _BLOCK_SPAN rows.
     """
@@ -490,7 +491,6 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
     into = {start: []}
     codes = [start]
     moving: list[int] = []
-    parent = [-1]
     parent_label = [-1]
     # The code list doubles as the breadth-first queue.
     for state, code in enumerate(codes):
@@ -513,7 +513,6 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
                             raise ExplorationLimitError(too_many)
                         into[successor] = [state]
                         codes.append(successor)
-                        parent.append(state)
                         parent_label.append(label)
                     else:
                         sources.append(state)
@@ -528,14 +527,13 @@ def compose(netlist: Netlist, max_states: int = PRODUCT_LIMIT) -> ProductSystem:
                             raise ExplorationLimitError(too_many)
                         into[successor] = [state]
                         codes.append(successor)
-                        parent.append(state)
                         parent_label.append(label)
                     else:
                         sources.append(state)
         moving.append(mask)
     return ProductSystem(
         netlist, order, machines, weights, codes, labels, plan,
-        moving, list(into.values()), parent, parent_label,
+        moving, list(into.values()), parent_label,
     )
 
 
@@ -669,29 +667,20 @@ def fullness_invariant(system: ProductSystem) -> Formula | None:
     indices = tuple(idx for idx, table in enumerate(fullness) if table)
     if not indices:
         return None
-    # A product state's profile is one int: per instance with a fullness
-    # map, its bit when full, the first instance's the most significant so
-    # that the ints sort as the bool tuples do, or -2^count where its local
-    # state has no fullness, which leaves the sum negative. Only the
-    # distinct profiles are kept.
-    count = len(indices)
+    # A product state's profile is the tuple of its fullness values, one
+    # per instance with a fullness map, None where the local state has
+    # none. Only the distinct profiles with no None are kept, sorted.
     digits = []
-    for pos, idx in enumerate(indices):
-        bit, table = 1 << (count - 1 - pos), fullness[idx]
-        values = tuple(
-            -(1 << count) if table.get(entry.name) is None else bit * table[entry.name]
-            for entry in system.machines[idx].states
-        )
+    for idx in indices:
+        values = tuple(fullness[idx].get(entry.name) for entry in system.machines[idx].states)
         digits.append((system.weights[idx], len(values), values))
-    keys = {
-        sum([values[code // weight % radix] for weight, radix, values in digits])
+    profiles = sorted({
+        profile
         for code in system.codes
-    }
-    profiles = [
-        tuple(bool(key >> (count - 1 - pos) & 1) for pos in range(count))
-        for key in sorted(keys)
-        if key >= 0
-    ]
+        if None not in (
+            profile := tuple([values[code // weight % radix] for weight, radix, values in digits])
+        )
+    })
     if not profiles or len(profiles) == 2 ** len(indices):
         return None
     names = [f"full_{system.order[idx]}" for idx in indices]

@@ -12,7 +12,6 @@ short witness paths does.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping
 
 from .machine import XdiMachine
@@ -78,8 +77,11 @@ class AmbiguityReport(Record):
     ambiguous for the handshake.
     """
 
-    ambiguous: bool
     witnesses: tuple[ParityConflict, ...]
+
+    @property
+    def ambiguous(self) -> bool:
+        return bool(self.witnesses)
 
 
 def _require_handshake(machine: XdiMachine, handshake: str) -> None:
@@ -116,16 +118,16 @@ def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport
     """Propagate (state, parity) pairs breadth first from the initial state.
 
     parents[parity] maps each state reached with that parity to the
-    (state, parity) pair it was first reached from; the two queues hold
-    the pairs' states and parities in step."""
+    (state, parity) pair it was first reached from; the two lists hold
+    the pairs' states and parities in discovery order, in step, and are
+    the queue: the loop over them sees the pairs appended while it runs."""
 
     entries = machine.state_map
     start = machine.init_state
     parents: tuple[dict, dict] = ({start: None}, {})
-    states, parities = deque([start]), deque([False])
+    states, parities = [start], [False]
     try:
-        while states:
-            state, parity = states.popleft(), parities.popleft()
+        for state, parity in zip(states, parities):
             for wire, target in entries[state].transitions:
                 next_parity = parity ^ (wire.handshake == handshake)
                 reached = parents[next_parity]
@@ -153,4 +155,4 @@ def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport
         if entry.name in both
     )
     labels = {name: name in blocking for name in entries}
-    return AmbiguityReport(bool(witnesses), witnesses), LabelMap(handshake, labels)
+    return AmbiguityReport(witnesses), LabelMap(handshake, labels)

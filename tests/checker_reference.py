@@ -15,6 +15,12 @@ from the walk oracle, asked query by query (_oracle_g, _oracle_fg).
 _walk_states is the oracle's walk as a set of state names, the loop the
 checker ran before its walks became bitmasks; _oracle_g and _oracle_fg
 read it.
+
+reference_reach is the exploration that checker._reach ran before its
+discovery list became its queue: a deque beside the list, and a parent
+table beside the predecessor lists. reference_trace rebuilds a trace
+from such a table. The references above read these two, not the
+engine's exploration.
 """
 
 from collections import deque
@@ -28,12 +34,54 @@ from xdicheck.checker import (
     _check_oracle_size,
     _EnvAnswers,
     _oracle_bound,
-    _reach,
-    _trace_to,
     reasonable_envs,
 )
 from xdicheck.labeling import compute_block_idle
-from xdicheck.machine import enabled_transitions, is_environment
+from xdicheck.machine import OUTPUT, enabled_transitions, is_environment
+
+
+def reference_reach(machine, env, *starts):
+    """Breadth-first reachability from the start states: the discovery
+    order, parent links (None at each start), the predecessors of each
+    reached state over the enabled edges, and the input wires tested
+    against env, in first-test order."""
+
+    parents = dict.fromkeys(starts)
+    preds = {start: [] for start in parents}
+    order = []
+    tested = {}
+    entries = machine.state_map
+    queue = deque(parents)
+    try:
+        while queue:
+            state = queue.popleft()
+            order.append(state)
+            for wire, target in entries[state].transitions:
+                if wire.direction != OUTPUT:
+                    key = (wire.handshake, wire.phase)
+                    tested[key] = None
+                    if key in env:
+                        continue
+                if target in parents:
+                    preds[target].append(state)
+                else:
+                    parents[target] = state
+                    preds[target] = [state]
+                    queue.append(target)
+    except KeyError:
+        machine.entry(state)  # raises entry()'s ValueError for an undeclared state
+        raise
+    return order, parents, preds, tested
+
+
+def reference_trace(parents, state) -> tuple[str, ...]:
+    """The states from the start to state, following the parent links."""
+
+    trail = []
+    while state is not None:
+        trail.append(state)
+        state = parents[state]
+    return tuple(reversed(trail))
 
 
 class _QueryContext:
@@ -74,7 +122,7 @@ def reference_g_check(query) -> CheckResult:
         state = queue.popleft()
         seen.append(state)
         if not ctx.passes(state):
-            return CheckResult(False, frozenset(parents), _trace_to(parents, state))
+            return CheckResult(False, frozenset(parents), reference_trace(parents, state))
         for _, target in enabled_transitions(ctx.machine, state, ctx.env):
             if target not in parents:
                 parents[target] = state
@@ -87,12 +135,12 @@ def reference_fg_check(query) -> CheckResult:
     backward closure of the failing states."""
 
     ctx = _QueryContext(query)
-    order, parents, preds, _ = _reach(ctx.machine, ctx.env, ctx.start)
+    order, parents, preds, _ = reference_reach(ctx.machine, ctx.env, ctx.start)
     doomed = _back_closure(preds, [state for state in order if not ctx.passes(state)])
     visited = frozenset(order)
     for state in order:
         if state not in doomed:
-            return CheckResult(True, visited, _trace_to(parents, state))
+            return CheckResult(True, visited, reference_trace(parents, state))
     return CheckResult(False, visited, None)
 
 

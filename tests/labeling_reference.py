@@ -41,4 +41,4 @@ def reference_parity_search(machine, handshake: str) -> tuple[AmbiguityReport, L
         if (entry.name, False) in parents and (entry.name, True) in parents
     )
     labels = {entry.name: (entry.name, True) in parents for entry in machine.states}
-    return AmbiguityReport(bool(witnesses), witnesses), LabelMap(handshake, labels)
+    return AmbiguityReport(witnesses), LabelMap(handshake, labels)

@@ -200,16 +200,18 @@ def measure_query(kind: str, size: str) -> dict:
     handshake x, live): validate on a freshly read machine, labels on a
     validated one (compute_block_idle, so the wires and the parity search),
     explore + doomed on a labeled one (one _EnvAnswers and its doomed set,
-    as fg_check builds them) and the whole CLI call on the file, output
-    captured. Each is the best of nine calls, every call on a machine of
-    its own, read untimed; the fg result is an untimed call's."""
+    as fg_check builds them), a g query on x in blocking mode on a
+    labeled one (g_check, which fails on both rings) and the whole CLI
+    call on the file, output captured. Each is the best of nine calls,
+    every call on a machine of its own, read untimed; the fg result is an
+    untimed call's."""
 
     import contextlib
     import io
     import tempfile
 
     from xdicheck import cli
-    from xdicheck.checker import BLOCKING, IDLING, TemporalQuery, _EnvAnswers, fg_check
+    from xdicheck.checker import BLOCKING, IDLING, TemporalQuery, _EnvAnswers, fg_check, g_check
     from xdicheck.labeling import compute_block_idle
     from xdicheck.machine import parse_document, validate
 
@@ -233,9 +235,14 @@ def measure_query(kind: str, size: str) -> dict:
     def explore(machine):
         return _EnvAnswers(machine, frozenset(), (machine.init_state,)).doomed("x", mode)
 
+    def g_query(machine):
+        return g_check(TemporalQuery(machine, "x", BLOCKING, frozenset()))
+
     _, _, validate_s = timed(validate, 9, read)
     _, _, labels_s = timed(lambda machine: compute_block_idle(machine, "x"), 9, validated)
     _, _, explore_s = timed(explore, 9, labeled)
+    failed, _, g_s = timed(g_query, 9, labeled)
+    assert not failed.holds, failed.counterexample
     result = fg_check(TemporalQuery(labeled(), "x", mode, frozenset()))
     with tempfile.TemporaryDirectory() as folder:
         path = f"{folder}/ring.xdi"
@@ -251,7 +258,7 @@ def measure_query(kind: str, size: str) -> dict:
     assert printed.startswith("holds: yes\n"), printed
     return _row(
         kind, size, states=len(read().states), visited=len(result.visited), holds=result.holds,
-        validate_s=validate_s, labels_s=labels_s, explore_s=explore_s, query_s=query_s,
+        validate_s=validate_s, labels_s=labels_s, explore_s=explore_s, g_s=g_s, query_s=query_s,
     )
 
 
@@ -374,7 +381,7 @@ FAMILIES = {
         measure_query,
         (_group("ring", (400, 800, 1600, 3200)), _group("blocked", (400, 800, 1600, 3200))),
         "states",
-        ("validate_s", "labels_s", "explore_s", "query_s"),
+        ("validate_s", "labels_s", "explore_s", "g_s", "query_s"),
     ),
     "condition": Family(measure_condition, (_group("wide", (6, 8, 10, 12, 14)),), "envs", FIRST_BEST),
     "oracle": Family(

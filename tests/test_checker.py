@@ -1,8 +1,11 @@
 """Temporal checks, environment enumeration, and the trace oracle."""
 
+from itertools import combinations
+
 import pytest
 
-from checker_reference import _walk_states, reference_g_check
+import labeling_sweep
+from checker_reference import _walk_states, reference_g_check, reference_reach, reference_trace
 from test_env_answers import _outcome
 from xdicheck import checker
 from xdicheck.checker import (
@@ -121,10 +124,10 @@ def per_state_fg_check(query):
     """Reference fg: the first reachable state, in BFS order, where the
     reference g holds."""
 
-    order, parents, *_ = checker._reach(query.machine, query.env, query.resolved_start())
+    order, parents, *_ = reference_reach(query.machine, query.env, query.resolved_start())
     for state in order:
         if reference_g_check(query._replace(start=state)).holds:
-            return CheckResult(True, frozenset(order), checker._trace_to(parents, state))
+            return CheckResult(True, frozenset(order), reference_trace(parents, state))
     return CheckResult(False, frozenset(order), None)
 
 
@@ -139,6 +142,87 @@ def test_fg_fixpoint_matches_per_state_search(join, distributor, ring_document):
                         query = TemporalQuery(machine, handshake, mode, env, entry.name)
                         fast, slow = fg_check(query), per_state_fg_check(query)
                         assert (fast, fast.witness) == (slow, slow.witness), query
+
+
+# s2 has two predecessors and no cycle is reachable: the first, s0, is its
+# breadth-first parent, and the last, s1, is not.
+DIAMOND = """(machine diamond
+  (s0 t box (((a R I) s1) ((b R I) s2)))
+  (s1 nil box (((a A O) s2)))
+  (s2 nil box ()))"""
+
+
+def reach_machines(ring_document):
+    """The diamond first, then the library primitives, the 24-state rings
+    and the machines of the small cross-validation slice."""
+
+    alphabet = labeling_sweep.wires("a.R.I,a.A.O,b.R.O,b.A.I,c.R.I,c.A.O")
+    yield parse_document(DIAMOND)[0]
+    yield from (spec.machine for spec in builtin_library())
+    yield from (parse_document(ring_document(24, polarity))[0] for polarity in ("idle", "blocked"))
+    yield from labeling_sweep.machines(2, alphabet, 2)
+    yield from labeling_sweep.machines(3, alphabet, 1)
+
+
+def test_reach_matches_the_reference_exploration(ring_document):
+    """_reach's discovery order, predecessor lists and tested wires equal
+    those of the exploration with a queue and a parent table, under every
+    environment and from every set of one to three starts, in either
+    order and with a repeated start; from a single start, _trace_to over
+    the predecessor lists follows the reference's parent links."""
+
+    explorations = 0
+    for machine in reach_machines(ring_document):
+        names = [entry.name for entry in machine.states]
+        starts = [(name, name) for name in names[:1]]
+        for size in range(1, 4):
+            for chosen in combinations(names, size):
+                starts += [chosen, chosen[::-1]] if size > 1 else [chosen]
+        for env in reasonable_envs(machine):
+            for chosen in starts:
+                order, preds, tested = checker._reach(machine, env, *chosen)
+                expected_order, parents, expected_preds, expected_tested = reference_reach(
+                    machine, env, *chosen
+                )
+                assert (order, preds, list(tested)) == (
+                    expected_order, expected_preds, list(expected_tested)
+                ), (machine, env, chosen)
+                explorations += 1
+                if len(chosen) == 1:
+                    for state in order:
+                        trace = checker._trace_to(preds, chosen[0], state)
+                        assert trace == reference_trace(parents, state), (machine, env, state)
+    assert explorations == 597_844
+
+
+def test_g_check_makes_no_backward_pass(join, distributor, ring_document, monkeypatch):
+    """g_check answers from the failing states alone: wrapped as
+    tests/sweep.py wraps them, neither backward pass is called, while
+    fg_check settles its key with one closure."""
+
+    machines = [join, distributor]
+    machines += [parse_document(ring_document(24, polarity))[0] for polarity in ("idle", "blocked")]
+    passes = []
+    for name in ("_back_closure", "_back_fixpoint"):
+        wrapped = getattr(checker, name)
+
+        def counted(*args, name=name, wrapped=wrapped):
+            passes.append(name)
+            return wrapped(*args)
+
+        monkeypatch.setattr(checker, name, counted)
+    outcomes = set()
+    for machine in machines:
+        for handshake in sorted(machine.handshakes):
+            for mode in (BLOCKING, IDLING):
+                for env in reasonable_envs(machine):
+                    query = TemporalQuery(machine, handshake, mode, env)
+                    outcomes.add(g_check(query).holds)
+                    assert passes == [], query
+                    fg_check(query)
+                    assert passes == ["_back_closure"], query
+                    passes.clear()
+    assert outcomes == {True, False}
 
 
 def test_oracle_respects_explicit_bound(join):

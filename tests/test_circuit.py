@@ -569,14 +569,15 @@ def test_block_cases_span_blocks(kind, arg, broken, blocks, machines_dir, circui
 
 
 def parent_links(system):
-    """The breadth-first tree in the reference's form, read from parent,
-    parent_label and decode: each state's parent and the label of the
-    edge from it, None at the initial state."""
+    """The breadth-first tree in the reference's form, read from the first
+    predecessor of each state, parent_label and decode: each state's
+    parent and the label of the edge from it, None at the initial state."""
 
     states = [system.decode(code) for code in system.codes]
     links = {states[0]: None}
     for s in range(1, len(states)):
-        links[states[s]] = (states[system.parent[s]], system.labels[system.parent_label[s]])
+        parent = system.predecessors[s][0]
+        links[states[s]] = (states[parent], system.labels[system.parent_label[s]])
     return links
 
 

@@ -19,8 +19,8 @@ KEYS = {
     ],
     "parse": ["kind", "size", "states", "transitions", "cold_s", "first_s", "best_s", "peak_rss_mb"],
     "query": [
-        "kind", "size", "states", "visited", "holds", "validate_s", "labels_s", "explore_s", "query_s",
-        "peak_rss_mb",
+        "kind", "size", "states", "visited", "holds", "validate_s", "labels_s", "explore_s", "g_s",
+        "query_s", "peak_rss_mb",
     ],
     "condition": ["kind", "size", "envs", "explorations", "holds", "first_s", "best_s", "peak_rss_mb"],
     "oracle": [
