@@ -40,7 +40,6 @@ from .formulas import (
 from .labeling import (
     AmbiguityReport,
     AmbiguousMachineError,
-    LabelMap,
     UnknownHandshakeError,
     check_unambiguous,
     compute_block_idle,
@@ -87,7 +86,6 @@ __all__ = [
     "Verdict",
     "parse_condition",
     "verify_condition",
-    "LabelMap",
     "AmbiguityReport",
     "AmbiguousMachineError",
     "UnknownHandshakeError",

@@ -25,12 +25,13 @@ plus edges, and a failing g query explores the whole reachable graph.
 The bounded walk oracle (oracle_g_check, oracle_fg_check) answers the same
 queries from the definitions, with none of the engine's code. It holds its
 sets of states as bitmasks, one bit per declared state, and reads each
-state's moves once per environment: _oracle_walks gives every state's walk
-mask and the states that may fail, per environment and bound, and
-_oracle_sets the masks of the states where g holds and where fg holds, per
-handshake and mode. cross_validate compares those two masks with the
-engine's sets per (environment, handshake, mode) and lists disagreements
-state by state only where a pair differs.
+declared state's moves once per environment, before its walks:
+_oracle_walks gives every state's walk mask and the states that may
+fail, per environment and bound, and _oracle_sets the masks of the
+states where g holds and where fg holds, per handshake and mode.
+cross_validate compares those two masks with the engine's sets per
+(environment, handshake, mode) and lists disagreements state by state
+only where a pair differs.
 
 A dead end satisfies either mode: a machine stranded by its environment
 stays in that state forever, which is vacuously permanent for both
@@ -276,7 +277,7 @@ def _failing(machine: XdiMachine, handshake: str, mode: Mode, states: Iterable[s
     test wherever they can move: those neither transient nor labeled with
     the mode."""
 
-    blocking = compute_block_idle(machine, handshake).labels
+    blocking = compute_block_idle(machine, handshake)
     entries = machine.state_map
     other = mode != BLOCKING  # the label (True: blocking) of the other mode
     return [state for state in states if blocking[state] == other and entries[state].kind != TRANSIENT]
@@ -306,9 +307,10 @@ class _EnvAnswers:
     labeled with the mode (_failing). The doomed states of a key are the
     backward closure of its failing states: g holds at a state iff it is
     not doomed, and fg iff it is hopeful, in the backward closure of the
-    undoomed states. doomed and hopeful settle one key on first use, one
-    _back_closure each; key_masks settles many keys at once, one
-    _back_fixpoint each for doomed and hopeful, with one bit per key.
+    undoomed states. doomed settles one key on first use, with one
+    _back_closure; key_masks settles many keys at once, with one bit per
+    key, in two _back_fixpoint passes: one for the doomed states and one
+    for the hopeful ones.
     tested holds the input wires the exploration tested against the
     environment, in first-test order: every environment that answers
     those wires alike gets the same graph, so the same answers. Build one
@@ -316,7 +318,7 @@ class _EnvAnswers:
     on the machine.
     """
 
-    __slots__ = ("machine", "order", "preds", "tested", "movers", "_doomed", "_hopeful")
+    __slots__ = ("machine", "order", "preds", "tested", "movers", "_doomed")
 
     def __init__(self, machine: XdiMachine, env: Environment, starts: Sequence[str]) -> None:
         self.machine = machine
@@ -324,7 +326,6 @@ class _EnvAnswers:
         # A state with an enabled move is some state's predecessor.
         self.movers = {pred for preds in self.preds.values() for pred in preds}
         self._doomed: dict[tuple[str, Mode], set[str]] = {}
-        self._hopeful: dict[tuple[str, Mode], set[str]] = {}
 
     def failing(self, handshake: str, mode: Mode) -> list[str]:
         """The failing states, in discovery order."""
@@ -337,21 +338,13 @@ class _EnvAnswers:
             self._doomed[key] = _back_closure(self.preds, self.failing(handshake, mode))
         return self._doomed[key]
 
-    def hopeful(self, handshake: str, mode: Mode) -> set[str]:
-        """The backward closure of the undoomed states: where fg holds."""
-
-        key = (handshake, mode)
-        if key not in self._hopeful:
-            doomed = self.doomed(handshake, mode)
-            undoomed = [state for state in self.order if state not in doomed]
-            self._hopeful[key] = _back_closure(self.preds, undoomed)
-        return self._hopeful[key]
-
     def key_masks(self, failing: Mapping[str, int], every: int) -> tuple[dict[str, int], dict[str, int]]:
         """Per reached state, the mask of the keys it is doomed for and the
         mask of those it is hopeful for, given _failing_keys's masks and
-        every, the mask of all their keys: bit k of a state's masks is set
-        iff the state is in doomed(*keys[k]), or in hopeful(*keys[k])."""
+        every, the mask of all their keys: bit k of a state's first mask is
+        set iff the state is in doomed(*keys[k]), and of its second iff the
+        state is in the backward closure of the states not in
+        doomed(*keys[k])."""
 
         movers = self.movers
         seeds = {state: failing[state] if state in movers else 0 for state in self.order}
@@ -426,15 +419,14 @@ def _find_class(trie, env: Environment):
 # all bounded walks are exactly the states reachable within the bound,
 # which _oracle_walks collects one breadth-first layer per step. Sets of
 # states are bitmasks: bit i stands for the i-th declared state, and an
-# undeclared target that a walk meets takes the next free bit. Per
-# environment and bound, once per machine through XdiMachine.memo,
-# _oracle_walks reads each state's enabled moves once, as the mask of their
-# targets, when a walk first expands the state (a declared state no walk
-# expands is read to tell whether it may fail), and keeps only ints: every
-# declared state's walk mask and the mask of the states that may fail a
-# mode test. _oracle_sets answers both queries for every start at once: per
-# handshake and mode, the g mask holds the starts whose walk misses the
-# failing states, and the fg mask the starts whose walk meets the g mask.
+# undeclared target takes the next free bit. Per environment and bound,
+# once per machine through XdiMachine.memo, _oracle_walks reads every
+# declared state's enabled moves once, before the walks, as the mask of
+# their targets, and keeps only ints: every declared state's walk mask and
+# the mask of the states that may fail a mode test. _oracle_sets answers
+# both queries for every start at once: per handshake and mode, the g mask
+# holds the starts whose walk misses the failing states, and the fg mask
+# the starts whose walk meets the g mask.
 # The oracle reads nothing of the g/fg engine above.
 
 ORACLE_MAX_STATES = 20
@@ -469,53 +461,55 @@ def _oracle_walks(
     order, and the mask of the states that may fail a mode test: those
     with an enabled move that are not transient.
 
-    A walk mask holds the final states of all walks from the state taking
-    at most `bound` steps. Layer k holds the states first reached in k
-    steps; a walk stops at the bound or at the first empty layer.
+    Every declared state's enabled moves are read once, in declaration
+    order, before any walk, as the mask of their targets; the same loop
+    builds the mask of the states that may fail. A walk mask holds the
+    final states of all walks from the state taking at most `bound` steps.
+    Layer k holds the states first reached in k steps; a walk stops at the
+    bound or at the first empty layer. A walk that expands an undeclared
+    state raises entry()'s ValueError.
     """
 
     bits = _state_bits(machine)
     names = list(bits)
-    moves: dict[int, int] = {}  # a state's bit -> the mask of its enabled moves' targets
-
-    def successors(bit: int) -> int:
-        # enabled_transitions raises entry()'s ValueError for an undeclared state.
+    declared = list(bits.values())
+    moves: dict[int, int] = {}  # a declared state's bit -> the mask of its enabled moves' targets
+    may_fail = 0
+    for bit, entry in zip(declared, machine.state_map.values()):
         mask = 0
-        for _, target in enabled_transitions(machine, names[bit.bit_length() - 1], env):
+        for _, target in enabled_transitions(machine, entry.name, env):
             if target not in bits:
                 bits[target] = 1 << len(names)
                 names.append(target)
             mask |= bits[target]
         moves[bit] = mask
-        return mask
-
-    declared = list(bits.values())
+        if mask and not entry.is_transient:
+            may_fail |= bit
     walks = []
-    for start in declared:
-        reached = layer = start
-        for _ in range(bound):
-            step = 0
-            while layer:
-                bit = layer & -layer
-                layer ^= bit
-                step |= moves[bit] if bit in moves else successors(bit)
-            layer = step & ~reached
-            if not layer:
-                break
-            reached |= layer
-        walks.append((start, reached))
-    may_fail = sum(
-        bit
-        for bit, entry in zip(declared, machine.state_map.values())
-        if not entry.is_transient and (moves[bit] if bit in moves else successors(bit))
-    )
+    try:
+        for start in declared:
+            reached = layer = start
+            for _ in range(bound):
+                step = 0
+                while layer:
+                    bit = layer & -layer
+                    layer ^= bit
+                    step |= moves[bit]
+                layer = step & ~reached
+                if not layer:
+                    break
+                reached |= layer
+            walks.append((start, reached))
+    except KeyError:
+        machine.entry(names[bit.bit_length() - 1])  # raises entry()'s ValueError for an undeclared state
+        raise
     return tuple(walks), may_fail
 
 
 def _blocking_mask(machine: XdiMachine, handshake: str) -> int:
     """The mask of the declared states labeled blocking for the handshake."""
 
-    labels = compute_block_idle(machine, handshake).labels
+    labels = compute_block_idle(machine, handshake)
     return sum(bit for state, bit in _state_bits(machine).items() if labels[state])
 
 

@@ -552,7 +552,7 @@ def _blocking_states(machine: XdiMachine) -> frozenset[str]:
     """States at blocking parity on at least one handshake of the machine."""
 
     label_maps = [
-        compute_block_idle(machine, handshake).labels
+        compute_block_idle(machine, handshake)
         for handshake in sorted(machine.handshakes)
     ]
     return frozenset(

@@ -163,8 +163,8 @@ def _cmd_labels(args) -> int:
         }
         _emit(payload, args.json, lines)
         return 2
-    blocking = sorted(state for state, value in labels.labels.items() if value)
-    idling = sorted(state for state, value in labels.labels.items() if not value)
+    blocking = sorted(state for state, value in labels.items() if value)
+    idling = sorted(state for state, value in labels.items() if not value)
     payload = {
         "machine": mach.name,
         "handshake": args.handshake,

@@ -3,16 +3,15 @@
 Every path from the initial state assigns a state the parity of the
 handshake events seen along the way: even parity is idling, odd parity is
 blocking. A machine is unambiguous for a handshake when all paths agree
-on every state, box and transient alike; labels exist only in that case.
-One breadth-first search over (state, parity) pairs yields both the
-labels and the conflicts, so neither a label nor the set of conflicting
-states depends on declaration order; only the choice between equally
-short witness paths does.
+on every state, box and transient alike; labels exist only in that case,
+as a plain dict from each declared state to True (blocking) or False
+(idling). One breadth-first search over (state, parity) pairs yields
+both the labels and the conflicts, so neither a label nor the set of
+conflicting states depends on declaration order; only the choice between
+equally short witness paths does.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from .machine import XdiMachine
 from .record import Record
@@ -21,7 +20,6 @@ __all__ = [
     "Mode",
     "BLOCKING",
     "IDLING",
-    "LabelMap",
     "ParityConflict",
     "AmbiguityReport",
     "UnknownHandshakeError",
@@ -49,16 +47,6 @@ class AmbiguousMachineError(ValueError):
             f" at: {states}"
         )
         self.report = report
-
-
-class LabelMap(Record):
-    """Map from state id to its label; True means blocking."""
-
-    handshake: str
-    labels: Mapping[str, bool]
-
-    def mode(self, state: str) -> Mode:
-        return BLOCKING if self.labels[state] else IDLING
 
 
 class ParityConflict(Record):
@@ -98,13 +86,16 @@ def check_unambiguous(machine: XdiMachine, handshake: str) -> AmbiguityReport:
     return machine.memo(_parity_search, handshake)[0]
 
 
-def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
-    """Label every state with the parity the search reaches it with.
+def compute_block_idle(machine: XdiMachine, handshake: str) -> dict[str, bool]:
+    """Every declared state's label, in declaration order: True means
+    blocking, False idling.
 
     The flag starts as idling and toggles on any transition whose wire names
     the handshake, request and acknowledge alike. A state is blocking when
-    it is reached with odd parity; a state never reached stays idling. An
-    ambiguous machine raises AmbiguousMachineError on every call.
+    it is reached with odd parity; a state never reached stays idling. The
+    dict is the search's own, memoised on the machine, so every call returns
+    the same object: read it, do not change it. An ambiguous machine raises
+    AmbiguousMachineError on every call.
     """
 
     _require_handshake(machine, handshake)
@@ -114,7 +105,7 @@ def compute_block_idle(machine: XdiMachine, handshake: str) -> LabelMap:
     return labels
 
 
-def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport, LabelMap]:
+def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport, dict[str, bool]]:
     """Propagate (state, parity) pairs breadth first from the initial state.
 
     parents[parity] maps each state reached with that parity to the
@@ -154,5 +145,4 @@ def _parity_search(machine: XdiMachine, handshake: str) -> tuple[AmbiguityReport
         for entry in machine.states
         if entry.name in both
     )
-    labels = {name: name in blocking for name in entries}
-    return AmbiguityReport(witnesses), LabelMap(handshake, labels)
+    return AmbiguityReport(witnesses), {name: name in blocking for name in entries}

@@ -11,6 +11,10 @@ reference_cross_validate is the per-query loop that cross_validate ran
 before it compared whole answer sets: for every environment, handshake,
 mode and start, one g and one fg answer from the engine and one of each
 from the walk oracle, asked query by query (_oracle_g, _oracle_fg).
+Its engine fg answer is reference_hopeful, the one backward closure per
+(handshake, mode) key that _EnvAnswers.hopeful made before key_masks
+settled every key of an environment in one pass; the tests hold
+key_masks to it.
 
 _walk_states is the oracle's walk as a set of state names, the loop the
 checker ran before its walks became bitmasks; _oracle_g and _oracle_fg
@@ -105,7 +109,7 @@ class _QueryContext:
         entry = self.machine.entry(state)
         if entry.is_transient:
             return True
-        if self.labels.mode(state) == self.mode:
+        if self.labels[state] == (self.mode == BLOCKING):
             return True
         return not enabled_transitions(self.machine, state, self.env)
 
@@ -144,6 +148,14 @@ def reference_fg_check(query) -> CheckResult:
     return CheckResult(False, visited, None)
 
 
+def reference_hopeful(answers, handshake, mode) -> set[str]:
+    """The states of an _EnvAnswers where the fg query holds: the backward
+    closure of the states it explored that are not doomed for the key."""
+
+    doomed = answers.doomed(handshake, mode)
+    return _back_closure(answers.preds, [state for state in answers.order if state not in doomed])
+
+
 def _walk_states(machine, env, start, bound) -> frozenset[str]:
     """Final states of all walks from start taking at most `bound` steps.
 
@@ -171,7 +183,7 @@ def _oracle_g(machine, handshake, mode, env, start, bound, memo) -> bool:
         labels = compute_block_idle(machine, handshake)
         memo[key] = all(
             machine.entry(state).is_transient
-            or labels.mode(state) == mode
+            or labels[state] == (mode == BLOCKING)
             or not enabled_transitions(machine, state, env)
             for state in _walk_states(machine, env, start, bound)
         )
@@ -207,7 +219,7 @@ def reference_cross_validate(machine, bound=None, max_states=20) -> tuple[Disagr
                 for start in states:
                     g = start not in answers.doomed(handshake, mode)
                     oracle_g = _oracle_g(machine, handshake, mode, env, start, steps, memo)
-                    fg = start in answers.hopeful(handshake, mode)
+                    fg = start in reference_hopeful(answers, handshake, mode)
                     oracle_fg = _oracle_fg(machine, handshake, mode, env, start, steps, memo)
                     for op, fast, slow in (("g", g, oracle_g), ("fg", fg, oracle_fg)):
                         if fast != slow:

@@ -10,10 +10,10 @@ with both paths, and the labels, in order.
 
 from collections import deque
 
-from xdicheck.labeling import AmbiguityReport, LabelMap, ParityConflict
+from xdicheck.labeling import AmbiguityReport, ParityConflict
 
 
-def reference_parity_search(machine, handshake: str) -> tuple[AmbiguityReport, LabelMap]:
+def reference_parity_search(machine, handshake: str) -> tuple[AmbiguityReport, dict[str, bool]]:
     """Propagate (state, parity) pairs breadth first from the initial state."""
 
     start = (machine.init_state, False)
@@ -40,5 +40,4 @@ def reference_parity_search(machine, handshake: str) -> tuple[AmbiguityReport, L
         for entry in machine.states
         if (entry.name, False) in parents and (entry.name, True) in parents
     )
-    labels = {entry.name: (entry.name, True) in parents for entry in machine.states}
-    return AmbiguityReport(witnesses), LabelMap(handshake, labels)
+    return AmbiguityReport(witnesses), {entry.name: (entry.name, True) in parents for entry in machine.states}

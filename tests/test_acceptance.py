@@ -190,7 +190,7 @@ def test_criterion_9_property_suites():
                 while stack:
                     state, parity, seen = stack.pop()
                     if not mach.entry(state).is_transient:
-                        assert labels.labels[state] == parity
+                        assert labels[state] == parity
                     for wire, target in mach.entry(state).transitions:
                         if target not in seen:
                             stack.append(

@@ -316,6 +316,31 @@ def test_unvalidated_machines_keep_their_answers_and_errors(bound, reached_from_
     assert _outcome(lambda: cross_validate(parse_document(text)[0], bound)) == NO_S9
 
 
+def test_the_oracle_reads_each_declared_state_once_per_walk_table(monkeypatch, machines_dir):
+    """_oracle_walks reads every declared state's moves exactly once, in
+    declaration order, each time it builds an (environment, bound) table,
+    and not at all when the machine's memo holds the table."""
+
+    machine = parse_document((machines_dir / "distributor.xdi").read_text())[0]
+    names = [entry.name for entry in machine.states]
+    envs = reasonable_envs(machine)
+    reads = []
+
+    def counted(machine, state, env):
+        reads.append((state, env))
+        return enabled_transitions(machine, state, env)
+
+    monkeypatch.setattr(checker, "enabled_transitions", counted)
+    assert cross_validate(machine) == ()
+    assert reads == [(name, env) for env in envs for name in names]
+    reads.clear()
+    assert cross_validate(machine) == ()
+    assert reads == []
+    for bound in (0, 1, 2, 1):  # the second bound 1 finds its table memoised
+        oracle_fg_check(TemporalQuery(machine, "a", BLOCKING, envs[-1]), bound)
+    assert reads == [(name, envs[-1]) for bound in (0, 1, 2) for name in names]
+
+
 def test_oracle_size_guard():
     states = ["(s0 t box (((a R I) s1)))"]
     states += [f"(s{i} nil box (((a R I) s{i + 1})))" for i in range(1, 25)]

@@ -468,7 +468,7 @@ def reference_stuck_profile(machine):
     ]
     return {
         entry.name: entry.is_transient
-        or any(labels.labels[entry.name] for labels in label_maps)
+        or any(labels[entry.name] for labels in label_maps)
         for entry in machine.states
     }
 

@@ -21,32 +21,32 @@ IDLING_A = {"s0", "s2", "s6"}
 
 def test_join_labels_for_a(join):
     labels = compute_block_idle(join, "a")
-    assert {s for s, odd in labels.labels.items() if odd} == BLOCKING_A
-    assert {s for s, odd in labels.labels.items() if not odd} == IDLING_A
+    assert {s for s, odd in labels.items() if odd} == BLOCKING_A
+    assert {s for s, odd in labels.items() if not odd} == IDLING_A
 
 
 def test_join_labels_for_b_mirror_a(join):
     labels = compute_block_idle(join, "b")
-    assert {s for s, odd in labels.labels.items() if odd} == {
+    assert {s for s, odd in labels.items() if odd} == {
         "s2", "s3", "s4", "s5", "s6", "s8", "s9"
     }
-    assert {s for s, odd in labels.labels.items() if not odd} == {"s0", "s1", "s7"}
+    assert {s for s, odd in labels.items() if not odd} == {"s0", "s1", "s7"}
 
 
 def test_join_labels_for_c(join):
     labels = compute_block_idle(join, "c")
     # c.R flips at s3 -> s4, c.A flips back at s4 -> s5
-    assert {s for s, odd in labels.labels.items() if odd} == {"s4"}
+    assert {s for s, odd in labels.items() if odd} == {"s4"}
 
 
-def test_mode_accessor_matches_raw_labels(join):
+def test_labels_are_plain_booleans(join):
     labels = compute_block_idle(join, "a")
-    assert labels.mode("s1") == "blocking"
-    assert labels.mode("s0") == "idling"
+    assert labels["s1"] is True
+    assert labels["s0"] is False
 
 
 def test_blocking_and_idling_helpers(join):
-    labels = compute_block_idle(join, "a").labels
+    labels = compute_block_idle(join, "a")
     assert labels["s3"]
     assert not labels["s6"]
 
@@ -58,7 +58,7 @@ def test_parity_toggles_on_both_phases():
       (s1 nil transient (((a A O) s0))))
     """
     labels = compute_block_idle(parse_document(text)[0], "a")
-    assert labels.labels == {"s0": False, "s1": True}
+    assert labels == {"s0": False, "s1": True}
 
 
 def test_unknown_handshake_raises(join):
@@ -136,7 +136,7 @@ def test_first_visit_wins_on_diamonds(join):
     # s5 branches to s7 then s6; both rejoin s0 with equal parity, so the
     # propagation must terminate with a single consistent assignment
     labels = compute_block_idle(join, "a")
-    assert labels.labels["s0"] is False
+    assert labels["s0"] is False
 
 
 def test_results_are_cached_by_machine_and_handshake(join):

@@ -53,7 +53,7 @@ def test_labels_match_path_parity_on_every_simple_path():
         while stack:
             state, parity, seen = stack.pop()
             if not mach.entry(state).is_transient:
-                assert labels.labels[state] == parity, (mach.name, handshake, state)
+                assert labels[state] == parity, (mach.name, handshake, state)
             for wire, target in mach.entry(state).transitions:
                 if target in seen:
                     continue

@@ -47,7 +47,7 @@ def _reference(cls):
 
 def test_the_package_has_its_records():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 30
     assert {"Wire", "XdiMachine", "TemporalQuery", "And", "Or", "PrimitiveSpec", "ProductSystem"} <= names
     assert {"_Command", "_Option"} <= names  # the CLI's argument table
 
