@@ -326,9 +326,9 @@ def test_the_oracle_reads_each_declared_state_once_per_walk_table(monkeypatch, m
     envs = reasonable_envs(machine)
     reads = []
 
-    def counted(machine, state, env):
+    def counted(owner, state, env):
         reads.append((state, env))
-        return enabled_transitions(machine, state, env)
+        return enabled_transitions(owner, state, env)
 
     monkeypatch.setattr(checker, "enabled_transitions", counted)
     assert cross_validate(machine) == ()
