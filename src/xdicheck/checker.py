@@ -211,9 +211,10 @@ def _back_fixpoint(preds: Mapping | Sequence, masks: dict | list) -> dict | list
     return masks
 
 
-def _trace_to(preds: dict[str, list[str]], start: str, state: str) -> tuple[str, ...]:
-    """The breadth-first tree path from start to state, over _reach's
-    predecessor lists from the one start."""
+def _trace_to(preds: Mapping | Sequence, start, state) -> tuple:
+    """The breadth-first tree path from start to state, over predecessor
+    lists whose first entry is the parent: by name from _reach over a
+    machine, by number from compose over a product (circuit._path)."""
 
     trail = [state]
     while state != start:

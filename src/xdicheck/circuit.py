@@ -12,10 +12,10 @@ variables, and emits the result as SMT-LIB.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
-from .checker import _back_closure, _back_fixpoint
+from .checker import _back_closure, _back_fixpoint, _trace_to
 from .formulas import (
     And,
     BlockedAtom,
@@ -327,11 +327,8 @@ class ProductSystem(Record):
         return adjacency
 
     def _path(self, s: int) -> tuple[str, ...]:
-        labels: list[str] = []
-        while s > 0:
-            labels.append(self.labels[self.parent_label[s]])
-            s = self.predecessors[s][0]
-        return tuple(reversed(labels))
+        trail = _trace_to(self.predecessors, 0, s)[1:]
+        return tuple(self.labels[self.parent_label[t]] for t in trail)
 
 
 # Consecutive instances share one move table while their joint radix
@@ -659,8 +656,10 @@ def fullness_invariant(system: ProductSystem) -> Formula | None:
     Snapshots are taken at product states where every instance with a
     fullness map (PrimitiveSpec.fullness) is in a state the map covers:
     a settled state, all handshakes at even parity, where fullness is
-    well defined. Returns None when there is nothing to constrain: no
-    such instance, no settled snapshot, or all fullness profiles realized.
+    well defined. The invariant is the OR of one AND of literals per
+    realized profile, in sorted order, both folded to the left. Returns
+    None when there is nothing to constrain: no such instance, no settled
+    snapshot, or all fullness profiles realized.
     """
 
     fullness = [get_primitive(primitive).fullness for _, primitive in system.netlist.instances]
@@ -684,21 +683,13 @@ def fullness_invariant(system: ProductSystem) -> Formula | None:
     if not profiles or len(profiles) == 2 ** len(indices):
         return None
     names = [f"full_{system.order[idx]}" for idx in indices]
-
-    def profile_term(profile: tuple[bool, ...]) -> Formula:
-        literals = [
+    return reduce(Or, (
+        reduce(And, (
             VarAtom(name) if value else Not(VarAtom(name))
             for name, value in zip(names, profile)
-        ]
-        term = literals[0]
-        for literal in literals[1:]:
-            term = And(term, literal)
-        return term
-
-    invariant = profile_term(profiles[0])
-    for profile in profiles[1:]:
-        invariant = Or(invariant, profile_term(profile))
-    return invariant
+        ))
+        for profile in profiles
+    ))
 
 
 # --- Deadlock formula --------------------------------------------------------

@@ -193,7 +193,7 @@ def _cmd_query(args) -> int:
     mach, _ = _load_document(args.file)
     env = _parse_env_arg(args.env, mach)
     if args.op in ("blocked", "idle"):
-        if args.mode or args.start:
+        if args.mode is not None or args.start is not None:
             raise CommandError(f"--mode/--start do not apply to op {args.op}")
         mode = checker.BLOCKING if args.op == "blocked" else checker.IDLING
         start = None

@@ -125,7 +125,11 @@ class LibraryEntryReport(Record):
 
 
 def verify_library() -> tuple[LibraryEntryReport, ...]:
-    """Re-verify every shipped primitive from scratch."""
+    """Re-verify every shipped primitive from scratch.
+
+    A primitive that fails validation or has an ambiguous handshake
+    reports its problems and no verdicts, as every command refuses such
+    a machine."""
 
     reports = []
     for spec in builtin_library():
@@ -137,7 +141,7 @@ def verify_library() -> tuple[LibraryEntryReport, ...]:
                 ambiguity = check_unambiguous(spec.machine, handshake)
                 if ambiguity.ambiguous:
                     problems.append(f"ambiguous labels for handshake {handshake}")
-        verdicts = tuple(
+        verdicts = () if problems else tuple(
             (cond.name, verify_condition(cond.formula, spec.machine))
             for cond in spec.conditions
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .record import Record
@@ -43,23 +43,15 @@ BOX = "box"
 TRANSIENT = "transient"
 
 
-@total_ordering
 class Wire(Record):
     """A transition label: handshake id, phase R|A, direction I|O.
 
-    Wires order as the tuples of their fields."""
+    Like every record it compares only for equality and prints as
+    Wire(handshake=..., phase=..., direction=...); wires have no order."""
 
     handshake: str
     phase: str
     direction: str
-
-    def __lt__(self, other):
-        if other.__class__ is Wire:
-            return self._values() < other._values()
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return f"({self.handshake} {self.phase} {self.direction})"
 
 
 class StateEntry(NamedTuple):

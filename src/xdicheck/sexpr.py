@@ -180,7 +180,10 @@ def expect_symbol(node: Form, what: str) -> str:
 
 
 def string_value(node: Form) -> str | None:
-    """The text of a string node with its escapes read; None for any other node."""
+    """The text of a string node with its escapes read; None for any other node.
+
+    A body with no backslash is returned as it is; otherwise each escaped
+    quote or backslash reads as the character after its backslash."""
 
     text = node[0]
     if type(text) is not str or text[0] != '"':
@@ -188,9 +191,4 @@ def string_value(node: Form) -> str | None:
     body = text[1:-1]
     if "\\" not in body:
         return body
-    # A callable, not the template r"\1", which re parses once per process.
-    return _ESCAPE.sub(_escaped, body)
-
-
-def _escaped(match: re.Match) -> str:
-    return match[1]
+    return _ESCAPE.sub(r"\1", body)

@@ -100,7 +100,8 @@ def _all_reachable(chosen) -> bool:
 
 
 def _key(kinds_of, chosen):
-    return tuple(zip(kinds_of, (tuple(sorted(out)) for out in chosen)))
+    outs = (tuple(sorted((wire._values(), target) for wire, target in out)) for out in chosen)
+    return tuple(zip(kinds_of, outs))
 
 
 def _renamed(kinds_of, chosen, order):

@@ -236,11 +236,15 @@ def test_query_blocked_shorthand(run_cli, join_path):
     assert "holds: yes" in stable.out
 
 
-def test_query_blocked_rejects_mode(run_cli, join_path):
-    result = run_cli(
-        "query", join_path, "--handshake", "a", "--op", "blocked", "--mode", "idling",
-    )
-    assert result.code == 2
+@pytest.mark.parametrize(
+    "flags",
+    [("--mode", "idling"), ("--start", "s0"), ("--start", ""), ("--start=",)],
+    ids=["mode", "start", "empty-start", "empty-start-equals"],
+)
+def test_query_blocked_rejects_mode(run_cli, join_path, flags):
+    result = run_cli("query", join_path, "--handshake", "a", "--op", "blocked", *flags)
+    assert (result.code, result.out) == (2, "")
+    assert "--mode/--start do not apply to op blocked" in result.err
 
 
 def test_query_g_requires_mode(run_cli, join_path):
@@ -863,10 +867,11 @@ def test_check_library_reports_each_problem_of_a_failing_primitive(
     from xdicheck.machine import parse_document
 
     lost = parse_document("(machine lost (s0 t box ()) (s1 nil box ()))")[0]
+    blocked_a = library.NamedCondition("blocked_a", formulas.parse_condition("blocked(a)"), "blocked(a)")
     shipped = library.builtin_library()[0]
     primitives = (
         shipped,
-        library.PrimitiveSpec("twopath", twopath, (), {}),
+        library.PrimitiveSpec("twopath", twopath, (blocked_a,), {}),
         library.PrimitiveSpec("lost", lost, (), {}),
     )
     monkeypatch.setattr(library, "builtin_library", lambda: primitives)
